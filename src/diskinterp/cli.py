@@ -72,7 +72,6 @@ class RunConfig:
     boundary_grid: int = 4096
     psd_tol: float = 1e-10
     bisect_rel_tol: float = 1e-8
-    seed: int = 0
     output_path: str = ""
 
     def __post_init__(self):
@@ -213,6 +212,11 @@ def _decomposition_dict(dec: Decomposition) -> dict:
         "fit_grid_size": dec.fit_grid_size,
         "fit_grid_resolution": dec.fit_grid_resolution,
         "worst_point": _cplx(dec.worst_point),
+        "search": {
+            "method": dec.search,
+            "masks_enumerated": dec.masks_enumerated,
+            "masks_evaluated": dec.masks_evaluated,
+        },
     }
 
 
@@ -406,7 +410,6 @@ def build_parser() -> _Parser:
     common.add_argument("--boundary-grid", type=int, dest="boundary_grid")
     common.add_argument("--psd-tol", type=float, dest="psd_tol")
     common.add_argument("--bisect-rel-tol", type=float, dest="bisect_rel_tol")
-    common.add_argument("--seed", type=int, dest="seed")
 
     parser = _Parser(
         prog="diskinterp",
@@ -457,8 +460,7 @@ def build_parser() -> _Parser:
 
 
 _CONFIG_FLAGS = (
-    "grid_resolution", "boundary_grid", "psd_tol", "bisect_rel_tol",
-    "seed", "output_path",
+    "grid_resolution", "boundary_grid", "psd_tol", "bisect_rel_tol", "output_path",
 )
 
 

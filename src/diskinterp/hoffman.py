@@ -11,8 +11,9 @@ form, so this module fits them empirically: on a finite exclusion grid it
 takes the extremal b (worst log-modulus ratio) and then the extremal a,
 which makes the sandwich hold at every grid point by construction.
 ``decompose`` searches the partitions of a sequence for the split with the
-smallest fitted b, exhaustively up to 16 points and by deterministic local
-search beyond.
+smallest fitted b: exactly up to 16 points, by enumerating every partition
+and pruning with lower bounds on b from a few witness grid points, and by
+deterministic local search beyond.
 """
 
 from __future__ import annotations
@@ -25,15 +26,20 @@ from .blaschke import PointSequence, blaschke_log_modulus, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
 from .geometry import _mobius, pseudohyperbolic_distance
 
-# Largest sequence for which every nontrivial partition is evaluated
-# (2^(n-1) - 1 candidates, each one a grid sweep).
+# Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
+# are bounded on a few witness grid points, and only those whose bound does
+# not exceed the best b found get a full grid sweep.
 EXHAUSTIVE_LIMIT = 16
 
 # Grid log-moduli this close to zero cannot anchor a ratio fit.
 _FIT_DEGENERACY_TOL = 1e-14
 
-# Partition candidates evaluated per vectorized batch (bounds peak memory).
-_BATCH = 64
+# Evenly spaced partition codes whose argmax grid columns form the
+# witness set of the pruned exhaustive search.
+_WITNESS_PROBES = 10
+
+# Partitions fully evaluated per vectorized batch in the pruned search.
+_EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,13 @@ class ExclusionGrid:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A two-part splitting of a sequence with its fitted sandwich constants."""
+    """A two-part splitting of a sequence with its fitted sandwich constants.
+
+    ``search`` names how the split was found: "exhaustive" (every partition
+    enumerated, the pruned ones fully evaluated), "local" (single-move
+    descent, every mask tried fully evaluated) or "declared" (given, not
+    searched, with both counts zero).
+    """
 
     base: PointSequence
     part0: tuple[int, ...]
@@ -61,6 +73,9 @@ class Decomposition:
     fit_grid_size: int
     fit_grid_resolution: int
     worst_point: complex
+    search: str = "declared"
+    masks_enumerated: int = 0
+    masks_evaluated: int = 0
 
     def __post_init__(self):
         n = len(self.base)
@@ -181,33 +196,66 @@ def _batched_objectives(masks: np.ndarray, LM: np.ndarray, L_total: np.ndarray):
     return b, a
 
 
-def _search_exhaustive(LM, L_total, n):
-    """Best mask over all nontrivial partitions with index 0 pinned to part0."""
+def _search_exhaustive(LM, L_total):
+    """Best mask over all nontrivial partitions with index 0 pinned to part0.
+
+    Exact, with lower-bound pruning.  The argmax grid columns of a few
+    evenly spaced masks form a witness set S, and b restricted to S is a
+    lower bound on a mask's b.  Masks are fully evaluated in increasing
+    order of that bound until it exceeds the best b found, with a slack
+    for rounding: each L0 entry sums at most n log-moduli of one sign, so
+    the witness and full products agree to 2(n - 1) eps relative, which
+    moves a ratio r >= 1 by at most 2(n + 1) eps (1 + r) relative; the
+    stopping test allows twice that plus 1e-12.  Masks whose bound ties
+    the best b are therefore always evaluated, and the (b, -a, part0)
+    tie-break is the one full enumeration would apply.
+    Returns (mask, masks enumerated, masks fully evaluated).
+    """
+    n = LM.shape[0]
     codes = np.arange(2 ** (n - 1) - 1, dtype=np.int64)
+    masks = np.zeros((codes.size, n), dtype=bool)
+    masks[:, 0] = True
+    for j in range(1, n):
+        masks[:, j] = (codes >> (j - 1)) & 1
+    probes = np.unique(np.linspace(0, len(masks) - 1, _WITNESS_PROBES).astype(np.int64))
+    L0 = masks[probes].astype(float) @ LM
+    L1 = L_total[None, :] - L0
+    witnesses = np.unique(np.argmax(np.maximum(L1 / L0, L0 / L1), axis=1))
+    L0 = masks.astype(float) @ LM[:, witnesses]
+    L1 = L_total[witnesses][None, :] - L0
+    bound = np.maximum(np.maximum(L1 / L0, L0 / L1).max(axis=1), 1.0)
+    order = np.argsort(bound, kind="stable")
+    rounding = 4.0 * (n + 1) * np.finfo(float).eps
     best = None
-    for start in range(0, codes.size, _BATCH):
-        chunk = codes[start:start + _BATCH]
-        masks = np.zeros((chunk.size, n), dtype=bool)
-        masks[:, 0] = True
-        for j in range(1, n):
-            masks[:, j] = (chunk >> (j - 1)) & 1
-        b, a = _batched_objectives(masks, LM, L_total)
-        for row in range(chunk.size):
+    evaluated = 0
+    for start in range(0, order.size, _EVAL_CHUNK):
+        if best is not None:
+            best_b = best[0][0]
+            if bound[order[start]] > best_b * (1.0 + 1e-12 + rounding * (1.0 + best_b)):
+                break
+        chunk = masks[order[start:start + _EVAL_CHUNK]]
+        b, a = _batched_objectives(chunk, LM, L_total)
+        evaluated += len(chunk)
+        for row in range(len(chunk)):
             key = (float(b[row]), -float(a[row]),
-                   tuple(np.flatnonzero(masks[row]).tolist()))
+                   tuple(np.flatnonzero(chunk[row]).tolist()))
             if best is None or key < best[0]:
-                best = (key, masks[row].copy())
-    return best[1]
+                best = (key, chunk[row])
+    return best[1], len(masks), evaluated
 
 
 def _search_local(LM, L_total, points):
-    """Single-move descent from an alternating seed over increasing |lam|."""
+    """Single-move descent from an alternating seed over increasing |lam|.
+
+    Every mask tried is fully evaluated; returns (mask, masks tried, same).
+    """
     n = points.size
     order = np.argsort(np.abs(points), kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[0::2]] = True
     current = _objective(mask, LM, L_total)[:2]
     current = (current[1], -current[0])  # (b, -a)
+    evaluated = 1
     improved = True
     while improved:
         improved = False
@@ -216,6 +264,7 @@ def _search_local(LM, L_total, points):
             size0 = int(mask.sum())
             if 0 < size0 < n:
                 a, b, _ = _objective(mask, LM, L_total)
+                evaluated += 1
                 cand = (b, -a)
                 if cand < current:
                     current = cand
@@ -224,7 +273,7 @@ def _search_local(LM, L_total, points):
             mask[i] = not mask[i]
     if not mask[0]:
         mask = ~mask
-    return mask
+    return mask, evaluated, evaluated
 
 
 def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> Decomposition:
@@ -232,9 +281,14 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
 
     The final bound the constants feed degrades with b, so small b is the
     quality measure; ties prefer larger a, then the lexicographically
-    smallest part0.  Up to 16 points every nontrivial partition is tried;
-    beyond that a deterministic first-improvement single-move search runs
-    from an alternating seed.  Grid errors from the delta choice propagate.
+    smallest part0.  Up to 16 points the search is exact: every nontrivial
+    partition gets a lower bound on b from a few witness grid points, and
+    partitions are swept over the full grid in increasing bound order until
+    the bound exceeds the best b found.  Beyond 16 points a deterministic
+    first-improvement single-move search runs from an alternating seed.
+    The returned decomposition records which search ran and how many
+    partitions it enumerated and fully evaluated.  Grid errors from the
+    delta choice propagate.
     """
     n = len(seq)
     if n < 2:
@@ -243,9 +297,11 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
     LM = _log_moduli_matrix(seq.points, grid.points)
     L_total = LM.sum(axis=0)
     if n <= EXHAUSTIVE_LIMIT:
-        mask = _search_exhaustive(LM, L_total, n)
+        method = "exhaustive"
+        mask, enumerated, evaluated = _search_exhaustive(LM, L_total)
     else:
-        mask = _search_local(LM, L_total, seq.points)
+        method = "local"
+        mask, enumerated, evaluated = _search_local(LM, L_total, seq.points)
     part0 = tuple(int(i) for i in np.flatnonzero(mask))
     part1 = tuple(int(i) for i in np.flatnonzero(~mask))
     a, b, worst = comparability_fit(
@@ -257,6 +313,7 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
         base=seq, part0=part0, part1=part1, delta=float(delta),
         fitted_a=a, fitted_b=b, fit_grid_size=len(grid),
         fit_grid_resolution=int(grid_resolution), worst_point=worst,
+        search=method, masks_enumerated=enumerated, masks_evaluated=evaluated,
     )
 
 

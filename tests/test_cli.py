@@ -96,6 +96,12 @@ class TestRunConfig:
         cfg_file.write_text(json.dumps({"resolution": 64}))
         assert run_cli(["decompose", pair_doc, "--config", str(cfg_file)]) == 64
 
+    def test_seed_config_key_is_refused(self, tmp_path, pair_doc, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 3}))
+        assert run_cli(["decompose", pair_doc, "--config", str(cfg_file)]) == 64
+        assert "unknown config keys: seed" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_pair_constants(self, tmp_path, pair_doc):
@@ -147,6 +153,17 @@ class TestDecompose:
     def test_singleton_is_domain_error(self, tmp_path):
         doc = write_document(tmp_path / "one.json", [0.5])
         assert run_cli(["decompose", str(doc)]) == 1
+
+    def test_reports_search_diagnostics(self, tmp_path, radial_doc):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(["decompose", radial_doc, "--output", str(out1)]) == 0
+        assert run_cli(["decompose", radial_doc, "--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        search = read_json(out1)["search"]
+        assert list(search) == ["method", "masks_enumerated", "masks_evaluated"]
+        assert search["method"] == "exhaustive"
+        assert search["masks_enumerated"] == 2 ** 5 - 1
+        assert 0 < search["masks_evaluated"] <= search["masks_enumerated"]
 
 
 class TestInterpolate:
@@ -255,6 +272,17 @@ class TestCounterexample:
         assert len(runs) == 1
         assert runs[0]["summary"]["separation_constant"] <= 0.01
 
+    def test_split_is_declared_not_searched(self, tmp_path):
+        out = tmp_path / "ce.json"
+        code = run_cli([
+            "counterexample", "--pairs", "2", "--gap", "0.01", "--ratio", "0.5",
+            "--grid-resolution", "64", "--output", str(out),
+        ])
+        assert code == 0
+        search = read_json(out)["runs"][0]["decomposition"]["search"]
+        assert search == {"method": "declared", "masks_enumerated": 0,
+                          "masks_evaluated": 0}
+
     def test_gap_sweep_emits_one_run_per_gap(self, tmp_path):
         out = tmp_path / "ce.json"
         code = run_cli([
@@ -346,6 +374,10 @@ class TestField:
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"]) == 64
+
+    def test_seed_flag_is_gone(self, pair_doc, capsys):
+        assert run_cli(["decompose", pair_doc, "--seed", "3"]) == 64
+        assert "--seed" in capsys.readouterr().err
 
     def test_unknown_flag(self, pair_doc):
         assert run_cli(["analyze", pair_doc, "--bogus"]) == 64

@@ -17,9 +17,11 @@ from diskinterp import (
     corresponding_decomposition,
     decompose,
     exclusion_grid,
+    generate_separated_random,
     pseudohyperbolic_distance,
     separation_constant,
 )
+from diskinterp.hoffman import _batched_objectives, _search_exhaustive
 
 
 def sandwich_violations(dec: Decomposition) -> int:
@@ -178,6 +180,15 @@ class TestDecompose:
         assert dec.part0 and dec.part1
         assert np.isfinite(dec.fitted_b)
         assert sandwich_violations(dec) == 0
+        assert dec.search == "local"
+        assert dec.masks_enumerated == dec.masks_evaluated > 18
+
+    def test_records_exhaustive_search(self):
+        seq = generate_separated_random(12, 0.1, 5)
+        dec = corresponding_decomposition(seq, 128)
+        assert dec.search == "exhaustive"
+        assert dec.masks_enumerated == 2 ** 11 - 1
+        assert 0 < dec.masks_evaluated < dec.masks_enumerated
 
     def test_rejects_singleton(self):
         with pytest.raises(PointSetError):
@@ -186,6 +197,54 @@ class TestDecompose:
     def test_propagates_empty_grid(self):
         with pytest.raises(EmptyGridError):
             decompose(PointSequence((0.0, 0.05)), 0.999, 32)
+
+
+def oracle_rows(count: int, seed: int) -> np.ndarray:
+    """Oracle log-moduli of a seeded sequence on a coarse exclusion grid."""
+    seq = generate_separated_random(count, 0.1, seed)
+    grid = exclusion_grid(seq, separation_constant(seq) / 2, 32)
+    return oracles.log_moduli_rows(seq.points, grid.points)
+
+
+def searched_part0(rows: np.ndarray) -> tuple[int, ...]:
+    mask, enumerated, evaluated = _search_exhaustive(rows, rows.sum(axis=0))
+    assert enumerated == 2 ** (rows.shape[0] - 1) - 1
+    assert 0 < evaluated <= enumerated
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+class TestPrunedSearchAgainstOracle:
+    @pytest.mark.parametrize("count, seed", [(10, 1), (12, 2), (16, 3)])
+    def test_matches_full_enumeration(self, count, seed):
+        rows = oracle_rows(count, seed)
+        _, _, part0 = oracles.best_partition(rows)
+        assert searched_part0(rows) == part0
+
+    def test_identical_rows_tie_broken_by_part0(self):
+        # Rows 1 and 2 are equal, so swapping them between the parts gives
+        # the same (b, a) exactly, and only the part0 order can decide.
+        rows = oracle_rows(7, 1)
+        rows = np.insert(rows, 2, rows[1], axis=0)
+        _, _, part0 = oracles.best_partition(rows)
+        assert (1 in part0) != (2 in part0)
+        mask = np.isin(np.arange(rows.shape[0]), part0)
+        swapped = mask.copy()
+        swapped[[1, 2]] = mask[[2, 1]]
+        b, a = _batched_objectives(np.array([mask, swapped]), rows, rows.sum(axis=0))
+        assert b[0] == b[1] and a[0] == a[1]
+        assert searched_part0(rows) == part0
+
+    @pytest.mark.parametrize("count, cols, depth", [(10, 3, 2), (11, 4, 3)])
+    def test_integer_rows_tie_in_bulk(self, count, cols, depth):
+        # Small integer log-moduli sum exactly in any order, so large groups
+        # of partitions tie exactly in (b, a).  The lexicographically first
+        # part0 of a group is often not the one with the smallest code,
+        # which is the order the bound sort keeps among equal bounds.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows = -rng.integers(1, depth + 1, size=(count, cols)).astype(float)
+            _, _, part0 = oracles.best_partition(rows)
+            assert searched_part0(rows) == part0
 
 
 class TestCorrespondingDecomposition:
