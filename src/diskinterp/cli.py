@@ -70,7 +70,6 @@ class RunConfig:
 
     grid_resolution: int = 128
     boundary_grid: int = 4096
-    psd_tol: float = 1e-10
     bisect_rel_tol: float = 1e-8
     output_path: str = ""
 
@@ -83,8 +82,8 @@ class RunConfig:
             raise UsageError(
                 f"boundary_grid must lie in [32, 4096], got {self.boundary_grid}"
             )
-        if self.psd_tol <= 0 or self.bisect_rel_tol <= 0:
-            raise UsageError("tolerances must be positive")
+        if self.bisect_rel_tol <= 0:
+            raise UsageError("bisect_rel_tol must be positive")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -295,20 +294,15 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     seq = load_point_document(args.input)
     targets = _parse_targets(args.targets, len(seq))
     problem = PickProblem(seq, targets)
-    solution = solve_pick(
-        problem, rel_tol=cfg.bisect_rel_tol, psd_tol=cfg.psd_tol
-    )
+    solution = solve_pick(problem, rel_tol=cfg.bisect_rel_tol)
     f = solution.interpolant
-    residuals = [
-        interpolant_eval(f, z) - w for z, w in zip(seq.points, targets)
-    ]
     doc = {
         "label": seq.label or "",
         "min_norm": solution.min_norm,
         "scale": f.scale,
         "feasibility_margin": solution.feasibility_margin,
-        "max_abs_residual": max(abs(r) for r in residuals),
-        "residuals": [_cplx(r) for r in residuals],
+        "max_abs_residual": float(np.max(np.abs(solution.residuals))),
+        "residuals": [_cplx(r) for r in solution.residuals],
         "schur_parameters": [_cplx(p) for _, p in f.schur_steps],
     }
     _write_text(cfg, _emit_json(doc) + "\n")
@@ -332,7 +326,6 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
         seq,
         grid_resolution=cfg.grid_resolution,
         boundary_grid=cfg.boundary_grid,
-        psd_tol=cfg.psd_tol,
         rel_tol=cfg.bisect_rel_tol,
     )
     _write_text(cfg, _emit_json(chain_report_dict(report)) + "\n")
@@ -351,9 +344,7 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
         )
         seq, dec = generate_counterexample(spec, cfg.grid_resolution)
         report = analyze(seq)
-        norm = min_norm(
-            zero_one_problem(dec), rel_tol=cfg.bisect_rel_tol, psd_tol=cfg.psd_tol
-        )
+        norm = min_norm(zero_one_problem(dec), rel_tol=cfg.bisect_rel_tol)
         runs.append(
             {
                 "gap": gap,
@@ -408,7 +399,6 @@ def build_parser() -> _Parser:
     common.add_argument("--output", dest="output_path", help="write report here")
     common.add_argument("--grid-resolution", type=int, dest="grid_resolution")
     common.add_argument("--boundary-grid", type=int, dest="boundary_grid")
-    common.add_argument("--psd-tol", type=float, dest="psd_tol")
     common.add_argument("--bisect-rel-tol", type=float, dest="bisect_rel_tol")
 
     parser = _Parser(
@@ -460,7 +450,7 @@ def build_parser() -> _Parser:
 
 
 _CONFIG_FLAGS = (
-    "grid_resolution", "boundary_grid", "psd_tol", "bisect_rel_tol", "output_path",
+    "grid_resolution", "boundary_grid", "bisect_rel_tol", "output_path",
 )
 
 

@@ -49,7 +49,7 @@ class DegenerateFitError(NumericalError):
 
 
 class BracketFailureError(NumericalError):
-    """Feasibility bracket for the norm bisection could not be established."""
+    """Feasibility bracket for the norm search could not be established."""
 
 
 class RecursionBreakdownError(NumericalError):

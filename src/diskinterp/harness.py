@@ -42,7 +42,6 @@ from .hoffman import (
 )
 from .pick import (
     BISECT_REL_TOL,
-    PSD_TOL,
     PickProblem,
     _sup_on_circle,
     interpolant_eval,
@@ -57,9 +56,6 @@ SEPARATION_FLOOR = 1e-6
 
 # Relative tolerance for the hard inequality checks (steps A and B).
 HARD_STEP_TOL = 1e-6
-
-# Interpolants are built at min_norm * (1 + slack) for stable reduction.
-NORM_SLACK = 1e-4
 
 _REJECTION_BUDGET = 100_000
 _RANDOM_DISK_RADIUS = 0.95
@@ -244,13 +240,12 @@ def verify_theorem_chain(
     seq: PointSequence,
     grid_resolution: int = 128,
     boundary_grid: int = 4096,
-    psd_tol: float = PSD_TOL,
     rel_tol: float = BISECT_REL_TOL,
 ) -> ChainReport:
     """Run the full inequality chain on one sequence.
 
     Splits at delta = separation/2, solves the zero/one problem at
-    min_norm * (1 + 1e-4), estimates c = ||f|| on the boundary (valid as
+    min_norm * (1 + 1e-6), estimates c = ||f|| on the boundary (valid as
     the norm of the quotient by the part-0 product, which is unimodular on
     the circle), and records every step A/B/C/final row.  Sequences whose
     separation is at or below 1e-6 fail the hypothesis and get a partial
@@ -270,9 +265,7 @@ def verify_theorem_chain(
         )
     dec = corresponding_decomposition(seq, grid_resolution)
     problem = zero_one_problem(dec)
-    solution = solve_pick(
-        problem, slack=NORM_SLACK, rel_tol=rel_tol, psd_tol=psd_tol
-    )
+    solution = solve_pick(problem, rel_tol=rel_tol)
     f = solution.interpolant
     c = _sup_on_circle(lambda zs: interpolant_eval(f, zs), boundary_grid)
     eta = 1.0 / c

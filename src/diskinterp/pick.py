@@ -1,49 +1,50 @@
 """Minimal-norm bounded analytic interpolation on the disk.
 
-Given nodes lam_j inside the disk and targets w_j, the smallest sup-norm of
-an analytic interpolant is characterized by positive semidefiniteness of
-the Hermitian matrix
+Given nodes lam_j inside the disk and targets w_j, a norm-M analytic
+interpolant exists exactly when the classical one-node-at-a-time
+disk-automorphism reduction of the targets w_j / M keeps every parameter
+in the closed disk (Schur 1917).  The reduction is the generator form of
+the Cholesky factorization of the Pick matrix
 
     A(M)[j, k] = (M^2 - w_j conj(w_k)) / (1 - lam_j conj(lam_k)),
 
-which is monotone in M.  ``min_norm`` locates the feasibility boundary by
-bisection; ``construct_interpolant`` then builds an explicit rational
-solution at any strictly feasible M by the classical one-node-at-a-time
-disk-automorphism reduction, recording one parameter per node.  The
-resulting interpolant is evaluable everywhere on the closed disk and obeys
-|f| <= M by construction.
+costs O(n^2), and is the one feasibility test here: ``min_norm`` runs it
+on vectors of trial norms in a k-section search, and
+``construct_interpolant`` records its parameters as an explicit rational
+solution, evaluable on the closed disk with |f| <= M by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .blaschke import PointSequence, per_point_moduli
-from .errors import BracketFailureError, PointSetError, RecursionBreakdownError
+from .errors import (
+    BracketFailureError,
+    NumericalError,
+    PointSetError,
+    RecursionBreakdownError,
+)
 from .geometry import _check_closed_disk, _mobius
 
-# Eigenvalue slack for the semidefiniteness test, scaled by trace/n so the
-# test survives nodes crowding the boundary (entries blow up there).
-PSD_TOL = 1e-10
-
-# Relative bracket width at which the norm bisection stops.
+# Relative bracket width at which the norm search stops.
 BISECT_REL_TOL = 1e-8
 
 # Recursion parameters may exceed the closed disk by at most this much.
 _PARAM_TOL = 1e-9
 
-# Construction norm inflation used by the one-call solver.  Kept at the
-# solution's advertised norm tolerance so the boundary sup-norm estimate
-# can never exceed min_norm * (1 + DEFAULT_SLACK).
-DEFAULT_SLACK = 1e-6
+# Trial norms tested per pass of the norm search.
+_TRIALS = 15
 
-# Relative lift applied to the norm estimate when the reduction breaks
-# down at the inflated norm (the PSD tolerance can make the bisection
-# land a hair below the true minimum); doubles on every retry.
-_LIFT = 3e-6
-_MAX_LIFTS = 10
+# Interpolants are built at min_norm * (1 + NORM_SLACK), so their boundary
+# sup-norm never exceeds min_norm by more than this factor.
+NORM_SLACK = 1e-6
+
+# A solution's node residuals may not exceed this times max(1, min_norm).
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,15 @@ class PickProblem:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def _divisors(self) -> tuple[np.ndarray, ...]:
+        """b_{lam_i}(lam_j) for j > i, one array per i < n - 1.
+
+        Cached: every pass of the norm search divides by the same factors.
+        """
+        lam = self.nodes.points
+        return tuple(_mobius(lam[i], lam[i + 1:]) for i in range(lam.size - 1))
+
 
 @dataclass(frozen=True)
 class RationalInterpolant:
@@ -84,11 +94,12 @@ class RationalInterpolant:
 
 @dataclass(frozen=True)
 class PickSolution:
-    """Minimal norm, a constructed interpolant, and the boundary margin."""
+    """Minimal norm, an interpolant, its Pick eigenvalue margin, f(lam_j) - w_j."""
 
     min_norm: float
     interpolant: RationalInterpolant
     feasibility_margin: float
+    residuals: np.ndarray
 
 
 def pick_matrix(problem: PickProblem, M: float) -> np.ndarray:
@@ -100,16 +111,41 @@ def pick_matrix(problem: PickProblem, M: float) -> np.ndarray:
     return num / den
 
 
-def _trace_scale(A: np.ndarray) -> float:
-    n = A.shape[0]
-    return max(1.0, float(np.trace(A).real) / n)
+def _schur_parameters(problem: PickProblem, Ms) -> np.ndarray:
+    """Reduction parameters of the norm-M problem, one row per M > 0 in Ms.
+
+    Row r scales the targets into the unit ball by Ms[r] and peels off one
+    node at a time: a function s with s(lam) = p and |s| <= 1 is exactly
+    s(z) = tau_p(b_lam(z) s'(z)) with tau_p(u) = (u + p) / (1 + conj(p) u)
+    and s' again bounded by one, so the n-node problem reduces to an
+    (n-1)-node problem for s'.  Entry [r, i] is the value at node i after
+    i peels, which is the i-th parameter; the last one is the constant s'
+    bottoms out on.  Entries after a row's first parameter outside the
+    closed disk are meaningless (possibly inf or nan).
+    """
+    vals = problem.targets / np.asarray(Ms, dtype=float).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, divisor in enumerate(problem._divisors):
+            p, rest = vals[:, i:i + 1], vals[:, i + 1:]
+            vals[:, i + 1:] = (rest - p) / (1.0 - np.conj(p) * rest) / divisor
+    return vals
 
 
-def is_feasible(problem: PickProblem, M: float, psd_tol: float = PSD_TOL) -> bool:
-    """True iff the norm-M problem is solvable (matrix PSD up to tolerance)."""
-    A = pick_matrix(problem, M)
-    smallest = float(np.linalg.eigvalsh(A)[0])
-    return smallest >= -psd_tol * _trace_scale(A)
+def _inside(params: np.ndarray) -> np.ndarray:
+    """True where a parameter lies in the closed disk, up to _PARAM_TOL."""
+    return np.abs(params) <= 1.0 + _PARAM_TOL
+
+
+def is_feasible(problem: PickProblem, M: float) -> bool:
+    """True iff the norm-M problem is solvable.
+
+    That is the case exactly when the reduction of
+    :func:`construct_interpolant` at M keeps every parameter in the closed
+    disk; this is the same test :func:`min_norm` searches on.
+    """
+    if M <= 0.0:
+        return M == 0.0 and not np.any(problem.targets)
+    return bool(np.all(_inside(_schur_parameters(problem, [M]))))
 
 
 def norm_upper_bound(problem: PickProblem) -> float:
@@ -122,78 +158,71 @@ def norm_upper_bound(problem: PickProblem) -> float:
     return float(np.sum(w / per_point_moduli(problem.nodes)))
 
 
-def min_norm(
-    problem: PickProblem,
-    rel_tol: float = BISECT_REL_TOL,
-    psd_tol: float = PSD_TOL,
-) -> float:
-    """Smallest sup-norm over all analytic interpolants, by bisection.
+def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
+    """Smallest sup-norm over all analytic interpolants, by k-section search.
 
     Brackets between max_j |w_j| (below every interpolant norm) and the
-    explicit bound of :func:`norm_upper_bound`, halving until the bracket
-    is narrower than ``rel_tol`` times the upper end, and returns the
-    feasible end.  Raises BracketFailureError if the upper end itself fails
-    the feasibility test, which indicates numerical degeneracy such as
+    explicit bound of :func:`norm_upper_bound`.  Each pass runs the
+    reduction of :func:`construct_interpolant` at _TRIALS norms at once
+    (both ends included in the first pass, strictly inside later), spaced
+    geometrically while the upper end exceeds four times the lower and
+    linearly after, and keeps the smallest feasible trial and the one
+    below it.  Returns the feasible end once the bracket is narrower than
+    ``rel_tol`` times it.  Raises BracketFailureError if the upper end
+    tests infeasible, which indicates numerical degeneracy such as
     near-coincident nodes.
     """
     lo = float(np.max(np.abs(problem.targets)))
     hi = norm_upper_bound(problem)
     if hi == 0.0:
         return 0.0
-    if is_feasible(problem, lo, psd_tol):
+    trials = np.geomspace(lo, hi, _TRIALS)
+    feasible = np.all(_inside(_schur_parameters(problem, trials)), axis=1)
+    if feasible[0]:
         return lo
-    if not is_feasible(problem, hi, psd_tol):
+    if not feasible[-1]:
         raise BracketFailureError(
             f"norm bound {hi:.6g} tests infeasible; the problem is "
             f"numerically degenerate"
         )
-    width_target = rel_tol * hi
-    while hi - lo >= width_target:
-        mid = 0.5 * (lo + hi)
-        if is_feasible(problem, mid, psd_tol):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    while True:
+        j = int(np.argmax(feasible))  # trials[j - 1] is infeasible
+        if trials[j] - trials[j - 1] >= hi - lo:
+            return hi  # no float fits strictly inside the bracket
+        lo, hi = float(trials[j - 1]), float(trials[j])
+        if hi - lo < rel_tol * hi:
+            return hi
+        space = np.geomspace if hi > 4.0 * lo else np.linspace
+        trials = space(lo, hi, _TRIALS + 2)
+        inner = np.all(_inside(_schur_parameters(problem, trials[1:-1])), axis=1)
+        feasible = np.concatenate(([False], inner, [True]))
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:
     """Build a rational interpolant with sup-norm at most M.
 
-    Scales the targets into the unit ball and peels off one node at a time:
-    a function s with s(lam) = p and |s| <= 1 is exactly s(z) =
-    tau_p(b_lam(z) s'(z)) with tau_p(u) = (u + p) / (1 + conj(p) u) and s'
-    again bounded by one, so the n-node problem reduces to an (n-1)-node
-    problem for s'.  The final s' is a constant.  Each peeled parameter must
-    stay in the closed disk; a parameter outside it means M was infeasible
-    or too close to the minimal norm for stable reduction, and raises
-    RecursionBreakdownError (inflate M and retry).
+    Records the (node, parameter) pairs of the reduction at M (see
+    :func:`_schur_parameters`).  Each parameter must stay in the closed
+    disk; a parameter outside it means M is below the minimal norm by the
+    test :func:`min_norm` searches on, and raises RecursionBreakdownError
+    naming the node.
     """
     nodes = problem.nodes.points
-    n = nodes.size
     if M < 0:
         raise ValueError(f"norm bound must be nonnegative, got {M!r}")
     if M == 0.0:
         if np.any(problem.targets != 0):
             raise RecursionBreakdownError("M = 0 admits only the zero interpolant")
         return RationalInterpolant(((complex(nodes[0]), 0j),), 0.0)
-    vals = problem.targets / M
-    steps: list[tuple[complex, complex]] = []
-    for i in range(n):
-        p = complex(vals[i])
-        if not np.isfinite(p) or abs(p) > 1.0 + _PARAM_TOL:
-            raise RecursionBreakdownError(
-                f"reduction parameter |p| = {abs(p):.6g} at node {i} leaves "
-                f"the closed disk; M = {M:.6g} is too close to the minimal norm"
-            )
-        steps.append((complex(nodes[i]), p))
-        if i + 1 == n:
-            break
-        rest = nodes[i + 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shifted = (vals[i + 1:] - p) / (1.0 - np.conj(p) * vals[i + 1:])
-            vals[i + 1:] = shifted / _mobius(nodes[i], rest)
-    return RationalInterpolant(tuple(steps), float(M))
+    params = _schur_parameters(problem, [M])[0]
+    inside = _inside(params)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise RecursionBreakdownError(
+            f"reduction parameter |p| = {abs(params[i]):.6g} at node {i} leaves "
+            f"the closed disk; M = {M:.6g} is below the minimal norm"
+        )
+    return RationalInterpolant(tuple(zip(nodes.tolist(), params.tolist())), float(M))
 
 
 def interpolant_eval(f: RationalInterpolant, z):
@@ -267,38 +296,25 @@ def sup_norm_boundary(f: RationalInterpolant, grid: int = 4096) -> float:
     return _sup_on_circle(lambda zs: interpolant_eval(f, zs), grid)
 
 
-def solve_pick(
-    problem: PickProblem,
-    slack: float = DEFAULT_SLACK,
-    rel_tol: float = BISECT_REL_TOL,
-    psd_tol: float = PSD_TOL,
-) -> PickSolution:
-    """Minimal norm plus an interpolant constructed at min_norm*(1 + slack).
+def solve_pick(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> PickSolution:
+    """Minimal norm plus an interpolant constructed at min_norm*(1 + NORM_SLACK).
 
-    The slight inflation keeps the reduction parameters strictly inside
-    the disk, and because the construction bounds the interpolant by the
-    norm it ran at, the boundary sup-norm can never exceed the reported
-    min_norm by more than the slack factor.  When the PSD tolerance lets
-    the bisection land marginally below the true minimum, the reduction
-    breaks down; the estimate is then lifted a few parts in a million and
-    retried, keeping the reported norm consistent with the interpolant.
+    The norm search and the construction apply the same reduction, so the
+    construction at the slightly inflated norm keeps every parameter
+    strictly inside the disk without retries.  The interpolant is then
+    evaluated at every node; a residual above RESIDUAL_TOL * max(1,
+    min_norm) raises NumericalError naming the node.
     """
-    M_star = min_norm(problem, rel_tol=rel_tol, psd_tol=psd_tol)
-    if M_star == 0.0:
-        interpolant = construct_interpolant(problem, 0.0)
-        return PickSolution(min_norm=0.0, interpolant=interpolant,
-                            feasibility_margin=0.0)
-    lift = _LIFT
-    for attempt in range(_MAX_LIFTS):
-        M_run = M_star * (1.0 + slack)
-        try:
-            interpolant = construct_interpolant(problem, M_run)
-            break
-        except RecursionBreakdownError:
-            if attempt + 1 == _MAX_LIFTS:
-                raise
-            M_star *= 1.0 + lift
-            lift *= 2.0
+    M_star = min_norm(problem, rel_tol=rel_tol)
+    M_run = M_star * (1.0 + NORM_SLACK)
+    interpolant = construct_interpolant(problem, M_run)
+    residuals = interpolant_eval(interpolant, problem.nodes.points) - problem.targets
+    worst = int(np.argmax(np.abs(residuals)))
+    if abs(residuals[worst]) > RESIDUAL_TOL * max(1.0, M_star):
+        raise NumericalError(
+            f"interpolant misses node {worst} by {abs(residuals[worst]):.3e} "
+            f"at norm {M_run:.6g}"
+        )
     margin = float(np.linalg.eigvalsh(pick_matrix(problem, M_run))[0])
     return PickSolution(min_norm=M_star, interpolant=interpolant,
-                        feasibility_margin=margin)
+                        feasibility_margin=margin, residuals=residuals)

@@ -78,3 +78,43 @@ def best_partition(rows: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
         if best is None or key < best[0]:
             best = (key, (a, b, tuple(member)))
     return best[1]
+
+
+def _trace_scale(A: np.ndarray) -> float:
+    n = A.shape[0]
+    return max(1.0, float(np.trace(A).real) / n)
+
+
+def sarason_min_norm(nodes, targets, dps: int = 80) -> float:
+    """Minimal interpolation norm by Sarason's formula, at dps digits.
+
+    With the Pick kernel K[j, k] = 1 / (1 - lam_j conj(lam_k)) = L L*, the
+    smallest sup-norm is ||L^-1 D_w L||_2.  The kernel is badly
+    conditioned (about 1e18 at 48 nodes), so its Cholesky factor and the
+    triangular solve run in mpmath at dps digits.  The product is then
+    rounded to complex128: the spectral norm moves by at most ||E||_2
+    under a perturbation E, so the rounding costs at most about
+    sqrt(n) * 1e-16 relative.
+    """
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    lam = [ctx.mpc(complex(z)) for z in nodes]
+    w = [ctx.mpc(complex(x)) for x in targets]
+    n = len(lam)
+    L = [[ctx.mpc(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1):
+            s = 1 / (1 - lam[j] * ctx.conj(lam[k])) - ctx.fsum(
+                L[j][m] * ctx.conj(L[k][m]) for m in range(k)
+            )
+            L[j][k] = ctx.sqrt(s.real) if j == k else s / L[k][k]
+    product = np.empty((n, n), dtype=complex)
+    for c in range(n):
+        y = []
+        for j in range(n):
+            rhs = w[j] * L[j][c] if j >= c else ctx.mpc(0)
+            y.append((rhs - ctx.fsum(L[j][m] * y[m] for m in range(j))) / L[j][j])
+        product[:, c] = [complex(v) for v in y]
+    return float(np.linalg.norm(product, 2))

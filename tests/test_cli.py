@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli, write_document
-from diskinterp import PointSequence, cli
+from diskinterp import PointSequence, cli, generate_separated_random
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ class TestRunConfig:
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(cli.UsageError):
-            cli.RunConfig(psd_tol=0.0)
+            cli.RunConfig(bisect_rel_tol=0.0)
 
     def test_precedence_flags_over_file_over_defaults(self, tmp_path, pair_doc):
         cfg_file = tmp_path / "cfg.json"
@@ -101,6 +101,12 @@ class TestRunConfig:
         cfg_file.write_text(json.dumps({"seed": 3}))
         assert run_cli(["decompose", pair_doc, "--config", str(cfg_file)]) == 64
         assert "unknown config keys: seed" in capsys.readouterr().err
+
+    def test_psd_tol_config_key_is_refused(self, tmp_path, pair_doc, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"psd_tol": 1e-10}))
+        assert run_cli(["decompose", pair_doc, "--config", str(cfg_file)]) == 64
+        assert "unknown config keys: psd_tol" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -177,6 +183,21 @@ class TestInterpolate:
         assert sol["min_norm"] == pytest.approx(2.0, rel=1e-6)
         assert sol["max_abs_residual"] <= 1e-8
         assert len(sol["schur_parameters"]) == 2
+
+    def test_reports_solver_residuals_at_24_nodes(self, tmp_path):
+        seq = generate_separated_random(24, 0.1, seed=1)
+        doc = write_document(tmp_path / "n24.json", seq.points)
+        out = tmp_path / "sol.json"
+        targets = ",".join(str(i % 2) for i in range(24))
+        code = run_cli([
+            "interpolate", doc, "--targets", targets, "--output", str(out),
+        ])
+        assert code == 0
+        sol = read_json(out)
+        moduli = [math.hypot(r["re"], r["im"]) for r in sol["residuals"]]
+        assert len(moduli) == 24
+        assert sol["max_abs_residual"] == max(moduli)
+        assert sol["max_abs_residual"] <= 1e-8 * sol["min_norm"]
 
     def test_single_node_constant(self, tmp_path):
         doc = write_document(tmp_path / "one.json", [0.0])
@@ -378,6 +399,11 @@ class TestUsageErrors:
     def test_seed_flag_is_gone(self, pair_doc, capsys):
         assert run_cli(["decompose", pair_doc, "--seed", "3"]) == 64
         assert "--seed" in capsys.readouterr().err
+
+    def test_psd_tol_flag_is_gone(self, pair_doc, capsys):
+        argv = ["interpolate", pair_doc, "--targets", "0,1", "--psd-tol", "1e-10"]
+        assert run_cli(argv) == 64
+        assert "--psd-tol" in capsys.readouterr().err
 
     def test_unknown_flag(self, pair_doc):
         assert run_cli(["analyze", pair_doc, "--bogus"]) == 64

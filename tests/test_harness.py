@@ -216,6 +216,14 @@ class TestVerifyTheoremChain:
             problem = zero_one_problem(corresponding_decomposition(seq, 64))
             assert min_norm(problem) <= norm_upper_bound(problem) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [17, 20, 24, 32])
+    def test_completes_on_random_separated(self, n, seed):
+        report = verify_theorem_chain(generate_separated_random(n, 0.1, seed))
+        assert report.hypothesis_ok
+        assert report.hard_steps_pass
+        assert len(report.step_a) + len(report.step_b) == n
+
 
 class TestRemarkTwoFunctions:
     def test_pair_values(self):

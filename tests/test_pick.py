@@ -5,20 +5,24 @@ import pytest
 
 from conftest import make_sequence
 from diskinterp import (
+    NumericalError,
     PickProblem,
     PointSequence,
     PointSetError,
+    RationalInterpolant,
     RecursionBreakdownError,
     construct_interpolant,
+    generate_separated_random,
     interpolant_eval,
     is_feasible,
     min_norm,
     norm_upper_bound,
+    pick,
     pick_matrix,
     solve_pick,
     sup_norm_boundary,
 )
-from diskinterp.pick import _trace_scale
+from oracles import _trace_scale, sarason_min_norm
 
 
 def zero_one(r: float) -> PickProblem:
@@ -58,6 +62,10 @@ class TestPickMatrix:
 class TestIsFeasible:
     def test_boundary_case(self):
         assert is_feasible(PickProblem(PointSequence((0.0,)), (1.0,)), 1.0)
+
+    def test_zero_norm(self):
+        assert is_feasible(PickProblem(PointSequence((0.0, 0.5)), (0.0, 0.0)), 0.0)
+        assert not is_feasible(zero_one(0.5), 0.0)
 
     def test_two_node_threshold(self):
         assert is_feasible(zero_one(0.5), 2.0)
@@ -132,6 +140,29 @@ class TestMinNorm:
         assert min_norm(PickProblem(PointSequence((0.0, 0.5)), (0.0, 0.0))) == 0.0
 
 
+class TestMinNormAgainstOracle:
+    """min_norm against the 80-digit Sarason oracle, to 1e-8 relative."""
+
+    def test_oracle_schwarz_pair(self):
+        pytest.importorskip("mpmath")
+        assert sarason_min_norm((0.0, 0.5), (0.0, 1.0)) == pytest.approx(
+            2.0, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("kind", ["zero_one", "random"])
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 40])
+    def test_separated_random(self, n, kind):
+        pytest.importorskip("mpmath")
+        seq = generate_separated_random(n, 0.1, seed=n)
+        rng = np.random.default_rng(n)
+        if kind == "zero_one":
+            targets = rng.integers(0, 2, n).astype(complex)
+        else:
+            targets = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        expected = sarason_min_norm(seq.points, targets)
+        assert min_norm(PickProblem(seq, targets)) == pytest.approx(expected, rel=1e-8)
+
+
 class TestConstructInterpolant:
     def test_constant_problem(self):
         f = construct_interpolant(PickProblem(PointSequence((0.0,)), (1.0,)), 1.0)
@@ -162,6 +193,15 @@ class TestConstructInterpolant:
             zs = 0.97 * np.exp(2j * np.pi * rng.uniform(size=200))
             zs *= rng.uniform(size=200) ** 0.5
             assert np.max(np.abs(interpolant_eval(f, zs))) <= M * (1 + 1e-9)
+
+    def test_breaks_down_exactly_below_min_norm(self):
+        # Construction and norm search share one feasibility test.
+        seq = generate_separated_random(24, 0.1, seed=5)
+        problem = PickProblem(seq, np.arange(24) % 2)
+        M = min_norm(problem)
+        construct_interpolant(problem, M)
+        with pytest.raises(RecursionBreakdownError, match="at node"):
+            construct_interpolant(problem, M * (1 - 1e-6))
 
     def test_schur_parameters_in_disk(self, rng):
         for _ in range(10):
@@ -214,3 +254,21 @@ class TestSolvePick:
         solution = solve_pick(problem)
         A = pick_matrix(problem, solution.min_norm * (1 + 1e-6))
         assert abs(solution.feasibility_margin) <= 1e-5 * _trace_scale(A) + 1e-12
+
+    def test_residuals_are_node_misfits(self, rng):
+        problem = random_problem(rng, 6)
+        solution = solve_pick(problem)
+        expected = interpolant_eval(solution.interpolant, problem.nodes.points)
+        assert np.array_equal(solution.residuals, expected - problem.targets)
+
+    def test_residual_guard_names_node(self, monkeypatch):
+        construct = pick.construct_interpolant
+
+        def misplaced_last_parameter(problem, M):
+            f = construct(problem, M)
+            *steps, (lam, p) = f.schur_steps
+            return RationalInterpolant((*steps, (lam, 0.5 * p)), f.scale)
+
+        monkeypatch.setattr(pick, "construct_interpolant", misplaced_last_parameter)
+        with pytest.raises(NumericalError, match="node 1 "):
+            solve_pick(zero_one(0.5))
