@@ -1,8 +1,9 @@
 """Finite Blaschke products and the sequence invariants built from them.
 
-A finite Blaschke product B = prod_n b_{lam_n} is evaluated in log-domain
-(moduli) with separately summed phases, so that products of hundreds of
-factors with moduli near 0 or 1 neither underflow nor lose the phase.  On
+Sums of factor log-moduli log |b_lam(z)| are row or column sums of one
+phase-free matrix, :func:`log_factors`.  :func:`blaschke_eval` alone adds
+up factor phases too, so products of hundreds of factors with moduli near
+0 or 1 neither underflow nor lose the phase.  On
 top of the product sit the classical invariants of a point sequence: the
 separation constant (worst pairwise pseudohyperbolic distance), the
 uniform-separation constant inf_n |B_n(lam_n)| taken over the products
@@ -31,8 +32,11 @@ MAX_POINTS = 512
 # |B_n(lam_n)| below this makes the family norms exceed 1e12; refuse.
 DEGENERACY_TOL = 1e-12
 
-# A factor modulus under this is a collision with a zero of the product.
-_ZERO_COLLISION_TOL = 1e-300
+# A factor log-modulus under this is a collision with a zero of the product.
+_LOG_COLLISION = np.log(1e-300)
+
+# Evaluation points per factor matrix in blaschke_log_modulus.
+_LOG_CHUNK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,33 +111,27 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     return pseudohyperbolic_distance(pts[:, None], pts[None, :])
 
 
-def _product_parts(points: np.ndarray, z):
-    """Per-point accumulators for prod b_lam(z).
-
-    Returns (log-modulus sum, phase sum, exact-zero mask, smallest factor
-    log-modulus); the last entry backs the zero-collision diagnostic.
-    """
-    z = np.asarray(z, dtype=complex)
-    log_mod = np.zeros(z.shape)
-    phase = np.zeros(z.shape)
-    zero = np.zeros(z.shape, dtype=bool)
-    min_factor = np.zeros(z.shape)
-    for lam in points:
-        w = np.asarray(_mobius(lam, z))
-        r = np.abs(w)
-        zero |= r == 0.0
-        with np.errstate(divide="ignore"):
-            term = np.where(r == 0.0, 0.0, np.log(np.where(r == 0.0, 1.0, r)))
-        log_mod += term
-        min_factor = np.minimum(min_factor, term)
-        phase += np.angle(w)
-    return log_mod, phase, zero, min_factor
+def log_factors(points: np.ndarray, z) -> np.ndarray:
+    """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    rows = np.empty((len(points), z.size))
+    with np.errstate(divide="ignore"):
+        for i, lam in enumerate(points):
+            rows[i] = np.log(np.abs(_mobius(lam, z)))
+    return rows
 
 
 def _eval_product(points: np.ndarray, z):
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    log_mod, phase, zero, _ = _product_parts(points, z)
-    out = np.where(zero, 0.0, np.exp(log_mod) * np.exp(1j * phase))
+    z = np.asarray(z, dtype=complex)
+    log_mod = np.zeros(z.shape)
+    phase = np.zeros(z.shape)
+    for lam in points:
+        w = np.asarray(_mobius(lam, z))
+        with np.errstate(divide="ignore"):
+            log_mod += np.log(np.abs(w))  # -inf exactly at a zero
+        phase += np.angle(w)
+    out = np.where(log_mod == -np.inf, 0.0, np.exp(log_mod) * np.exp(1j * phase))
     return complex(out) if scalar else out
 
 
@@ -149,17 +147,20 @@ def blaschke_eval(seq: PointSequence, z):
 
 
 def blaschke_log_modulus(seq: PointSequence, z):
-    """log |B(z)| as a direct sum of factor log-moduli.
+    """log |B(z)| as column sums of :func:`log_factors`, _LOG_CHUNK points at a time.
 
     Raises ZeroCollisionError if any factor modulus is below 1e-300, i.e.
     the evaluation point collides with a zero.
     """
     _check_closed_disk(z)
-    log_mod, _, zero, min_factor = _product_parts(seq.points, z)
-    if np.any(zero) or np.min(min_factor) < np.log(_ZERO_COLLISION_TOL):
-        raise ZeroCollisionError("evaluation point collides with a zero of the product")
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    return float(log_mod) if scalar else log_mod
+    flat = np.asarray(z, dtype=complex).reshape(-1)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _LOG_CHUNK):
+        logs = log_factors(seq.points, flat[start:start + _LOG_CHUNK])
+        if np.min(logs) < _LOG_COLLISION:
+            raise ZeroCollisionError("evaluation point collides with a zero of the product")
+        out[start:start + _LOG_CHUNK] = logs.sum(axis=0)
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def blaschke_eval_excluding(seq: PointSequence, n: int, z):

@@ -16,6 +16,7 @@ documents.  Exit codes: 0 success, 1 domain or hypothesis failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -142,6 +143,12 @@ def _emit_json(value, indent: int = 0) -> str:
         rows = [f"{inner}{_emit_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _csv(header: str, row_format: str, columns) -> str:
+    """Header plus one ``row_format`` line per row, in one ``%`` pass; NaN prints nan."""
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return header + "\n" + (row_format * len(columns[0])) % cells
 
 
 def _cplx(z: complex) -> dict:
@@ -309,14 +316,9 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     if args.boundary_csv:
         thetas = np.linspace(0.0, 2.0 * math.pi, cfg.boundary_grid, endpoint=False)
         vals = interpolant_eval(f, np.exp(1j * thetas))
-        lines = ["theta,re,im,modulus"]
-        for t, v in zip(thetas, vals):
-            lines.append(
-                f"{_fmt_float(t)},{_fmt_float(v.real)},"
-                f"{_fmt_float(v.imag)},{_fmt_float(abs(v))}"
-            )
+        columns = (thetas, vals.real, vals.imag, [abs(v) for v in vals])
         with open(args.boundary_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_csv("theta,re,im,modulus", "%.17g,%.17g,%.17g,%.17g\n", columns))
     return EXIT_OK
 
 
@@ -366,6 +368,11 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
 
 
 def cmd_field(args, cfg: RunConfig) -> int:
+    """CSV of log|B|, log|B_0| or log|B_1| on the cells |z| < 0.999 of a square grid.
+
+    Cell (j, i) is xs[i] + 1j xs[j], so the axis values are formatted once;
+    cells within 1e-6 of a zero print ``nan``.
+    """
     seq = load_point_document(args.input)
     if args.which == "B":
         product = seq
@@ -377,19 +384,16 @@ def cmd_field(args, cfg: RunConfig) -> int:
         product = dec.part_sequence(0 if args.which == "B0" else 1)
     xs = np.linspace(-_FIELD_RADIUS, _FIELD_RADIUS, cfg.grid_resolution)
     X, Y = np.meshgrid(xs, xs)
-    pts = (X + 1j * Y).ravel()
-    pts = pts[np.abs(pts) < _FIELD_RADIUS]
-    near_zero = np.min(
-        np.abs(pts[None, :] - product.points[:, None]), axis=0
-    ) < _FIELD_ZERO_RADIUS
+    j, i = np.nonzero(np.abs(X + 1j * Y) < _FIELD_RADIUS)
+    pts = xs[i] + 1j * xs[j]
+    near_zero = np.zeros(pts.size, dtype=bool)
+    for lam in product.points:
+        near_zero |= np.abs(pts - lam) < _FIELD_ZERO_RADIUS
     values = np.full(pts.size, math.nan)
-    if np.any(~near_zero):
-        values[~near_zero] = blaschke_log_modulus(product, pts[~near_zero])
-    lines = ["x,y,log_modulus"]
-    for z, v in zip(pts, values):
-        field_val = "nan" if math.isnan(v) else _fmt_float(v)
-        lines.append(f"{_fmt_float(z.real)},{_fmt_float(z.imag)},{field_val}")
-    _write_text(cfg, "\n".join(lines) + "\n")
+    values[~near_zero] = blaschke_log_modulus(product, pts[~near_zero])
+    labels = np.array([format(x, ".17g") for x in xs.tolist()], dtype=object)
+    columns = (labels[i], labels[j], values.tolist())
+    _write_text(cfg, _csv("x,y,log_modulus", "%s,%s,%.17g\n", columns))
     return EXIT_OK
 
 

@@ -26,9 +26,8 @@ import numpy as np
 
 from .blaschke import (
     PointSequence,
-    blaschke_eval,
-    blaschke_eval_excluding,
     carleson_constant,
+    log_factors,
     per_point_moduli,
     separation_constant,
 )
@@ -236,6 +235,17 @@ def _row(point: complex, value: float, bound: float) -> ChainRow:
     )
 
 
+def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """|B_0| and |B_1| at every base point without its own factor, from log_factors."""
+    pts = dec.base.points
+    moduli = []
+    for part in (dec.part0, dec.part1):
+        logs = log_factors(pts[list(part)], pts)
+        logs[np.arange(len(part)), list(part)] = 0.0
+        moduli.append(np.exp(logs.sum(axis=0)))
+    return moduli[0], moduli[1]
+
+
 def verify_theorem_chain(
     seq: PointSequence,
     grid_resolution: int = 128,
@@ -267,32 +277,25 @@ def verify_theorem_chain(
     problem = zero_one_problem(dec)
     solution = solve_pick(problem, rel_tol=rel_tol)
     f = solution.interpolant
-    c = _sup_on_circle(lambda zs: interpolant_eval(f, zs), boundary_grid)
+    thetas = np.linspace(0.0, 2.0 * np.pi, boundary_grid, endpoint=False)
+    f_vals = interpolant_eval(f, np.exp(1j * thetas))
+    c = _sup_on_circle(lambda zs: interpolant_eval(f, zs), thetas, np.abs(f_vals))
     eta = 1.0 / c
-    c_g = _sup_on_circle(lambda zs: 1.0 - interpolant_eval(f, zs), boundary_grid)
+    c_g = _sup_on_circle(lambda zs: 1.0 - interpolant_eval(f, zs), thetas,
+                         np.abs(1.0 - f_vals))
     eta_g = 1.0 / c_g
 
-    part0, part1 = dec.part_sequence(0), dec.part_sequence(1)
-    step_a = tuple(
-        _row(pt, abs(blaschke_eval(part0, pt)), eta) for pt in part1.points
-    )
-    step_b = tuple(
-        _row(pt, abs(blaschke_eval(part1, pt)), eta_g) for pt in part0.points
-    )
+    pts = seq.points
+    mod0, mod1 = _part_moduli(dec)
+    step_a = tuple(_row(pts[i], mod0[i], eta) for i in dec.part1)
+    step_b = tuple(_row(pts[i], mod1[i], eta_g) for i in dec.part0)
 
     a, b, delta = dec.fitted_a, dec.fitted_b, dec.delta
     bound_c1 = (a / delta) * eta ** (1.0 / b)
     bound_c0 = (a / delta) * eta_g ** (1.0 / b)
-    pos0 = {idx: k for k, idx in enumerate(dec.part0)}
-    pos1 = {idx: k for k, idx in enumerate(dec.part1)}
-    step_c = []
-    for i, pt in enumerate(seq.points):
-        if i in pos1:
-            value = abs(blaschke_eval_excluding(part1, pos1[i], pt))
-            step_c.append(_row(pt, value, bound_c1))
-        else:
-            value = abs(blaschke_eval_excluding(part0, pos0[i], pt))
-            step_c.append(_row(pt, value, bound_c0))
+    in_part1 = set(dec.part1)
+    step_c = [_row(pt, mod1[i], bound_c1) if i in in_part1 else _row(pt, mod0[i], bound_c0)
+              for i, pt in enumerate(pts)]
 
     eta_common = min(eta, eta_g)
     bound_final = (a / delta) * eta_common ** (1.0 + 1.0 / b)
@@ -313,7 +316,5 @@ def remark_two_functions_check(dec: Decomposition) -> tuple[float, float]:
     These are the two constants that must be simultaneously positive for a
     splitting to certify interpolation without solving for any function.
     """
-    part0, part1 = dec.part_sequence(0), dec.part_sequence(1)
-    eta1 = min(abs(blaschke_eval(part0, pt)) for pt in part1.points)
-    eta2 = min(abs(blaschke_eval(part1, pt)) for pt in part0.points)
-    return float(eta1), float(eta2)
+    mod0, mod1 = _part_moduli(dec)
+    return float(np.min(mod0[list(dec.part1)])), float(np.min(mod1[list(dec.part0)]))

@@ -13,7 +13,7 @@ which makes the sandwich hold at every grid point by construction.
 ``decompose`` searches the partitions of a sequence for the split with the
 smallest fitted b: exactly up to 16 points, by enumerating every partition
 and pruning with lower bounds on b from a few witness grid points, and by
-deterministic local search beyond.
+deterministic local search beyond, both on one ``blaschke.log_factors`` grid matrix.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import PointSequence, blaschke_log_modulus, separation_constant
+from .blaschke import PointSequence, blaschke_log_modulus, log_factors, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
-from .geometry import _mobius, pseudohyperbolic_distance
+from .geometry import pseudohyperbolic_distance
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
 # are bounded on a few witness grid points, and only those whose bound does
@@ -132,14 +132,6 @@ def exclusion_grid(seq: PointSequence, delta: float, resolution: int) -> Exclusi
         )
     pts.flags.writeable = False
     return ExclusionGrid(points=pts, delta=float(delta), resolution=int(resolution))
-
-
-def _log_moduli_matrix(points: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Matrix of log |b_{lam_i}(z_g)|, one row per sequence point."""
-    rows = np.empty((points.size, z.size))
-    for i, lam in enumerate(points):
-        rows[i] = np.log(np.abs(_mobius(lam, z)))
-    return rows
 
 
 def _fit_logs(L0: np.ndarray, L1: np.ndarray) -> tuple[float, float, int]:
@@ -294,7 +286,7 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
     if n < 2:
         raise PointSetError("decomposition needs at least two points")
     grid = exclusion_grid(seq, delta, grid_resolution)
-    LM = _log_moduli_matrix(seq.points, grid.points)
+    LM = log_factors(seq.points, grid.points)
     L_total = LM.sum(axis=0)
     if n <= EXHAUSTIVE_LIMIT:
         method = "exhaustive"

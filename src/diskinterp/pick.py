@@ -264,16 +264,14 @@ def _golden_max(fn, a: float, b: float, tol: float) -> float:
     return best
 
 
-def _sup_on_circle(fn, grid: int) -> float:
-    """max |fn| over the unit circle: coarse grid plus golden refinement.
+def _sup_on_circle(fn, thetas: np.ndarray, vals: np.ndarray) -> float:
+    """max |fn| over the unit circle, given |fn| = ``vals`` at the equispaced ``thetas``.
 
-    ``fn`` must accept an ndarray of boundary points.  The result is a
+    Golden-section refinement around the discrete argmax; the result is a
     lower bound on the true sup with one-sided discretization bias.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    vals = np.abs(fn(np.exp(1j * thetas)))
     k = int(np.argmax(vals))
-    step = 2.0 * np.pi / grid
+    step = 2.0 * np.pi / thetas.size
     refined = _golden_max(
         lambda t: float(np.abs(fn(np.exp(1j * t)))),
         thetas[k] - step,
@@ -293,7 +291,9 @@ def sup_norm_boundary(f: RationalInterpolant, grid: int = 4096) -> float:
     """
     if grid < 256:
         raise ValueError(f"boundary grid must be at least 256, got {grid}")
-    return _sup_on_circle(lambda zs: interpolant_eval(f, zs), grid)
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    vals = np.abs(interpolant_eval(f, np.exp(1j * thetas)))
+    return _sup_on_circle(lambda zs: interpolant_eval(f, zs), thetas, vals)
 
 
 def solve_pick(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> PickSolution:

@@ -1,9 +1,13 @@
 """Independent brute-force implementations used to cross-check the library.
 
-Everything here evaluates the defining formulas directly: plain Python
-loops, linear-domain products, no log-space accumulation and no shared
-code with the package beyond numpy itself.
+The oracles evaluate the defining formulas directly: plain Python loops,
+linear-domain products, no log-space accumulation and no shared code with
+the package beyond numpy itself.  The byte-level references at the end
+restate earlier package arithmetic and CSV writers exactly, so that
+rewritten code can be held to the same bits and bytes.
 """
+
+import math
 
 import numpy as np
 
@@ -118,3 +122,62 @@ def sarason_min_norm(nodes, targets, dps: int = 80) -> float:
             y.append((rhs - ctx.fsum(L[j][m] * y[m] for m in range(j))) / L[j][j])
         product[:, c] = [complex(v) for v in y]
     return float(np.linalg.norm(product, 2))
+
+
+def _package_mobius(lam: complex, z):
+    """b_lam(z) with the package's operation order, for bit-level comparisons."""
+    if abs(lam) < 1e-14:
+        return z
+    return (np.conj(lam) / abs(lam)) * (z - lam) / (1.0 - np.conj(lam) * z)
+
+
+def sequential_log_modulus(points, z) -> np.ndarray:
+    """log |B(z)| summed factor by factor, as the package once accumulated it.
+
+    That accumulation also summed the phases, which never entered the
+    modulus; exact zeros added 0.
+    """
+    z = np.asarray(z, dtype=complex)
+    log_mod = np.zeros(z.shape)
+    for lam in points:
+        r = np.abs(np.asarray(_package_mobius(lam, z)))
+        with np.errstate(divide="ignore"):
+            log_mod += np.where(r == 0.0, 0.0, np.log(np.where(r == 0.0, 1.0, r)))
+    return log_mod
+
+
+def _fmt_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        return "null"
+    return format(float(x), ".17g")
+
+
+def field_csv(points, resolution: int) -> str:
+    """The ``field`` CSV of log |B| as the package once wrote it, row by row."""
+    points = np.asarray(points, dtype=complex)
+    xs = np.linspace(-0.999, 0.999, resolution)
+    X, Y = np.meshgrid(xs, xs)
+    pts = (X + 1j * Y).ravel()
+    pts = pts[np.abs(pts) < 0.999]
+    near_zero = np.min(
+        np.abs(pts[None, :] - points[:, None]), axis=0
+    ) < 1e-6
+    values = np.full(pts.size, math.nan)
+    if np.any(~near_zero):
+        values[~near_zero] = sequential_log_modulus(points, pts[~near_zero])
+    lines = ["x,y,log_modulus"]
+    for z, v in zip(pts, values):
+        field_val = "nan" if math.isnan(v) else _fmt_float(v)
+        lines.append(f"{_fmt_float(z.real)},{_fmt_float(z.imag)},{field_val}")
+    return "\n".join(lines) + "\n"
+
+
+def boundary_csv(thetas, vals) -> str:
+    """The ``interpolate --boundary-csv`` text as the package once wrote it."""
+    lines = ["theta,re,im,modulus"]
+    for t, v in zip(thetas, vals):
+        lines.append(
+            f"{_fmt_float(t)},{_fmt_float(v.real)},"
+            f"{_fmt_float(v.imag)},{_fmt_float(abs(v))}"
+        )
+    return "\n".join(lines) + "\n"

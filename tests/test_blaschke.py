@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_sequence
+from diskinterp import blaschke
 from diskinterp import (
     AnalysisReport,
     PointSequence,
@@ -19,6 +20,7 @@ from diskinterp import (
     blaschke_log_modulus,
     blaschke_sum,
     carleson_constant,
+    mobius_transform,
     pseudohyperbolic_distance,
     separation_constant,
     weak_interpolation_family,
@@ -121,6 +123,29 @@ class TestBlaschkeLogModulus:
         with pytest.raises(ZeroCollisionError):
             blaschke_log_modulus(PointSequence((0.5,)), 0.5)
 
+    @pytest.mark.parametrize("z", [0.3 - 0.2j, 0.3 - 0.2j + 1e-301j])
+    def test_collision_in_a_later_chunk_raises(self, z):
+        # An exact zero, and a point 1e-301 away (factor modulus ~1.6e-301),
+        # placed after more points than one chunk holds.
+        seq = PointSequence((0.3 - 0.2j, -0.6j, 0.7))
+        zs = np.full(blaschke._LOG_CHUNK + 10, 0.1 + 0.1j)
+        zs[-1] = z
+        with pytest.raises(ZeroCollisionError):
+            blaschke_log_modulus(seq, zs)
+
+    def test_bit_equal_to_sequential_sum(self, rng):
+        # The column sum of the factor matrix adds the rows in order, so it
+        # reproduces the factor-by-factor accumulation bit for bit.
+        seq = make_sequence(rng, 24)
+        m = 2 * blaschke._LOG_CHUNK + 123
+        radius = 0.99 * np.sqrt(rng.random(m))
+        zs = radius * np.exp(2j * np.pi * rng.random(m))
+        got = blaschke_log_modulus(seq, zs)
+        assert np.array_equal(got, oracles.sequential_log_modulus(seq.points, zs))
+        grid = blaschke_log_modulus(seq, zs[:1200].reshape(30, 40))
+        assert grid.shape == (30, 40)
+        assert np.array_equal(grid.ravel(), got[:1200])
+
     @settings(max_examples=40)
     @given(seq=sequences(), data=st.data())
     def test_consistent_with_linear_eval(self, seq, data):
@@ -130,6 +155,23 @@ class TestBlaschkeLogModulus:
         )
         log_mod = blaschke_log_modulus(seq, z)
         assert np.exp(log_mod) == pytest.approx(abs(blaschke_eval(seq, z)), rel=1e-10)
+
+
+class TestLogFactors:
+    def test_rows_are_factor_log_moduli(self, rng):
+        seq = make_sequence(rng, 5)
+        zs = np.array([0.1 + 0.2j, -0.5, 0.0, 0.9j])
+        logs = blaschke.log_factors(seq.points, zs)
+        assert logs.shape == (5, 4)
+        for i, lam in enumerate(seq.points):
+            assert np.allclose(logs[i], np.log(np.abs(mobius_transform(lam, zs))),
+                               rtol=1e-14, atol=0.0)
+
+    def test_exact_zero_is_minus_inf(self):
+        pts = np.array([0.5, -0.25j])
+        logs = blaschke.log_factors(pts, pts)
+        assert np.array_equal(np.diag(logs), [-np.inf, -np.inf])
+        assert np.all(np.isfinite(logs[~np.eye(2, dtype=bool)]))
 
 
 class TestBlaschkeEvalExcluding:

@@ -6,8 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import run_cli, write_document
-from diskinterp import PointSequence, cli, generate_separated_random
+from diskinterp import (
+    PickProblem,
+    PointSequence,
+    cli,
+    corresponding_decomposition,
+    generate_separated_random,
+    interpolant_eval,
+    solve_pick,
+)
 
 
 @pytest.fixture
@@ -23,6 +32,14 @@ def radial_doc(tmp_path):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def assert_same_text(got: str, expected: str):
+    """Byte equality, reporting the first differing line (a full diff is slow)."""
+    pairs = zip(got.splitlines(keepends=True), expected.splitlines(keepends=True))
+    for k, (a, b) in enumerate(pairs):
+        assert a == b, f"line {k} differs"
+    assert len(got) == len(expected)
 
 
 class TestDocumentLayer:
@@ -230,6 +247,23 @@ class TestInterpolate:
         assert max(moduli) <= 2.0 * (1 + 1e-6)
 
 
+    def test_boundary_csv_bytes_match_row_writer(self, tmp_path):
+        seq = generate_separated_random(10, 0.1, 5)
+        targets = np.array([0.3, -0.2j, 0.5 + 0.1j, 0.0, 0.8, -0.4, 0.1j, 0.6, 0.0, -0.7])
+        doc = write_document(tmp_path / "ten.json", seq.points)
+        csv = tmp_path / "boundary.csv"
+        code = run_cli([
+            "interpolate", doc, "--targets", ",".join(str(complex(w)) for w in targets),
+            "--boundary-grid", "256", "--output", str(tmp_path / "sol.json"),
+            "--boundary-csv", str(csv),
+        ])
+        assert code == 0
+        f = solve_pick(PickProblem(seq, targets)).interpolant
+        thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        expected = oracles.boundary_csv(thetas, interpolant_eval(f, np.exp(1j * thetas)))
+        assert_same_text(csv.read_text(), expected)
+
+
 class TestVerifyTheorem:
     def test_pair_passes(self, tmp_path, pair_doc):
         out = tmp_path / "chain.json"
@@ -390,6 +424,31 @@ class TestField:
             if "nan" in (v_b, v_0, v_1):
                 continue
             assert float(v_b) == pytest.approx(float(v_0) + float(v_1), abs=1e-10)
+
+
+    @pytest.mark.parametrize("resolution, which", [
+        (33, "B"), (64, "B"), (64, "B0"), (64, "B1"),
+    ])
+    def test_bytes_match_row_writer(self, tmp_path, resolution, which):
+        # The origin is a cell of every odd-resolution grid, so at 33 one
+        # row is an exact zero of B and prints nan.
+        points = np.concatenate(([0.0], generate_separated_random(12, 0.1, 3).points))
+        doc = write_document(tmp_path / "field.json", points)
+        out = tmp_path / "field.csv"
+        code = run_cli([
+            "field", doc, "--which", which,
+            "--grid-resolution", str(resolution), "--output", str(out),
+        ])
+        assert code == 0
+        if which == "B":
+            product = points
+        else:
+            dec = corresponding_decomposition(PointSequence(tuple(points)), resolution)
+            product = dec.part_sequence(0 if which == "B0" else 1).points
+        expected = oracles.field_csv(product, resolution)
+        assert_same_text(out.read_text(), expected)
+        if resolution == 33:
+            assert expected.count(",nan\n") == 1
 
 
 class TestUsageErrors:

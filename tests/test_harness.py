@@ -11,6 +11,8 @@ from diskinterp import (
     PackingFailureError,
     PointSequence,
     PointSetError,
+    blaschke_eval,
+    blaschke_eval_excluding,
     carleson_constant,
     corresponding_decomposition,
     generate_counterexample,
@@ -223,6 +225,32 @@ class TestVerifyTheoremChain:
         assert report.hypothesis_ok
         assert report.hard_steps_pass
         assert len(report.step_a) + len(report.step_b) == n
+
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (10, 2), (14, 3), (17, 1)])
+    def test_step_values_match_scalar_products(self, n, seed):
+        # Steps A-C are column sums of two factor matrices; each row must
+        # agree with the scalar product it stands for.
+        seq = generate_separated_random(n, 0.1, seed)
+        report = verify_theorem_chain(seq, 64)
+        dec = corresponding_decomposition(seq, 64)
+        parts = (dec.part_sequence(0), dec.part_sequence(1))
+        expected_a = [abs(blaschke_eval(parts[0], pt)) for pt in parts[1].points]
+        expected_b = [abs(blaschke_eval(parts[1], pt)) for pt in parts[0].points]
+        expected_c = []
+        for i, pt in enumerate(seq.points):
+            k = 1 if i in dec.part1 else 0
+            pos = (dec.part0, dec.part1)[k].index(i)
+            expected_c.append(abs(blaschke_eval_excluding(parts[k], pos, pt)))
+        for rows, expected in ((report.step_a, expected_a),
+                               (report.step_b, expected_b),
+                               (report.step_c, expected_c)):
+            assert len(rows) == len(expected)
+            for row, value in zip(rows, expected):
+                assert row.value == pytest.approx(value, rel=1e-14, abs=0.0)
+        eta1, eta2 = remark_two_functions_check(dec)
+        assert eta1 == pytest.approx(min(expected_a), rel=1e-14, abs=0.0)
+        assert eta2 == pytest.approx(min(expected_b), rel=1e-14, abs=0.0)
 
 
 class TestRemarkTwoFunctions:
