@@ -13,7 +13,7 @@ solving the one-at-a-point interpolation problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,7 +24,7 @@ from .geometry import _check_closed_disk, _mobius, check_interior, pseudohyperbo
 # Pairwise pseudohyperbolic distances below this are treated as duplicates.
 DISTINCT_TOL = 1e-9
 
-# Sequences longer than this default are refused outright; every invariant
+# Sequences longer than this are refused outright; every invariant
 # here is an O(n^2) pairwise sweep and the CLI report formats assume
 # desk-scale inputs.
 MAX_POINTS = 512
@@ -45,16 +45,14 @@ class PointSequence:
 
     points: np.ndarray
     label: str | None = None
-    max_points: int = field(default=MAX_POINTS, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
         if pts.size < 1:
             raise PointSetError("a point sequence needs at least one point")
-        if pts.size > self.max_points:
+        if pts.size > MAX_POINTS:
             raise PointSetError(
-                f"sequence has {pts.size} points, exceeding the configured "
-                f"maximum of {self.max_points}"
+                f"sequence has {pts.size} points, exceeding the maximum of {MAX_POINTS}"
             )
         for i, z in enumerate(pts):
             try:
@@ -82,8 +80,7 @@ class PointSequence:
     def removing(self, n: int) -> "PointSequence":
         """Copy of the sequence with point ``n`` removed."""
         self._check_index(n)
-        return PointSequence(np.delete(self.points, n), label=self.label,
-                             max_points=self.max_points)
+        return PointSequence(np.delete(self.points, n), label=self.label)
 
     def _check_index(self, n: int) -> None:
         if not 0 <= n < len(self):

@@ -26,7 +26,6 @@ import numpy as np
 
 from .blaschke import (
     PointSequence,
-    carleson_constant,
     log_factors,
     per_point_moduli,
     separation_constant,
@@ -265,7 +264,8 @@ def verify_theorem_chain(
     if len(seq) < 2:
         raise PointSetError("chain verification needs at least two points")
     delta0 = separation_constant(seq)
-    carleson = carleson_constant(seq)
+    moduli = per_point_moduli(seq)
+    carleson = float(np.min(moduli))
     if delta0 <= SEPARATION_FLOOR:
         return ChainReport(
             hypothesis_ok=False, delta=delta0 / 2.0,
@@ -299,7 +299,6 @@ def verify_theorem_chain(
 
     eta_common = min(eta, eta_g)
     bound_final = (a / delta) * eta_common ** (1.0 + 1.0 / b)
-    moduli = per_point_moduli(seq)
     final = tuple(
         _row(pt, moduli[i], bound_final) for i, pt in enumerate(seq.points)
     )

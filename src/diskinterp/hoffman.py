@@ -13,7 +13,9 @@ which makes the sandwich hold at every grid point by construction.
 ``decompose`` searches the partitions of a sequence for the split with the
 smallest fitted b: exactly up to 16 points, by enumerating every partition
 and pruning with lower bounds on b from a few witness grid points, and by
-deterministic local search beyond, both on one ``blaschke.log_factors`` grid matrix.
+deterministic local search beyond.  The search scores partitions and then
+fits the winner's (a, b) from its own ``blaschke.log_factors`` grid matrix,
+always through the one fit formula ``_fit_logs``.
 """
 
 from __future__ import annotations
@@ -134,21 +136,26 @@ def exclusion_grid(seq: PointSequence, delta: float, resolution: int) -> Exclusi
     return ExclusionGrid(points=pts, delta=float(delta), resolution=int(resolution))
 
 
-def _fit_logs(L0: np.ndarray, L1: np.ndarray) -> tuple[float, float, int]:
-    """Extremal (a, b) for one partition from its grid log-moduli.
+def _fit_logs(L0: np.ndarray, L1: np.ndarray):
+    """Extremal (a, b) of partitions from their grid log-moduli, one row each.
 
     b is the worst two-sided ratio of the log-moduli (at least 1); a is then
     the largest constant keeping both sandwich sides valid at every grid
     point in both orientations, so that swapping the parts leaves (a, b)
-    unchanged.  Returns (a, b, index of the grid point attaining b).
+    unchanged.  Returns (a, b, index of the grid column attaining b), each
+    an array over the rows of 2-D input and a scalar for 1-D input.  One
+    partition (1-D input) with a log-modulus numerically zero raises
+    DegenerateFitError; batches are not checked, since the search's winner
+    is refitted on its own.
     """
-    if np.max(L0) > -_FIT_DEGENERACY_TOL or np.max(L1) > -_FIT_DEGENERACY_TOL:
+    if L0.ndim == 1 and (np.max(L0) > -_FIT_DEGENERACY_TOL
+                         or np.max(L1) > -_FIT_DEGENERACY_TOL):
         raise DegenerateFitError("a grid log-modulus is numerically zero")
     ratio = np.maximum(L1 / L0, L0 / L1)
-    worst = int(np.argmax(ratio))
-    b = max(float(ratio[worst]), 1.0)
-    a = float(np.exp(np.min(np.minimum(b * L0 - L1, b * L1 - L0))))
-    return a, b, worst
+    b = np.maximum(ratio.max(axis=-1), 1.0)
+    bc = np.expand_dims(b, -1)
+    a = np.exp(np.minimum(bc * L0 - L1, bc * L1 - L0).min(axis=-1))
+    return a, b, ratio.argmax(axis=-1)
 
 
 def comparability_fit(
@@ -166,26 +173,9 @@ def comparability_fit(
     """
     if len(grid) == 0:
         raise EmptyGridError("cannot fit on an empty grid")
-    L0 = blaschke_log_modulus(part0, grid.points)
-    L1 = blaschke_log_modulus(part1, grid.points)
-    a, b, worst = _fit_logs(L0, L1)
-    return a, b, complex(grid.points[worst])
-
-
-def _objective(mask: np.ndarray, LM: np.ndarray, L_total: np.ndarray):
-    L0 = LM[mask].sum(axis=0)
-    return _fit_logs(L0, L_total - L0)
-
-
-def _batched_objectives(masks: np.ndarray, LM: np.ndarray, L_total: np.ndarray):
-    """(b, a) arrays for a batch of partition masks (rows of ``masks``)."""
-    L0 = masks.astype(float) @ LM
-    L1 = L_total[None, :] - L0
-    ratio = np.maximum(L1 / L0, L0 / L1)
-    b = np.maximum(ratio.max(axis=1), 1.0)
-    bc = b[:, None]
-    a = np.exp(np.minimum(bc * L0 - L1, bc * L1 - L0).min(axis=1))
-    return b, a
+    a, b, worst = _fit_logs(blaschke_log_modulus(part0, grid.points),
+                            blaschke_log_modulus(part1, grid.points))
+    return float(a), float(b), complex(grid.points[worst])
 
 
 def _search_exhaustive(LM, L_total):
@@ -211,11 +201,9 @@ def _search_exhaustive(LM, L_total):
         masks[:, j] = (codes >> (j - 1)) & 1
     probes = np.unique(np.linspace(0, len(masks) - 1, _WITNESS_PROBES).astype(np.int64))
     L0 = masks[probes].astype(float) @ LM
-    L1 = L_total[None, :] - L0
-    witnesses = np.unique(np.argmax(np.maximum(L1 / L0, L0 / L1), axis=1))
+    witnesses = np.unique(_fit_logs(L0, L_total - L0)[2])
     L0 = masks.astype(float) @ LM[:, witnesses]
-    L1 = L_total[witnesses][None, :] - L0
-    bound = np.maximum(np.maximum(L1 / L0, L0 / L1).max(axis=1), 1.0)
+    bound = _fit_logs(L0, L_total[witnesses] - L0)[1]
     order = np.argsort(bound, kind="stable")
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
     best = None
@@ -226,7 +214,8 @@ def _search_exhaustive(LM, L_total):
             if bound[order[start]] > best_b * (1.0 + 1e-12 + rounding * (1.0 + best_b)):
                 break
         chunk = masks[order[start:start + _EVAL_CHUNK]]
-        b, a = _batched_objectives(chunk, LM, L_total)
+        L0 = chunk.astype(float) @ LM
+        a, b, _ = _fit_logs(L0, L_total - L0)
         evaluated += len(chunk)
         for row in range(len(chunk)):
             key = (float(b[row]), -float(a[row]),
@@ -245,8 +234,13 @@ def _search_local(LM, L_total, points):
     order = np.argsort(np.abs(points), kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[0::2]] = True
-    current = _objective(mask, LM, L_total)[:2]
-    current = (current[1], -current[0])  # (b, -a)
+
+    def score():  # (b, -a) of the current mask
+        L0 = LM[mask].sum(axis=0)
+        a, b, _ = _fit_logs(L0, L_total - L0)
+        return b, -a
+
+    current = score()
     evaluated = 1
     improved = True
     while improved:
@@ -255,9 +249,8 @@ def _search_local(LM, L_total, points):
             mask[i] = not mask[i]
             size0 = int(mask.sum())
             if 0 < size0 < n:
-                a, b, _ = _objective(mask, LM, L_total)
+                cand = score()
                 evaluated += 1
-                cand = (b, -a)
                 if cand < current:
                     current = cand
                     improved = True
@@ -278,9 +271,11 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
     partitions are swept over the full grid in increasing bound order until
     the bound exceeds the best b found.  Beyond 16 points a deterministic
     first-improvement single-move search runs from an alternating seed.
-    The returned decomposition records which search ran and how many
-    partitions it enumerated and fully evaluated.  Grid errors from the
-    delta choice propagate.
+    The winner's (a, b) are fitted from row sums of the search's own
+    ``log_factors`` matrix over the grid, equal to :func:`comparability_fit`
+    on the two parts.  The returned decomposition records which search ran
+    and how many partitions it enumerated and fully evaluated.  Grid errors
+    from the delta choice propagate.
     """
     n = len(seq)
     if n < 2:
@@ -294,17 +289,13 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
     else:
         method = "local"
         mask, enumerated, evaluated = _search_local(LM, L_total, seq.points)
-    part0 = tuple(int(i) for i in np.flatnonzero(mask))
-    part1 = tuple(int(i) for i in np.flatnonzero(~mask))
-    a, b, worst = comparability_fit(
-        PointSequence(seq.points[list(part0)]),
-        PointSequence(seq.points[list(part1)]),
-        grid,
-    )
+    a, b, worst = _fit_logs(LM[mask].sum(axis=0), LM[~mask].sum(axis=0))
     return Decomposition(
-        base=seq, part0=part0, part1=part1, delta=float(delta),
-        fitted_a=a, fitted_b=b, fit_grid_size=len(grid),
-        fit_grid_resolution=int(grid_resolution), worst_point=worst,
+        base=seq, part0=tuple(np.flatnonzero(mask).tolist()),
+        part1=tuple(np.flatnonzero(~mask).tolist()), delta=float(delta),
+        fitted_a=float(a), fitted_b=float(b), fit_grid_size=len(grid),
+        fit_grid_resolution=int(grid_resolution),
+        worst_point=complex(grid.points[worst]),
         search=method, masks_enumerated=enumerated, masks_evaluated=evaluated,
     )
 

@@ -94,7 +94,12 @@ class RationalInterpolant:
 
 @dataclass(frozen=True)
 class PickSolution:
-    """Minimal norm, an interpolant, its Pick eigenvalue margin, f(lam_j) - w_j."""
+    """Minimal norm, an interpolant, its reduction margin, f(lam_j) - w_j.
+
+    ``feasibility_margin`` is 1 - max |p| over the interpolant's recorded
+    reduction parameters: how far inside the closed disk the construction
+    at min_norm * (1 + NORM_SLACK) stayed, at least -1e-9 (_PARAM_TOL).
+    """
 
     min_norm: float
     interpolant: RationalInterpolant
@@ -315,6 +320,6 @@ def solve_pick(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> PickSol
             f"interpolant misses node {worst} by {abs(residuals[worst]):.3e} "
             f"at norm {M_run:.6g}"
         )
-    margin = float(np.linalg.eigvalsh(pick_matrix(problem, M_run))[0])
+    margin = 1.0 - max(abs(p) for _, p in interpolant.schur_steps)
     return PickSolution(min_norm=M_star, interpolant=interpolant,
                         feasibility_margin=margin, residuals=residuals)

@@ -59,6 +59,14 @@ class TestPointSequence:
         with pytest.raises(PointSetError, match="maximum"):
             PointSequence(pts)
 
+    def test_accepts_exactly_max_points(self):
+        circle = 0.9 * np.exp(2j * np.pi * np.arange(513) / 513)
+        assert len(PointSequence(circle[:512])) == blaschke.MAX_POINTS == 512
+        with pytest.raises(PointSetError, match="513 points"):
+            PointSequence(circle)
+        with pytest.raises(TypeError):
+            PointSequence(circle, max_points=600)
+
     def test_removing(self):
         seq = PointSequence((0.1, 0.2, 0.3))
         assert np.allclose(seq.removing(1).points, [0.1, 0.3])

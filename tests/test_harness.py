@@ -26,6 +26,7 @@ from diskinterp import (
     verify_theorem_chain,
     zero_one_problem,
 )
+from diskinterp import blaschke, harness
 
 
 class TestGenerateRadial:
@@ -190,6 +191,19 @@ class TestVerifyTheoremChain:
         assert report.carleson_direct == pytest.approx(
             carleson_constant(seq), rel=1e-12
         )
+
+    def test_per_point_moduli_once(self, monkeypatch):
+        # carleson_direct is the minimum of the moduli the final rows use.
+        calls = []
+        compute = harness.per_point_moduli
+        for module in (harness, blaschke):
+            monkeypatch.setattr(module, "per_point_moduli",
+                                lambda seq: calls.append(seq) or compute(seq))
+        seq = generate_radial(0.5, 5)
+        report = verify_theorem_chain(seq, 64)
+        assert calls == [seq]
+        assert report.carleson_direct == carleson_constant(seq)
+        assert [row.value for row in report.final] == compute(seq).tolist()
 
     def test_non_separated_sequence_fails_hypothesis(self):
         spec = CounterexampleSpec(num_pairs=2, gap=1e-7, base_radial_ratio=0.5)

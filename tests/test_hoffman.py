@@ -1,5 +1,6 @@
 """Unit tests for exclusion grids, sandwich fits, and decompositions."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -21,7 +22,8 @@ from diskinterp import (
     pseudohyperbolic_distance,
     separation_constant,
 )
-from diskinterp.hoffman import _batched_objectives, _search_exhaustive
+from diskinterp import blaschke, hoffman
+from diskinterp.hoffman import _fit_logs, _search_exhaustive
 
 
 def sandwich_violations(dec: Decomposition) -> int:
@@ -194,6 +196,36 @@ class TestDecompose:
         with pytest.raises(PointSetError):
             decompose(PointSequence((0.5,)), 0.2, 64)
 
+    @pytest.mark.parametrize("count, search", [(10, "exhaustive"), (18, "local")])
+    def test_fit_equals_comparability_fit(self, count, search):
+        seq = generate_separated_random(count, 0.1, 1)
+        delta = separation_constant(seq) / 2
+        dec = decompose(seq, delta, 128)
+        assert dec.search == search
+        fit = comparability_fit(
+            dec.part_sequence(0), dec.part_sequence(1), exclusion_grid(seq, delta, 128)
+        )
+        assert (dec.fitted_a, dec.fitted_b, dec.worst_point) == fit
+
+    def test_fits_from_the_search_matrix(self, monkeypatch):
+        # One log_factors matrix over the grid serves both the search and
+        # the fit of the winner; nothing evaluates the parts again.
+        seq = generate_separated_random(10, 0.1, 1)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((hoffman, "log_factors"), (blaschke, "log_factors"),
+                             (hoffman, "comparability_fit"),
+                             (hoffman, "blaschke_log_modulus")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        decompose(seq, separation_constant(seq) / 2, 128)
+        assert calls == {"log_factors": 1}
+
     def test_propagates_empty_grid(self):
         with pytest.raises(EmptyGridError):
             decompose(PointSequence((0.0, 0.05)), 0.999, 32)
@@ -230,7 +262,8 @@ class TestPrunedSearchAgainstOracle:
         mask = np.isin(np.arange(rows.shape[0]), part0)
         swapped = mask.copy()
         swapped[[1, 2]] = mask[[2, 1]]
-        b, a = _batched_objectives(np.array([mask, swapped]), rows, rows.sum(axis=0))
+        L0 = np.array([mask, swapped]).astype(float) @ rows
+        a, b, _ = _fit_logs(L0, rows.sum(axis=0) - L0)
         assert b[0] == b[1] and a[0] == a[1]
         assert searched_part0(rows) == part0
 

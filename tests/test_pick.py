@@ -255,6 +255,16 @@ class TestSolvePick:
         A = pick_matrix(problem, solution.min_norm * (1 + 1e-6))
         assert abs(solution.feasibility_margin) <= 1e-5 * _trace_scale(A) + 1e-12
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_margin_is_read_off_the_reduction(self, n):
+        seq = generate_separated_random(n, 0.1, 3)
+        solution = solve_pick(PickProblem(seq, np.arange(n) % 2))
+        params = np.array([p for _, p in solution.interpolant.schur_steps])
+        assert solution.feasibility_margin == pytest.approx(
+            1.0 - np.max(np.abs(params)), rel=0, abs=1e-15
+        )
+        assert -1e-9 <= solution.feasibility_margin <= 1.0
+
     def test_residuals_are_node_misfits(self, rng):
         problem = random_problem(rng, 6)
         solution = solve_pick(problem)
