@@ -86,13 +86,14 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
     if not 0.0 <= min_sep < 1.0:
         raise ValueError(f"min_sep must lie in [0, 1), got {min_sep!r}")
     rng = np.random.default_rng(seed)
-    accepted: list[complex] = []
+    accepted = np.empty(count, dtype=complex)
+    kept = 0
     rejections = 0
-    while len(accepted) < count:
+    while kept < count:
         u, v = rng.random(2)
         z = _RANDOM_DISK_RADIUS * math.sqrt(u) * np.exp(2j * math.pi * v)
-        if accepted and float(
-            np.min(pseudohyperbolic_distance(z, np.asarray(accepted)))
+        if kept and float(
+            np.min(pseudohyperbolic_distance(z, accepted[:kept]))
         ) < min_sep:
             rejections += 1
             if rejections >= _REJECTION_BUDGET:
@@ -101,10 +102,9 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
                     f"after {_REJECTION_BUDGET} rejected draws"
                 )
             continue
-        accepted.append(complex(z))
-    return PointSequence(
-        np.asarray(accepted), label=f"random-{count}-{min_sep:g}-{seed}"
-    )
+        accepted[kept] = z
+        kept += 1
+    return PointSequence(accepted, label=f"random-{count}-{min_sep:g}-{seed}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ which makes the sandwich hold at every grid point by construction.
 ``decompose`` searches the partitions of a sequence for the split with the
 smallest fitted b: exactly up to 16 points, by enumerating every partition
 and pruning with lower bounds on b from a few witness grid points, and by
-deterministic local search beyond.  The search scores partitions and then
-fits the winner's (a, b) from its own ``blaschke.log_factors`` grid matrix,
-always through the one fit formula ``_fit_logs``.
+deterministic local search beyond, pruned on witness grid points too.
+One ``blaschke.log_factors`` matrix places the exclusion grid; the search
+scores partitions on it and fits the winner's (a, b) from it, always
+through the one fit formula ``_fit_logs``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .blaschke import PointSequence, blaschke_log_modulus, log_factors, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
-from .geometry import pseudohyperbolic_distance
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
 # are bounded on a few witness grid points, and only those whose bound does
@@ -46,11 +46,17 @@ _EVAL_CHUNK = 8
 
 @dataclass(frozen=True)
 class ExclusionGrid:
-    """Interior grid points at pseudohyperbolic distance >= delta from a sequence."""
+    """Interior grid points at pseudohyperbolic distance >= delta from a sequence.
+
+    ``factors`` is the ``log_factors`` matrix of the sequence over
+    ``points`` (one row per sequence point, one column per grid point),
+    the matrix the retention test read; both arrays are read-only.
+    """
 
     points: np.ndarray
     delta: float
     resolution: int
+    factors: np.ndarray
 
     def __len__(self) -> int:
         return self.points.size
@@ -61,9 +67,10 @@ class Decomposition:
     """A two-part splitting of a sequence with its fitted sandwich constants.
 
     ``search`` names how the split was found: "exhaustive" (every partition
-    enumerated, the pruned ones fully evaluated), "local" (single-move
-    descent, every mask tried fully evaluated) or "declared" (given, not
-    searched, with both counts zero).
+    enumerated, those whose witness bound could win fully evaluated),
+    "local" (single-move descent: masks_enumerated counts the masks tried,
+    masks_evaluated those whose witness bound could win and were fully
+    scored) or "declared" (given, not searched, with both counts zero).
     """
 
     base: PointSequence
@@ -100,8 +107,9 @@ def _retained_grid(seq: PointSequence, delta: float, resolution: int, R: float):
     X, Y = np.meshgrid(xs, xs)
     pts = (X + 1j * Y).ravel()
     pts = pts[np.abs(pts) < R]
-    dist = pseudohyperbolic_distance(pts[None, :], seq.points[:, None])
-    return pts[np.min(dist, axis=0) >= delta]
+    LM = log_factors(seq.points, pts)
+    keep = np.min(LM, axis=0) >= np.log(delta)
+    return pts[keep], LM.compress(keep, axis=1)  # C order, as the search reads rows
 
 
 def exclusion_grid(seq: PointSequence, delta: float, resolution: int) -> ExclusionGrid:
@@ -109,9 +117,12 @@ def exclusion_grid(seq: PointSequence, delta: float, resolution: int) -> Exclusi
 
     R = min(0.999, max |lam| + 0.05) keeps the grid over the region the
     sequence occupies; points with |z| >= R or within pseudohyperbolic
-    distance delta of any sequence point are dropped.  When the exclusion
-    disks swallow that square (large delta around points near the origin),
-    the square is widened once to reach past the farthest disk rim before
+    distance delta of any sequence point are dropped.  The distance test
+    reads one ``log_factors`` matrix over the square's points, log delta
+    against each column's minimum, and the grid keeps the retained
+    columns of that matrix for the fit.  When the exclusion disks swallow
+    the square (large delta around points near the origin), the square is
+    widened once to reach past the farthest disk rim before
     EmptyGridError is raised.
     """
     if resolution < 32:
@@ -120,20 +131,21 @@ def exclusion_grid(seq: PointSequence, delta: float, resolution: int) -> Exclusi
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     moduli = np.abs(seq.points)
     R = min(0.999, float(np.max(moduli)) + 0.05)
-    pts = _retained_grid(seq, delta, resolution, R)
+    pts, LM = _retained_grid(seq, delta, resolution, R)
     if pts.size == 0:
         rim = float(np.max((moduli + delta) / (1.0 + moduli * delta)))
         R_wide = min(0.999, rim + 0.05)
         if R_wide > R:
-            pts = _retained_grid(seq, delta, resolution, R_wide)
-            R = R_wide
+            pts, LM = _retained_grid(seq, delta, resolution, R_wide)
     if pts.size == 0:
         raise EmptyGridError(
             f"exclusion disks with delta = {delta:g} cover the sampled square; "
             f"lower delta"
         )
     pts.flags.writeable = False
-    return ExclusionGrid(points=pts, delta=float(delta), resolution=int(resolution))
+    LM.flags.writeable = False
+    return ExclusionGrid(points=pts, delta=float(delta), resolution=int(resolution),
+                         factors=LM)
 
 
 def _fit_logs(L0: np.ndarray, L1: np.ndarray):
@@ -228,20 +240,32 @@ def _search_exhaustive(LM, L_total):
 def _search_local(LM, L_total, points):
     """Single-move descent from an alternating seed over increasing |lam|.
 
-    Every mask tried is fully evaluated; returns (mask, masks tried, same).
+    A move flips one point between the parts and wins if it lowers
+    (b, -a).  The current mask keeps its part-0 row L0 as the exact row
+    sum of LM, and a move is scored on L0 + LM[i] or L0 - LM[i].  Before
+    that full fit, the move's b is bounded on the witness columns, the
+    argmax columns of the masks fully scored so far: the bound is a max
+    over a subset of the same elementwise ratios, so a move whose witness
+    b exceeds the current b cannot win and is not fully scored.  A move
+    that wins is rescored on its exact row sum, and it is accepted only if
+    it still beats the current mask, so the current score is always that
+    of an exact row sum and strictly decreases, which ends the descent.
+    Returns (mask, masks tried, masks fully scored), the seed counting in
+    both.
     """
     n = points.size
     order = np.argsort(np.abs(points), kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[0::2]] = True
 
-    def score():  # (b, -a) of the current mask
+    def exact():  # exact part-0 row, (b, -a) and argmax column of the mask
         L0 = LM[mask].sum(axis=0)
-        a, b, _ = _fit_logs(L0, L_total - L0)
-        return b, -a
+        a, b, worst = _fit_logs(L0, L_total - L0)
+        return L0, (b, -a), worst
 
-    current = score()
-    evaluated = 1
+    L0, current, worst = exact()
+    witnesses = np.array([worst])
+    tried = evaluated = 1
     improved = True
     while improved:
         improved = False
@@ -249,16 +273,25 @@ def _search_local(LM, L_total, points):
             mask[i] = not mask[i]
             size0 = int(mask.sum())
             if 0 < size0 < n:
-                cand = score()
-                evaluated += 1
-                if cand < current:
-                    current = cand
-                    improved = True
-                    continue
+                tried += 1
+                move = np.add if mask[i] else np.subtract
+                L0w = move(L0[witnesses], LM[i, witnesses])
+                if _fit_logs(L0w, L_total[witnesses] - L0w)[1] <= current[0]:
+                    evaluated += 1
+                    cand = move(L0, LM[i])
+                    a, b, worst = _fit_logs(cand, L_total - cand)
+                    if worst not in witnesses:
+                        witnesses = np.append(witnesses, worst)
+                    if (b, -a) < current:
+                        L0_exact, score, _ = exact()
+                        if score < current:
+                            L0, current = L0_exact, score
+                            improved = True
+                            continue
             mask[i] = not mask[i]
     if not mask[0]:
         mask = ~mask
-    return mask, evaluated, evaluated
+    return mask, tried, evaluated
 
 
 def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> Decomposition:
@@ -270,18 +303,21 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
     partition gets a lower bound on b from a few witness grid points, and
     partitions are swept over the full grid in increasing bound order until
     the bound exceeds the best b found.  Beyond 16 points a deterministic
-    first-improvement single-move search runs from an alternating seed.
-    The winner's (a, b) are fitted from row sums of the search's own
-    ``log_factors`` matrix over the grid, equal to :func:`comparability_fit`
-    on the two parts.  The returned decomposition records which search ran
-    and how many partitions it enumerated and fully evaluated.  Grid errors
-    from the delta choice propagate.
+    first-improvement single-move search runs from an alternating seed,
+    fully scoring only the moves whose witness bound does not rule them
+    out.  Both searches and the fit read the one ``log_factors`` matrix
+    that :func:`exclusion_grid` built to place the grid; the winner's
+    (a, b) are fitted from its row sums, equal to
+    :func:`comparability_fit` on the two parts.  The returned
+    decomposition records which search ran and how many partitions it
+    enumerated and fully evaluated.  Grid errors from the delta choice
+    propagate.
     """
     n = len(seq)
     if n < 2:
         raise PointSetError("decomposition needs at least two points")
     grid = exclusion_grid(seq, delta, grid_resolution)
-    LM = log_factors(seq.points, grid.points)
+    LM = grid.factors
     L_total = LM.sum(axis=0)
     if n <= EXHAUSTIVE_LIMIT:
         method = "exhaustive"

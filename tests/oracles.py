@@ -84,6 +84,44 @@ def best_partition(rows: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
     return best[1]
 
 
+def local_search(rows: np.ndarray, points) -> tuple[tuple[int, ...], int]:
+    """Single-move descent as the package once ran it, every move fully fitted.
+
+    Seeds part0 with every other point by increasing modulus, then flips
+    points in index order while a flip lowers (b, -a), refitting each tried
+    mask from its full row sum.  Returns (part0 with index 0 pinned,
+    masks tried including the seed).
+    """
+    n = rows.shape[0]
+    total = rows.sum(axis=0)
+    mask = np.zeros(n, dtype=bool)
+    mask[np.argsort(np.abs(points), kind="stable")[0::2]] = True
+
+    def score():
+        L0 = rows[mask].sum(axis=0)
+        a, b = fit_constants(L0, total - L0)
+        return b, -a
+
+    current = score()
+    tried = 1
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            mask[i] = not mask[i]
+            if 0 < mask.sum() < n:
+                tried += 1
+                cand = score()
+                if cand < current:
+                    current = cand
+                    improved = True
+                    continue
+            mask[i] = not mask[i]
+    if not mask[0]:
+        mask = ~mask
+    return tuple(np.flatnonzero(mask).tolist()), tried
+
+
 def _trace_scale(A: np.ndarray) -> float:
     n = A.shape[0]
     return max(1.0, float(np.trace(A).real) / n)
@@ -122,6 +160,40 @@ def sarason_min_norm(nodes, targets, dps: int = 80) -> float:
             y.append((rhs - ctx.fsum(L[j][m] * y[m] for m in range(j))) / L[j][j])
         product[:, c] = [complex(v) for v in y]
     return float(np.linalg.norm(product, 2))
+
+
+def _package_distance(z, w):
+    """Pseudohyperbolic distance with the package's real/imaginary split."""
+    re = 1.0 - (z.real * w.real + z.imag * w.imag)
+    im = z.imag * w.real - z.real * w.imag
+    return np.abs(z - w) / np.hypot(re, im)
+
+
+def exclusion_points(points, delta: float, resolution: int) -> np.ndarray:
+    """Exclusion-grid points as the package once filtered them.
+
+    The square's points are kept where the full matrix of pseudohyperbolic
+    distances to the sequence has column minimum >= delta; an empty square
+    is widened once past the farthest disk rim, as the package does.
+    """
+    points = np.asarray(points, dtype=complex)
+    moduli = np.abs(points)
+
+    def square(R):
+        xs = np.linspace(-R, R, resolution)
+        X, Y = np.meshgrid(xs, xs)
+        pts = (X + 1j * Y).ravel()
+        pts = pts[np.abs(pts) < R]
+        dist = _package_distance(pts[None, :], points[:, None])
+        return pts[np.min(dist, axis=0) >= delta]
+
+    R = min(0.999, float(np.max(moduli)) + 0.05)
+    pts = square(R)
+    if pts.size == 0:
+        rim = float(np.max((moduli + delta) / (1.0 + moduli * delta)))
+        if min(0.999, rim + 0.05) > R:
+            pts = square(min(0.999, rim + 0.05))
+    return pts
 
 
 def _package_mobius(lam: complex, z):

@@ -1,5 +1,6 @@
 """Unit tests for generators, the zero/one problem, and the proof chain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +75,19 @@ class TestGenerateSeparatedRandom:
         a = generate_separated_random(8, 0.15, seed=1)
         b = generate_separated_random(8, 0.15, seed=2)
         assert not np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("count, sep, seed, digest", [
+        (24, 0.1, 1, "1a55bb7992bb56cc2d8c472f19c54d84c460fb378f2f9a3d9470819d9a15864f"),
+        (40, 0.1, 7919, "ebe189880c69b7b9e45352e00c925f2aee07d3a88d0d0930c858a207c8a9176a"),
+        (128, 0.05, 2, "a8c4789ab0e4a259e2278fa462e1b98e245066bf30f22a2be8ebfc5c80ba6dcc"),
+        (256, 0.02, 5, "6a525c8050655c675f04e7430820fa575bffa8582d99d5601aaddc44be2b2f95"),
+        (512, 0.01, 3, "b00cea033592e6facccf2be6d1c367137f460b70cae2e3b03a850b61ff362fae"),
+    ])
+    def test_points_pinned_by_bytes(self, count, sep, seed, digest):
+        # The benchmark and the tests name inputs by (count, sep, seed), so
+        # the drawn points must stay the same bits from release to release.
+        points = generate_separated_random(count, sep, seed).points
+        assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
     def test_packing_failure(self):
         # Radius 0.95 caps pairwise distances below this separation.

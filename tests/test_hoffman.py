@@ -9,6 +9,7 @@ import pytest
 import oracles
 from conftest import make_sequence
 from diskinterp import (
+    CounterexampleSpec,
     Decomposition,
     EmptyGridError,
     PointSequence,
@@ -18,12 +19,13 @@ from diskinterp import (
     corresponding_decomposition,
     decompose,
     exclusion_grid,
+    generate_counterexample,
     generate_separated_random,
     pseudohyperbolic_distance,
     separation_constant,
 )
 from diskinterp import blaschke, hoffman
-from diskinterp.hoffman import _fit_logs, _search_exhaustive
+from diskinterp.hoffman import _fit_logs, _search_exhaustive, _search_local
 
 
 def sandwich_violations(dec: Decomposition) -> int:
@@ -68,6 +70,38 @@ class TestExclusionGrid:
         g1 = exclusion_grid(seq, 0.15, 48)
         g2 = exclusion_grid(seq, 0.15, 48)
         assert np.array_equal(g1.points, g2.points)
+
+
+def assert_grid_matches_oracle(seq: PointSequence, delta: float, resolution: int):
+    grid = exclusion_grid(seq, delta, resolution)
+    assert np.array_equal(
+        grid.points, oracles.exclusion_points(seq.points, delta, resolution)
+    )
+    assert np.array_equal(grid.factors, blaschke.log_factors(seq.points, grid.points))
+    return grid
+
+
+class TestExclusionGridAgainstOracle:
+    """The factor-matrix test keeps exactly the distance-matrix filter's points."""
+
+    @pytest.mark.parametrize("resolution", [32, 97, 128])
+    @pytest.mark.parametrize("count, seed", [(2, 1), (5, 2), (10, 3), (17, 4), (32, 5)])
+    def test_seeded_sequences(self, count, seed, resolution):
+        seq = generate_separated_random(count, 0.1, seed)
+        for delta in (separation_constant(seq) / 2, 0.05, 0.3):
+            assert_grid_matches_oracle(seq, delta, resolution)
+
+    @pytest.mark.parametrize("points, delta", [((0.0,), 0.5), ((0.05, -0.03j), 0.6)])
+    def test_widened_square(self, points, delta):
+        seq = PointSequence(points)
+        grid = assert_grid_matches_oracle(seq, delta, 64)
+        assert np.max(np.abs(grid.points)) > np.max(np.abs(seq.points)) + 0.05
+
+    @pytest.mark.parametrize("pairs, gap, ratio", [(2, 0.1, 0.5), (4, 0.01, 0.5),
+                                                   (6, 0.001, 0.7)])
+    def test_counterexample_family(self, pairs, gap, ratio):
+        seq, dec = generate_counterexample(CounterexampleSpec(pairs, gap, ratio))
+        assert_grid_matches_oracle(seq, dec.delta, dec.fit_grid_resolution)
 
 
 class TestComparabilityFit:
@@ -183,7 +217,8 @@ class TestDecompose:
         assert np.isfinite(dec.fitted_b)
         assert sandwich_violations(dec) == 0
         assert dec.search == "local"
-        assert dec.masks_enumerated == dec.masks_evaluated > 18
+        assert dec.masks_enumerated > 18
+        assert 0 < dec.masks_evaluated <= dec.masks_enumerated
 
     def test_records_exhaustive_search(self):
         seq = generate_separated_random(12, 0.1, 5)
@@ -278,6 +313,20 @@ class TestPrunedSearchAgainstOracle:
             rows = -rng.integers(1, depth + 1, size=(count, cols)).astype(float)
             _, _, part0 = oracles.best_partition(rows)
             assert searched_part0(rows) == part0
+
+
+class TestLocalSearchAgainstOracle:
+    @pytest.mark.parametrize("count", range(17, 41))
+    def test_same_mask_as_plain_search(self, count):
+        # The plain search fully fits every move from its full row sum; the
+        # pruned one must find the same split after trying the same moves.
+        seq = generate_separated_random(count, 0.1, count % 5 + 1)
+        LM = exclusion_grid(seq, separation_constant(seq) / 2, 128).factors
+        mask, tried, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
+        part0, plain_tried = oracles.local_search(LM, seq.points)
+        assert tuple(np.flatnonzero(mask).tolist()) == part0
+        assert tried == plain_tried
+        assert 0 < evaluated < tried
 
 
 class TestCorrespondingDecomposition:

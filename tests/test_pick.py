@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_sequence
 from diskinterp import (
+    BracketFailureError,
     NumericalError,
     PickProblem,
     PointSequence,
@@ -101,6 +102,14 @@ class TestMinNorm:
         # sum |w_j| / |B_j(lam_j)| = 0 + 1/0.5.
         assert norm_upper_bound(problem) == pytest.approx(2.0)
         assert min_norm(problem) <= norm_upper_bound(problem) * (1 + 1e-12)
+
+    def test_infeasible_upper_end_fails_the_bracket(self, monkeypatch):
+        # The Schwarz pair needs norm 2; an upper end of 1.5 tests infeasible.
+        monkeypatch.setattr(pick, "norm_upper_bound", lambda problem: 1.5)
+        with pytest.raises(BracketFailureError, match="tests infeasible"):
+            min_norm(zero_one(0.5))
+        with pytest.raises(BracketFailureError):
+            solve_pick(zero_one(0.5))
 
     def test_bracket_endpoints(self, rng):
         for _ in range(10):
