@@ -8,18 +8,26 @@ top of the product sit the classical invariants of a point sequence: the
 separation constant (worst pairwise pseudohyperbolic distance), the
 uniform-separation constant inf_n |B_n(lam_n)| taken over the products
 B_n that omit one factor, and the norm-explicit family B_n / B_n(lam_n)
-solving the one-at-a-point interpolation problem.
+solving the one-at-a-point interpolation problem.  The first two read the
+pairwise distance matrix that :class:`PointSequence` sweeps once, when it
+checks that its points are distinct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSequenceError, PointSetError, ZeroCollisionError
-from .geometry import _check_closed_disk, _mobius, check_interior, pseudohyperbolic_distance
+from .geometry import (
+    INTERIOR_GUARD,
+    _check_closed_disk,
+    _mobius,
+    check_interior,
+    pseudohyperbolic_distance,
+)
 
 # Pairwise pseudohyperbolic distances below this are treated as duplicates.
 DISTINCT_TOL = 1e-9
@@ -38,13 +46,24 @@ _LOG_COLLISION = np.log(1e-300)
 # Evaluation points per factor matrix in blaschke_log_modulus.
 _LOG_CHUNK = 8192
 
+# Points with np.abs at or above this get the scalar check_interior test.
+# np.abs and abs() of a complex can differ by an ulp, far below this margin.
+_INTERIOR_SCREEN = 1.0 - INTERIOR_GUARD - 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class PointSequence:
-    """Finite ordered set of distinct points strictly inside the unit disk."""
+    """Finite ordered set of distinct points strictly inside the unit disk.
+
+    Validation sweeps the n x n pseudohyperbolic distance matrix once to
+    check that the points are distinct, and the sequence keeps it, with
+    1.0 on the diagonal, as a read-only array outside repr; the separation
+    and Carleson constants read it instead of sweeping again.
+    """
 
     points: np.ndarray
     label: str | None = None
+    _distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
@@ -54,22 +73,25 @@ class PointSequence:
             raise PointSetError(
                 f"sequence has {pts.size} points, exceeding the maximum of {MAX_POINTS}"
             )
-        for i, z in enumerate(pts):
+        # np.abs only screens; check_interior decides, in index order, so
+        # the first bad point and its message are those of a scalar loop.
+        for i in np.flatnonzero(~(np.abs(pts) < _INTERIOR_SCREEN)):
             try:
-                check_interior(z)
+                check_interior(pts[i])
             except PointSetError as exc:
                 raise PointSetError(f"point {i}: {exc}") from None
-        if pts.size > 1:
-            dist = _pairwise_distances(pts)
-            np.fill_diagonal(dist, 1.0)
-            j, k = np.unravel_index(int(np.argmin(dist)), dist.shape)
-            if dist[j, k] <= DISTINCT_TOL:
-                raise PointSetError(
-                    f"points {min(j, k)} and {max(j, k)} are not distinct "
-                    f"(pseudohyperbolic distance {dist[j, k]:.3e})"
-                )
+        dist = pseudohyperbolic_distance(pts[:, None], pts[None, :])
+        np.fill_diagonal(dist, 1.0)
+        j, k = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        if dist[j, k] <= DISTINCT_TOL:
+            raise PointSetError(
+                f"points {min(j, k)} and {max(j, k)} are not distinct "
+                f"(pseudohyperbolic distance {dist[j, k]:.3e})"
+            )
         pts.flags.writeable = False
+        dist.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_distances", dist)
 
     def __len__(self) -> int:
         return self.points.size
@@ -102,10 +124,6 @@ class AnalysisReport:
     separation_constant: float
     carleson_constant: float
     per_point: tuple[tuple[int, float], ...]
-
-
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    return pseudohyperbolic_distance(pts[:, None], pts[None, :])
 
 
 def log_factors(points: np.ndarray, z) -> np.ndarray:
@@ -172,14 +190,12 @@ def blaschke_eval_excluding(seq: PointSequence, n: int, z):
 
 
 def per_point_moduli(seq: PointSequence) -> np.ndarray:
-    """|B_n(lam_n)| for every n, each product omitting its own factor."""
-    pts = seq.points
-    if pts.size == 1:
-        return np.ones(1)
-    with np.errstate(divide="ignore"):
-        log_d = np.log(_pairwise_distances(pts))
-    np.fill_diagonal(log_d, 0.0)
-    return np.exp(log_d.sum(axis=0))
+    """|B_n(lam_n)| for every n, each product omitting its own factor.
+
+    Column sums of the logs of the sequence's distance matrix; its unit
+    diagonal contributes log 1 = 0, which omits the n-th factor.
+    """
+    return np.exp(np.log(seq._distances).sum(axis=0))
 
 
 def carleson_constant(seq: PointSequence) -> float:
@@ -188,13 +204,11 @@ def carleson_constant(seq: PointSequence) -> float:
 
 
 def separation_constant(seq: PointSequence) -> float:
-    """Smallest pairwise pseudohyperbolic distance; 1 for a singleton."""
-    pts = seq.points
-    if pts.size == 1:
-        return 1.0
-    dist = _pairwise_distances(pts)
-    np.fill_diagonal(dist, 1.0)
-    return float(np.min(dist))
+    """Smallest pairwise pseudohyperbolic distance; 1 for a singleton.
+
+    The minimum of the sequence's distance matrix, whose diagonal is 1.
+    """
+    return float(np.min(seq._distances))
 
 
 def blaschke_sum(seq: PointSequence) -> float:

@@ -16,6 +16,7 @@ documents.  Exit codes: 0 success, 1 domain or hypothesis failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -179,6 +180,8 @@ def parse_point_document(data: dict) -> PointSequence:
         if not isinstance(rec, dict) or "re" not in rec or "im" not in rec:
             raise DomainError(f"point {i}: expected an object with 're' and 'im'")
         re_part, im_part = rec["re"], rec["im"]
+        if isinstance(re_part, bool) or isinstance(im_part, bool):
+            raise DomainError(f"point {i}: 're' and 'im' must be numbers, not booleans")
         if not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
             raise DomainError(f"point {i}: 're' and 'im' must be numbers")
         values.append(complex(float(re_part), float(im_part)))
@@ -194,6 +197,8 @@ def load_point_document(path: str) -> PointSequence:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from None
     return parse_point_document(data)
@@ -398,6 +403,7 @@ def cmd_field(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> _Parser:
+    """The argument parser; ``handler`` names the ``cmd_*`` function to call."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON file with RunConfig fields")
     common.add_argument("--output", dest="output_path", help="write report here")
@@ -414,14 +420,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", parents=[common],
                        help="separation, Carleson, and per-point moduli")
     p.add_argument("input", help="point-set JSON document")
-    p.set_defaults(handler=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("decompose", parents=[common],
                        help="fitted two-part splitting")
     p.add_argument("input")
     p.add_argument("--delta", type=float,
                    help="exclusion radius (default: separation/2)")
-    p.set_defaults(handler=cmd_decompose)
+    p.set_defaults(handler="cmd_decompose")
 
     p = sub.add_parser("interpolate", parents=[common],
                        help="minimal-norm bounded interpolant")
@@ -429,19 +435,19 @@ def build_parser() -> _Parser:
     p.add_argument("--targets", required=True,
                    help="comma-separated complex target values")
     p.add_argument("--boundary-csv", help="also sample |f| on the circle")
-    p.set_defaults(handler=cmd_interpolate)
+    p.set_defaults(handler="cmd_interpolate")
 
     p = sub.add_parser("verify-theorem", parents=[common],
                        help="run the zero/one bound chain")
     p.add_argument("input")
-    p.set_defaults(handler=cmd_verify_theorem)
+    p.set_defaults(handler="cmd_verify_theorem")
 
     p = sub.add_parser("counterexample", parents=[common],
                        help="near-collision pair family")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--gap", type=float, nargs="+", required=True)
     p.add_argument("--ratio", type=float, required=True)
-    p.set_defaults(handler=cmd_counterexample)
+    p.set_defaults(handler="cmd_counterexample")
 
     p = sub.add_parser("field", parents=[common],
                        help="CSV of log|B| over an interior grid")
@@ -449,8 +455,14 @@ def build_parser() -> _Parser:
     p.add_argument("--which", choices=("B", "B0", "B1"), default="B")
     p.add_argument("--delta", type=float,
                    help="split at this delta instead of separation/2")
-    p.set_defaults(handler=cmd_field)
+    p.set_defaults(handler="cmd_field")
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """One parser per process; it holds handler names, looked up per call."""
+    return build_parser()
 
 
 _CONFIG_FLAGS = (
@@ -462,12 +474,11 @@ def main(argv=None) -> int:
     level = os.environ.get("DISKINTERP_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         overrides = {k: getattr(args, k, None) for k in _CONFIG_FLAGS}
         cfg = load_config(args.config, overrides)
-        return args.handler(args, cfg)
+        return globals()[args.handler](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

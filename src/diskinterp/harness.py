@@ -56,6 +56,7 @@ SEPARATION_FLOOR = 1e-6
 HARD_STEP_TOL = 1e-6
 
 _REJECTION_BUDGET = 100_000
+_DRAW_BLOCK = 64
 _RANDOM_DISK_RADIUS = 0.95
 
 
@@ -77,9 +78,13 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
     """Seeded rejection sample with pairwise pseudohyperbolic distance >= min_sep.
 
     Draws uniformly from the disk of radius 0.95 and keeps a draw only if
-    it clears min_sep against every accepted point.  Deterministic for a
-    fixed seed; raises PackingFailureError once the rejection budget is
-    spent, which signals that count points at this separation do not fit.
+    it clears min_sep against every accepted point.  Draws come in blocks
+    of _DRAW_BLOCK from one generator call, the same stream as one call
+    per draw; a block is tested against the points accepted before it in
+    one matrix and against its own earlier keepers in another, in draw
+    order.  Deterministic for a fixed seed; raises PackingFailureError
+    once the rejection budget is spent, which signals that count points at
+    this separation do not fit.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -90,20 +95,25 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
     kept = 0
     rejections = 0
     while kept < count:
-        u, v = rng.random(2)
-        z = _RANDOM_DISK_RADIUS * math.sqrt(u) * np.exp(2j * math.pi * v)
-        if kept and float(
-            np.min(pseudohyperbolic_distance(z, accepted[:kept]))
-        ) < min_sep:
-            rejections += 1
-            if rejections >= _REJECTION_BUDGET:
-                raise PackingFailureError(
-                    f"no room for {count} points at separation {min_sep:g} "
-                    f"after {_REJECTION_BUDGET} rejected draws"
-                )
-            continue
-        accepted[kept] = z
-        kept += 1
+        u, v = rng.random(2 * _DRAW_BLOCK).reshape(-1, 2).T
+        block = _RANDOM_DISK_RADIUS * np.sqrt(u) * np.exp(2j * math.pi * v)
+        nearest = np.min(pseudohyperbolic_distance(block[:, None], accepted[None, :kept]),
+                         axis=1, initial=np.inf)
+        within = pseudohyperbolic_distance(block[:, None], block[None, :])
+        for k, z in enumerate(block):
+            if nearest[k] < min_sep:
+                rejections += 1
+                if rejections >= _REJECTION_BUDGET:
+                    raise PackingFailureError(
+                        f"no room for {count} points at separation {min_sep:g} "
+                        f"after {_REJECTION_BUDGET} rejected draws"
+                    )
+                continue
+            accepted[kept] = z
+            kept += 1
+            if kept == count:
+                break
+            np.minimum(nearest, within[:, k], out=nearest)
     return PointSequence(accepted, label=f"random-{count}-{min_sep:g}-{seed}")
 
 

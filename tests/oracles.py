@@ -169,6 +169,27 @@ def _package_distance(z, w):
     return np.abs(z - w) / np.hypot(re, im)
 
 
+def separation_constant(points) -> float:
+    """The separation constant as the package once computed it, by a fresh sweep."""
+    points = np.asarray(points, dtype=complex)
+    if points.size == 1:
+        return 1.0
+    dist = _package_distance(points[:, None], points[None, :])
+    np.fill_diagonal(dist, 1.0)
+    return float(np.min(dist))
+
+
+def per_point_moduli(points) -> np.ndarray:
+    """|B_n(lam_n)| as the package once computed them: a fresh sweep, then logs."""
+    points = np.asarray(points, dtype=complex)
+    if points.size == 1:
+        return np.ones(1)
+    with np.errstate(divide="ignore"):
+        log_d = np.log(_package_distance(points[:, None], points[None, :]))
+    np.fill_diagonal(log_d, 0.0)
+    return np.exp(log_d.sum(axis=0))
+
+
 def exclusion_points(points, delta: float, resolution: int) -> np.ndarray:
     """Exclusion-grid points as the package once filtered them.
 

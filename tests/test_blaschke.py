@@ -20,7 +20,9 @@ from diskinterp import (
     blaschke_log_modulus,
     blaschke_sum,
     carleson_constant,
+    generate_separated_random,
     mobius_transform,
+    per_point_moduli,
     pseudohyperbolic_distance,
     separation_constant,
     weak_interpolation_family,
@@ -321,3 +323,44 @@ class TestAnalyze:
         for _ in range(20):
             report = analyze(make_sequence(rng, 6))
             assert report.carleson_constant <= report.separation_constant + 1e-15
+
+
+class TestDistanceMatrix:
+    """The sequence keeps the distance matrix its validation swept."""
+
+    @pytest.mark.parametrize("count, sep, seed", [
+        (1, 0.1, 1), (2, 0.1, 2), (17, 0.1, 3), (512, 0.01, 3),
+    ])
+    def test_invariants_equal_a_fresh_sweep(self, count, sep, seed):
+        seq = generate_separated_random(count, sep, seed)
+        assert separation_constant(seq) == oracles.separation_constant(seq.points)
+        assert np.array_equal(per_point_moduli(seq), oracles.per_point_moduli(seq.points))
+
+    def test_kept_matrix_is_read_only_and_private(self):
+        seq = PointSequence((0.0, 0.5, -0.5j), label="t")
+        with pytest.raises(ValueError):
+            seq._distances[0, 1] = 0.25
+        assert np.array_equal(np.diag(seq._distances), np.ones(3))
+        assert "_distances" not in repr(seq)
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.0, "point 3: point (1+0j) is not strictly interior "
+              "(|z| = 1, guard band 1e-09)"),
+        (1 - 1e-9, "point 3: point (0.999999999+0j) is not strictly interior "
+                   "(|z| = 0.99999999900000003, guard band 1e-09)"),
+        # abs() puts this point on the guard, np.abs one ulp inside it.
+        (0.45031625814867593 + 0.8928691201105429j,
+         "point 3: point (0.45031625814867593+0.8928691201105429j) is not "
+         "strictly interior (|z| = 0.99999999900000003, guard band 1e-09)"),
+        (complex(np.nan, 0.0),
+         "point 3: disk point must be finite, got np.complex128(nan+0j)"),
+        (complex(np.inf, 0.5),
+         "point 3: disk point must be finite, got np.complex128(inf+0.5j)"),
+    ])
+    def test_first_bad_point_is_reported_as_a_scalar_loop_would(self, bad, message):
+        points = generate_separated_random(512, 0.01, 3).points.copy()
+        points[3] = bad
+        points[100] = 2.0
+        with pytest.raises(PointSetError) as info:
+            PointSequence(points)
+        assert str(info.value) == message

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end, run in-process."""
 
+import hashlib
 import json
 import math
 
@@ -69,6 +70,26 @@ class TestDocumentLayer:
 
     def test_nan_serializes_as_null(self):
         assert cli._fmt_float(math.nan) == "null"
+
+
+    def test_rejects_boolean_coordinates(self):
+        for rec in ({"re": True, "im": 0}, {"re": 0.5, "im": False}):
+            with pytest.raises(cli.DomainError, match="not booleans"):
+                cli.parse_point_document({"schema_version": 1, "points": [rec]})
+
+    def test_boolean_coordinate_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "points": [{"re": True, "im": 0}]}))
+        assert run_cli(["analyze", str(path)]) == 1
+        assert "not booleans" in capsys.readouterr().err
+
+    def test_non_utf8_document_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"label": "Fran\u00e7ois"}'.encode("latin-1"))
+        assert run_cli(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8 text" in err
 
 
 class TestRunConfig:
@@ -476,3 +497,51 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "cmd_analyze", blow_up)
         assert run_cli(["analyze", pair_doc]) == 2
+
+    def test_same_bytes_in_any_order(self, pair_doc, capsys):
+        # The parser is built once per process; no call may leave state
+        # that changes a later one.
+        calls = {
+            "usage": ["analyze", pair_doc, "--bogus"],
+            "analyze": ["analyze", pair_doc],
+            "interpolate": ["interpolate", pair_doc, "--targets", "0,1"],
+            "seed": ["decompose", pair_doc, "--seed", "3"],
+        }
+        results = []
+        for order in (["usage", "analyze", "interpolate", "seed"],
+                      ["seed", "interpolate", "analyze", "usage"]):
+            seen = {}
+            for name in order:
+                code = run_cli(calls[name])
+                seen[name] = (code, *capsys.readouterr())
+            results.append(seen)
+        assert results[0] == results[1]
+        assert [results[0][k][0] for k in calls] == [64, 0, 0, 64]
+
+
+class TestPinnedOutput:
+    """stdout digests of seeded runs, so that a rewrite keeps the bytes."""
+
+    @pytest.mark.parametrize("command, count, sep, seed, extra, digest", [
+        ("analyze", 17, 0.1, 1, (),
+         "6b967d65d09dbfa62520068f0ffeee252fcaa28f6f0f91f11e96489dfe0e38b0"),
+        ("analyze", 128, 0.05, 2, (),
+         "71adcc83e4a4a5c9bb5dc6ffba254d3b0456d2e53e5f0ef05205f06bbfdd365a"),
+        ("analyze", 512, 0.01, 3, (),
+         "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
+        ("verify-theorem", 10, 0.1, 1, (),
+         "a6d5afa8d1d31141ab71f90c1824b8679d04172f0a64bf6fb6a8213ff7c2ddae"),
+        ("verify-theorem", 17, 0.1, 3, (),
+         "364b1325f9dd360b75f688e9bfb206a07ee4b3c9e62c05d2e58b1f99e3d073a2"),
+        ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
+         "dccdae165be5eccf9529e518fd85c996d7868a085e2bcd117400416598ab7e0b"),
+        ("interpolate", 24, 0.1, 5,
+         ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
+         "c0262ce466023d55d60b5ce9254869f427174a5888e37b8366474d71a8ab7f03"),
+    ])
+    def test_stdout_digest(self, tmp_path, capsys, command, count, sep, seed, extra, digest):
+        doc = write_document(tmp_path / "in.json",
+                             generate_separated_random(count, sep, seed).points)
+        assert run_cli([command, doc, *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

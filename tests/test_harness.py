@@ -27,7 +27,8 @@ from diskinterp import (
     verify_theorem_chain,
     zero_one_problem,
 )
-from diskinterp import blaschke, harness
+from conftest import run_cli, write_document
+from diskinterp import analyze, blaschke, cli, geometry, harness, hoffman, pick
 
 
 class TestGenerateRadial:
@@ -279,6 +280,52 @@ class TestVerifyTheoremChain:
         eta1, eta2 = remark_two_functions_check(dec)
         assert eta1 == pytest.approx(min(expected_a), rel=1e-14, abs=0.0)
         assert eta2 == pytest.approx(min(expected_b), rel=1e-14, abs=0.0)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts pairwise-distance calls and sequences built, from every binding."""
+    counts = {"distance": 0, "sequence": 0}
+    distance = geometry.pseudohyperbolic_distance
+    post_init = PointSequence.__post_init__
+
+    def counted_distance(*args):
+        counts["distance"] += 1
+        return distance(*args)
+
+    def counted_post_init(self):
+        counts["sequence"] += 1
+        post_init(self)
+
+    for module in (geometry, blaschke, harness, hoffman, pick, cli):
+        if getattr(module, "pseudohyperbolic_distance", None) is distance:
+            monkeypatch.setattr(module, "pseudohyperbolic_distance", counted_distance)
+    monkeypatch.setattr(PointSequence, "__post_init__", counted_post_init)
+    return counts
+
+
+class TestOneDistanceSweep:
+    """Each sequence sweeps its pairwise distances once, when it is built."""
+
+    def test_analyze(self, sweeps):
+        points = generate_separated_random(64, 0.05, 2).points
+        sweeps.update(distance=0, sequence=0)
+        analyze(PointSequence(points))
+        assert sweeps == {"distance": 1, "sequence": 1}
+
+    def test_verify_theorem_chain(self, sweeps):
+        points = generate_separated_random(10, 0.1, 1).points
+        sweeps.update(distance=0, sequence=0)
+        report = verify_theorem_chain(PointSequence(points), 64)
+        assert report.hard_steps_pass
+        assert sweeps == {"distance": 1, "sequence": 1}
+
+    @pytest.mark.parametrize("command", ["analyze", "verify-theorem"])
+    def test_cli(self, sweeps, tmp_path, command):
+        doc = write_document(tmp_path / "in.json", generate_separated_random(10, 0.1, 1).points)
+        sweeps.update(distance=0, sequence=0)
+        assert run_cli([command, doc, "--grid-resolution", "64"]) == 0
+        assert sweeps == {"distance": 1, "sequence": 1}
 
 
 class TestRemarkTwoFunctions:
