@@ -76,6 +76,14 @@ class RunConfig:
     output_path: str = ""
 
     def __post_init__(self):
+        # Config files bypass argparse's type=, so the types are checked here.
+        for name, kinds, what in (("grid_resolution", int, "an integer"),
+                                  ("boundary_grid", int, "an integer"),
+                                  ("bisect_rel_tol", (int, float), "a number"),
+                                  ("output_path", str, "a string")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise UsageError(f"{name} must be {what}, got {value!r}")
         if not 32 <= self.grid_resolution <= 4096:
             raise UsageError(
                 f"grid_resolution must lie in [32, 4096], got {self.grid_resolution}"
@@ -84,7 +92,7 @@ class RunConfig:
             raise UsageError(
                 f"boundary_grid must lie in [32, 4096], got {self.boundary_grid}"
             )
-        if self.bisect_rel_tol <= 0:
+        if not self.bisect_rel_tol > 0:  # NaN too, which JSON configs can hold
             raise UsageError("bisect_rel_tol must be positive")
 
 

@@ -32,12 +32,7 @@ from .blaschke import (
 )
 from .errors import BoundaryGuardError, PackingFailureError, PointSetError
 from .geometry import pseudohyperbolic_distance
-from .hoffman import (
-    Decomposition,
-    comparability_fit,
-    corresponding_decomposition,
-    exclusion_grid,
-)
+from .hoffman import Decomposition, corresponding_decomposition, decompose
 from .pick import (
     BISECT_REL_TOL,
     PickProblem,
@@ -145,8 +140,8 @@ def generate_counterexample(
     sits at pseudohyperbolic distance gap further out along the real axis.
     Even-numbered pairs form part0 and odd-numbered pairs part1, so both
     factor products are well separated internally while the full sequence
-    has separation <= gap.  The returned decomposition is declared, not
-    searched; its (a, b) are fitted on the exclusion grid with
+    has separation <= gap.  The split is declared through ``decompose``,
+    not searched; its (a, b) are fitted on the exclusion grid with
     delta = 2 * gap for reporting.
     """
     ratio, gap = spec.base_radial_ratio, spec.gap
@@ -171,25 +166,8 @@ def generate_counterexample(
     seq = PointSequence(
         pts, label=f"pairs-{spec.num_pairs}-{gap:g}-{ratio:g}"
     )
-    part0 = tuple(
-        i for n in range(1, spec.num_pairs + 1) if n % 2 == 0
-        for i in (2 * n - 2, 2 * n - 1)
-    )
-    part1 = tuple(
-        i for n in range(1, spec.num_pairs + 1) if n % 2 == 1
-        for i in (2 * n - 2, 2 * n - 1)
-    )
-    delta = 2.0 * gap
-    grid = exclusion_grid(seq, delta, grid_resolution)
-    a, b, worst = comparability_fit(
-        PointSequence(pts[list(part0)]), PointSequence(pts[list(part1)]), grid
-    )
-    dec = Decomposition(
-        base=seq, part0=part0, part1=part1, delta=delta,
-        fitted_a=a, fitted_b=b, fit_grid_size=len(grid),
-        fit_grid_resolution=int(grid_resolution), worst_point=worst,
-    )
-    return seq, dec
+    part0 = [i for n in range(2, spec.num_pairs + 1, 2) for i in (2 * n - 2, 2 * n - 1)]
+    return seq, decompose(seq, 2.0 * gap, grid_resolution, part0=part0)
 
 
 def zero_one_problem(dec: Decomposition) -> PickProblem:
@@ -246,13 +224,9 @@ def _row(point: complex, value: float, bound: float) -> ChainRow:
 
 def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """|B_0| and |B_1| at every base point without its own factor, from log_factors."""
-    pts = dec.base.points
-    moduli = []
-    for part in (dec.part0, dec.part1):
-        logs = log_factors(pts[list(part)], pts)
-        logs[np.arange(len(part)), list(part)] = 0.0
-        moduli.append(np.exp(logs.sum(axis=0)))
-    return moduli[0], moduli[1]
+    logs = log_factors(dec.base.points, dec.base.points)
+    np.fill_diagonal(logs, 0.0)
+    return tuple(np.exp(logs[list(part)].sum(axis=0)) for part in (dec.part0, dec.part1))
 
 
 def verify_theorem_chain(

@@ -13,10 +13,11 @@ which makes the sandwich hold at every grid point by construction.
 ``decompose`` searches the partitions of a sequence for the split with the
 smallest fitted b: exactly up to 16 points, by enumerating every partition
 and pruning with lower bounds on b from a few witness grid points, and by
-deterministic local search beyond, pruned on witness grid points too.
-One ``blaschke.log_factors`` matrix places the exclusion grid; the search
-scores partitions on it and fits the winner's (a, b) from it, always
-through the one fit formula ``_fit_logs``.
+deterministic local search beyond, pruned on witness grid points too;
+a declared split skips the search.  One ``blaschke.log_factors`` matrix
+places the exclusion grid; the search scores partitions on it and
+``decompose`` fits the split's (a, b) from it, always through the one
+fit formula ``_fit_logs``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class Decomposition:
     enumerated, those whose witness bound could win fully evaluated),
     "local" (single-move descent: masks_enumerated counts the masks tried,
     masks_evaluated those whose witness bound could win and were fully
-    scored) or "declared" (given, not searched, with both counts zero).
+    scored) or "declared" (given, not searched, with both counts zero):
+    ``decompose`` given part0, and the default of one built by hand.
     """
 
     base: PointSequence
@@ -173,7 +175,7 @@ def _fit_logs(L0: np.ndarray, L1: np.ndarray):
 def comparability_fit(
     part0: PointSequence, part1: PointSequence, grid: ExclusionGrid
 ) -> tuple[float, float, complex]:
-    """Fit (a, b) for the pair (B_0, B_1) on an exclusion grid.
+    """Fit (a, b) for the pair (B_0, B_1) on an exclusion grid, from the parts.
 
     With L0(z) = log |B_0(z)| and L1 analogous, b is the grid maximum of
     max(L1/L0, L0/L1) clamped below at 1, and a the grid minimum of
@@ -182,6 +184,11 @@ def comparability_fit(
     sandwich then holds at every grid point with these constants by
     construction.  Returns (a, b, worst_point), the last being the grid
     point attaining b.
+
+    The independent reference fit, from the parts evaluated afresh; it
+    equals ``decompose``'s fit exactly.  Nothing in the package calls it:
+    it stays because acceptance criterion 6 uses it as the independent
+    fit and the benchmark tracer times it by name.
     """
     if len(grid) == 0:
         raise EmptyGridError("cannot fit on an empty grid")
@@ -294,7 +301,8 @@ def _search_local(LM, L_total, points):
     return mask, tried, evaluated
 
 
-def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> Decomposition:
+def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128,
+              *, part0=None) -> Decomposition:
     """Split a sequence to minimize the fitted sandwich exponent b.
 
     The final bound the constants feed degrades with b, so small b is the
@@ -305,26 +313,36 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
     the bound exceeds the best b found.  Beyond 16 points a deterministic
     first-improvement single-move search runs from an alternating seed,
     fully scoring only the moves whose witness bound does not rule them
-    out.  Both searches and the fit read the one ``log_factors`` matrix
-    that :func:`exclusion_grid` built to place the grid; the winner's
-    (a, b) are fitted from its row sums, equal to
-    :func:`comparability_fit` on the two parts.  The returned
-    decomposition records which search ran and how many partitions it
-    enumerated and fully evaluated.  Grid errors from the delta choice
-    propagate.
+    out.  A declared ``part0`` skips the search and keeps its orientation;
+    it must be distinct indices in range(n) that leave part1 nonempty, or
+    PointSetError is raised before any grid is built.  Both searches and
+    the fit read the one ``log_factors`` matrix that
+    :func:`exclusion_grid` built to place the grid; the split's (a, b)
+    are fitted from its row sums, equal to :func:`comparability_fit` on
+    the two parts.  The returned decomposition records which search ran
+    ("declared" for a given split) and how many partitions it enumerated
+    and fully evaluated.  Grid errors from the delta choice propagate.
     """
     n = len(seq)
     if n < 2:
         raise PointSetError("decomposition needs at least two points")
+    if part0 is not None:
+        idx = np.asarray(part0)
+        if (idx.ndim != 1 or idx.dtype.kind not in "iu" or not 0 < idx.size < n
+                or idx.min() < 0 or idx.max() >= n or np.unique(idx).size < idx.size):
+            raise PointSetError(f"part0 must be distinct indices in range({n}) "
+                                f"leaving part1 nonempty, got {idx.tolist()}")
+        mask = np.isin(np.arange(n), idx)
     grid = exclusion_grid(seq, delta, grid_resolution)
     LM = grid.factors
-    L_total = LM.sum(axis=0)
-    if n <= EXHAUSTIVE_LIMIT:
+    if part0 is not None:
+        method, enumerated, evaluated = "declared", 0, 0
+    elif n <= EXHAUSTIVE_LIMIT:
         method = "exhaustive"
-        mask, enumerated, evaluated = _search_exhaustive(LM, L_total)
+        mask, enumerated, evaluated = _search_exhaustive(LM, LM.sum(axis=0))
     else:
         method = "local"
-        mask, enumerated, evaluated = _search_local(LM, L_total, seq.points)
+        mask, enumerated, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
     a, b, worst = _fit_logs(LM[mask].sum(axis=0), LM[~mask].sum(axis=0))
     return Decomposition(
         base=seq, part0=tuple(np.flatnonzero(mask).tolist()),
@@ -338,7 +356,5 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128) -> D
 
 def corresponding_decomposition(seq: PointSequence, grid_resolution: int = 128) -> Decomposition:
     """The splitting at delta = (separation constant) / 2."""
-    if len(seq) < 2:
-        raise PointSetError("decomposition needs at least two points")
     delta0 = separation_constant(seq)
     return decompose(seq, delta0 / 2.0, grid_resolution)

@@ -1,16 +1,35 @@
 """Shared fixtures and helpers for the test suite."""
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
-from diskinterp import PointSequence, cli
+from diskinterp import PointSequence, blaschke, cli, hoffman
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Counts calls of every function that evaluates factor log-moduli."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((hoffman, "log_factors"), (blaschke, "log_factors"),
+                         (hoffman, "comparability_fit"),
+                         (hoffman, "blaschke_log_modulus")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
 
 
 def random_separated(rng, count: int, min_sep: float, max_abs: float = 0.85):

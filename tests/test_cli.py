@@ -108,6 +108,26 @@ class TestRunConfig:
         with pytest.raises(cli.UsageError):
             cli.RunConfig(bisect_rel_tol=0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_resolution", 64.0), ("grid_resolution", True), ("grid_resolution", "64"),
+        ("boundary_grid", 300.5), ("boundary_grid", False),
+        ("bisect_rel_tol", "x"), ("bisect_rel_tol", True), ("bisect_rel_tol", None),
+        ("bisect_rel_tol", math.nan),
+        ("output_path", 1), ("output_path", 2), ("output_path", ["out.json"]),
+    ])
+    def test_rejects_wrongly_typed_values(self, key, value):
+        with pytest.raises(cli.UsageError, match=key):
+            cli.RunConfig(**{key: value})
+
+    def test_integer_output_path_in_config_writes_nothing(self, tmp_path, pair_doc, capsys):
+        # An integer would otherwise be opened as a file descriptor.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"output_path": 1}))
+        assert run_cli(["analyze", pair_doc, "--config", str(cfg_file)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "output_path" in err
+
     def test_precedence_flags_over_file_over_defaults(self, tmp_path, pair_doc):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"grid_resolution": 64}))
@@ -538,6 +558,10 @@ class TestPinnedOutput:
         ("interpolate", 24, 0.1, 5,
          ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
          "c0262ce466023d55d60b5ce9254869f427174a5888e37b8366474d71a8ab7f03"),
+        ("decompose", 12, 0.1, 6, (),  # exhaustive search
+         "d6e716dff169edb348c0ff9cdd6d3e9a2cf9e12b2ca2a7fb2799b2ba006fc5ed"),
+        ("decompose", 20, 0.1, 7, (),  # local search
+         "72d4d1777cdc7e7e26cbec746dda0d9ef30187cac379c99abe7b62425c3c3e12"),
     ])
     def test_stdout_digest(self, tmp_path, capsys, command, count, sep, seed, extra, digest):
         doc = write_document(tmp_path / "in.json",
@@ -545,3 +569,10 @@ class TestPinnedOutput:
         assert run_cli([command, doc, *extra]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_counterexample_digest(self, capsys):
+        argv = ["counterexample", "--pairs", "4", "--gap", "0.1", "0.01", "--ratio", "0.5"]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2a7055687d8f97918b640c08b12194a714cc0507b31f2452fd0b612106860954")

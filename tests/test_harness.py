@@ -129,6 +129,15 @@ class TestCounterexampleFamily:
         assert dec.part0 == (2, 3)
         assert dec.part1 == (0, 1, 4, 5)
 
+    def test_declared_split_is_fitted_on_the_grid_matrix(self, counted_calls):
+        # The declared split goes through decompose, which fits it from the
+        # exclusion grid's own factor matrix: no part is evaluated again.
+        _, dec = generate_counterexample(CounterexampleSpec(4, 0.01, 0.5))
+        assert counted_calls == {"log_factors": 1}
+        assert dec.search == "declared"
+        assert (dec.masks_enumerated, dec.masks_evaluated) == (0, 0)
+        assert dec.part0 == (2, 3, 6, 7)
+
     def test_boundary_guard_propagates(self):
         spec = CounterexampleSpec(num_pairs=40, gap=0.01, base_radial_ratio=0.5)
         with pytest.raises(BoundaryGuardError):

@@ -1,6 +1,5 @@
 """Unit tests for exclusion grids, sandwich fits, and decompositions."""
 
-import collections
 import itertools
 
 import numpy as np
@@ -231,35 +230,45 @@ class TestDecompose:
         with pytest.raises(PointSetError):
             decompose(PointSequence((0.5,)), 0.2, 64)
 
-    @pytest.mark.parametrize("count, search", [(10, "exhaustive"), (18, "local")])
-    def test_fit_equals_comparability_fit(self, count, search):
+    @pytest.mark.parametrize("count, search, part0", [
+        pytest.param(10, "exhaustive", None, id="10-exhaustive"),
+        pytest.param(18, "local", None, id="18-local"),
+        pytest.param(10, "declared", (0, 3, 4, 9), id="10-declared-with-0"),
+        pytest.param(10, "declared", (7, 2, 5), id="10-declared-without-0"),
+    ])
+    def test_fit_equals_comparability_fit(self, count, search, part0):
         seq = generate_separated_random(count, 0.1, 1)
         delta = separation_constant(seq) / 2
-        dec = decompose(seq, delta, 128)
+        dec = decompose(seq, delta, 128, part0=part0)
         assert dec.search == search
+        if part0 is not None:
+            # The declared orientation is kept, even without index 0.
+            assert dec.part0 == tuple(sorted(part0))
+            assert (dec.masks_enumerated, dec.masks_evaluated) == (0, 0)
         fit = comparability_fit(
             dec.part_sequence(0), dec.part_sequence(1), exclusion_grid(seq, delta, 128)
         )
         assert (dec.fitted_a, dec.fitted_b, dec.worst_point) == fit
 
-    def test_fits_from_the_search_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("part0", [(), tuple(range(6)), (1, 1, 2), (0, 6), (-1, 2),
+                                       (0.0, 1.0), (True,), [[0, 1]]],
+                             ids=["empty", "all", "repeated", "n", "negative", "floats",
+                                  "boolean", "nested"])
+    def test_rejects_invalid_declared_split_before_the_grid(self, monkeypatch, part0):
+        def no_grid(*args):
+            raise AssertionError("exclusion_grid was called")
+
+        monkeypatch.setattr(hoffman, "exclusion_grid", no_grid)
+        seq = generate_separated_random(6, 0.1, 1)
+        with pytest.raises(PointSetError, match="part0"):
+            decompose(seq, 0.05, 64, part0=part0)
+
+    def test_fits_from_the_search_matrix(self, counted_calls):
         # One log_factors matrix over the grid serves both the search and
         # the fit of the winner; nothing evaluates the parts again.
         seq = generate_separated_random(10, 0.1, 1)
-        calls = collections.Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module, name in ((hoffman, "log_factors"), (blaschke, "log_factors"),
-                             (hoffman, "comparability_fit"),
-                             (hoffman, "blaschke_log_modulus")):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         decompose(seq, separation_constant(seq) / 2, 128)
-        assert calls == {"log_factors": 1}
+        assert counted_calls == {"log_factors": 1}
 
     def test_propagates_empty_grid(self):
         with pytest.raises(EmptyGridError):
@@ -330,6 +339,12 @@ class TestLocalSearchAgainstOracle:
 
 
 class TestCorrespondingDecomposition:
+    def test_singleton_is_refused_by_decompose(self):
+        # A singleton's separation is 1, so the split is asked at delta 0.5
+        # and decompose refuses it before any grid is built.
+        with pytest.raises(PointSetError, match="at least two points"):
+            corresponding_decomposition(PointSequence((0.5,)), 64)
+
     def test_pair_delta(self):
         dec = corresponding_decomposition(PointSequence((0.0, 0.5)), 64)
         assert dec.delta == pytest.approx(0.25)
