@@ -15,11 +15,13 @@ from diskinterp import generate_radial, verify_theorem_chain
 seq = generate_radial(0.5, 6)
 report = verify_theorem_chain(seq)
 
-print("hypothesis_ok   =", report.hypothesis_ok)
-print("delta           =", report.delta)
-print("sup|f|       c  =", report.c, "  eta   = 1/c   =", report.eta)
-print("sup|1 - f|  c_g =", report.c_g, "  eta_g = 1/c_g =", report.eta_g)
-print("fitted (a, b)   =", (report.fitted_a, report.fitted_b))
+print("hypothesis_ok            =", report.hypothesis_ok)
+print("delta                    =", report.delta)
+# c and c_g are norm bounds, not samples: the interpolant is built at
+# norm M, so ||f|| <= M = c and ||1 - f|| <= 1 + M = c_g.
+print("norm bound of f      c   =", report.c, "  eta   = 1/c   =", report.eta)
+print("norm bound of 1 - f  c_g =", report.c_g, "  eta_g = 1/c_g =", report.eta_g)
+print("fitted (a, b)            =", (report.fitted_a, report.fitted_b))
 
 # Step A: on the zero part, |B_0| >= eta pointwise (minimum modulus
 # argument applied to f / B_0).  Step B mirrors it for 1 - f and B_1.

@@ -68,7 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Numerical knobs shared by every subcommand."""
+    """Numerical knobs shared by every subcommand.
+
+    ``boundary_grid`` is read only by ``interpolate --boundary-csv``.
+    """
 
     grid_resolution: int = 128
     boundary_grid: int = 4096
@@ -124,6 +127,10 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Fragment(str):
+    """JSON text already laid out at its place in a report; emitted verbatim."""
+
+
 def _emit_json(value, indent: int = 0) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 digits."""
     pad = "  " * indent
@@ -137,7 +144,7 @@ def _emit_json(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return value if isinstance(value, _Fragment) else json.dumps(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -152,6 +159,19 @@ def _emit_json(value, indent: int = 0) -> str:
         rows = [f"{inner}{_emit_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_PER_POINT_ROW = '    {\n      "index": %d,\n      "modulus": %s\n    }'
+
+
+def _per_point_json(per_point) -> _Fragment:
+    """analyze's ``per_point`` list (never empty), one ``%`` format per row.
+
+    The same bytes as ``_emit_json`` gives the list of index/modulus dicts
+    at indent 1, without building a dict per point.
+    """
+    rows = ",\n".join([_PER_POINT_ROW % (i, _fmt_float(m)) for i, m in per_point])
+    return _Fragment("[\n" + rows + "\n  ]")
 
 
 def _csv(header: str, row_format: str, columns) -> str:
@@ -281,9 +301,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         "blaschke_sum": report.blaschke_sum,
         "separation_constant": report.separation_constant,
         "carleson_constant": report.carleson_constant,
-        "per_point": [
-            {"index": int(i), "modulus": float(v)} for i, v in report.per_point
-        ],
+        "per_point": _per_point_json(report.per_point),
     }
     _write_text(cfg, _emit_json(doc) + "\n")
     return EXIT_OK
@@ -340,7 +358,6 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
     report = verify_theorem_chain(
         seq,
         grid_resolution=cfg.grid_resolution,
-        boundary_grid=cfg.boundary_grid,
         rel_tol=cfg.bisect_rel_tol,
     )
     _write_text(cfg, _emit_json(chain_report_dict(report)) + "\n")
@@ -416,7 +433,6 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="JSON file with RunConfig fields")
     common.add_argument("--output", dest="output_path", help="write report here")
     common.add_argument("--grid-resolution", type=int, dest="grid_resolution")
-    common.add_argument("--boundary-grid", type=int, dest="boundary_grid")
     common.add_argument("--bisect-rel-tol", type=float, dest="bisect_rel_tol")
 
     parser = _Parser(
@@ -443,6 +459,8 @@ def build_parser() -> _Parser:
     p.add_argument("--targets", required=True,
                    help="comma-separated complex target values")
     p.add_argument("--boundary-csv", help="also sample |f| on the circle")
+    p.add_argument("--boundary-grid", type=int, dest="boundary_grid",
+                   help="circle samples for --boundary-csv")
     p.set_defaults(handler="cmd_interpolate")
 
     p = sub.add_parser("verify-theorem", parents=[common],

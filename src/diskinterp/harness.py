@@ -10,6 +10,12 @@ inequalities down to an explicit lower bound on the Carleson constant:
     step C   |B_{Lambda_1 \\ mu}(mu)| >= (a/delta) eta^(1/b)
     final    |B_{Lambda \\ mu}(mu)|   >= (a/delta) eta^(1+1/b)
 
+The norms enter through upper bounds the construction itself certifies:
+||f|| <= M, the norm the interpolant was built at, and ||1 - f|| <= 1 + M.
+Replacing a norm by an upper bound only lowers eta, eta_g and every bound
+below them, so each reported bound still follows from the theorem; a
+sampled sup on the circle reads a norm low and could overstate them.
+
 Steps A and B are theorems for exact arithmetic, so they are hard checks;
 steps C and the final bound rely on grid-fitted sandwich constants (a, b)
 and are recorded with margins.  A counterexample generator produces
@@ -30,16 +36,15 @@ from .blaschke import (
     per_point_moduli,
     separation_constant,
 )
-from .errors import BoundaryGuardError, PackingFailureError, PointSetError
+from .errors import (
+    BoundaryGuardError,
+    NumericalError,
+    PackingFailureError,
+    PointSetError,
+)
 from .geometry import pseudohyperbolic_distance
 from .hoffman import Decomposition, corresponding_decomposition, decompose
-from .pick import (
-    BISECT_REL_TOL,
-    PickProblem,
-    _sup_on_circle,
-    interpolant_eval,
-    solve_pick,
-)
+from .pick import BISECT_REL_TOL, PickProblem, solve_pick
 
 # Points may not come within this band of the unit circle.
 RADIAL_GUARD = 1e-9
@@ -232,18 +237,20 @@ def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
 def verify_theorem_chain(
     seq: PointSequence,
     grid_resolution: int = 128,
-    boundary_grid: int = 4096,
     rel_tol: float = BISECT_REL_TOL,
 ) -> ChainReport:
     """Run the full inequality chain on one sequence.
 
     Splits at delta = separation/2, solves the zero/one problem at
-    min_norm * (1 + 1e-6), estimates c = ||f|| on the boundary (valid as
-    the norm of the quotient by the part-0 product, which is unimodular on
-    the circle), and records every step A/B/C/final row.  Sequences whose
-    separation is at or below 1e-6 fail the hypothesis and get a partial
-    report (hypothesis_ok False, constants NaN, no rows).  Solver and grid
-    errors propagate.
+    M = min_norm * (1 + 1e-6), takes c = M and c_g = 1 + M as the norm
+    bounds of f and 1 - f, and records every step A/B/C/final row.  The
+    interpolant composes disk automorphisms tau_p, so |f| <= M holds on the
+    closed disk exactly when every recorded parameter has |p| <= 1; the
+    construction admits |p| up to 1 + 1e-9, so a negative feasibility
+    margin raises NumericalError instead of reporting a bound that does not
+    hold.  Sequences whose separation is at or below 1e-6 fail the
+    hypothesis and get a partial report (hypothesis_ok False, constants
+    NaN, no rows).  Solver and grid errors propagate.
     """
     if len(seq) < 2:
         raise PointSetError("chain verification needs at least two points")
@@ -260,13 +267,14 @@ def verify_theorem_chain(
     dec = corresponding_decomposition(seq, grid_resolution)
     problem = zero_one_problem(dec)
     solution = solve_pick(problem, rel_tol=rel_tol)
-    f = solution.interpolant
-    thetas = np.linspace(0.0, 2.0 * np.pi, boundary_grid, endpoint=False)
-    f_vals = interpolant_eval(f, np.exp(1j * thetas))
-    c = _sup_on_circle(lambda zs: interpolant_eval(f, zs), thetas, np.abs(f_vals))
+    if solution.feasibility_margin < 0.0:
+        raise NumericalError(
+            f"interpolant parameter leaves the closed disk (feasibility margin "
+            f"{solution.feasibility_margin:.3e}); its norm bound does not hold"
+        )
+    c = solution.interpolant.scale
     eta = 1.0 / c
-    c_g = _sup_on_circle(lambda zs: 1.0 - interpolant_eval(f, zs), thetas,
-                         np.abs(1.0 - f_vals))
+    c_g = 1.0 + c
     eta_g = 1.0 / c_g
 
     pts = seq.points

@@ -39,8 +39,8 @@ _PARAM_TOL = 1e-9
 # Trial norms tested per pass of the norm search.
 _TRIALS = 15
 
-# Interpolants are built at min_norm * (1 + NORM_SLACK), so their boundary
-# sup-norm never exceeds min_norm by more than this factor.
+# Interpolants are built at min_norm * (1 + NORM_SLACK), so their norm
+# bound exceeds min_norm by exactly this factor.
 NORM_SLACK = 1e-6
 
 # A solution's node residuals may not exceed this times max(1, min_norm).
@@ -273,7 +273,9 @@ def _sup_on_circle(fn, thetas: np.ndarray, vals: np.ndarray) -> float:
     """max |fn| over the unit circle, given |fn| = ``vals`` at the equispaced ``thetas``.
 
     Golden-section refinement around the discrete argmax; the result is a
-    lower bound on the true sup with one-sided discretization bias.
+    lower bound on the true sup with one-sided discretization bias.  Its
+    one caller is :func:`sup_norm_boundary`; ``perfbench/trace.py`` times
+    it under this name.
     """
     k = int(np.argmax(vals))
     step = 2.0 * np.pi / thetas.size
@@ -292,7 +294,9 @@ def sup_norm_boundary(f: RationalInterpolant, grid: int = 4096) -> float:
     Maximum modulus over ``grid`` equally spaced boundary points, refined
     by golden-section search around the discrete argmax until the bracket
     is below 2*pi/(grid*64).  The estimate is a lower bound on the true
-    sup-norm; consumers compensate the one-sided bias in their tolerances.
+    sup-norm, so it cannot certify a norm: the bound chain uses ``scale``
+    instead.  It stays as a public diagnostic, which the tests and demos
+    use to check that the sampled sup sits at or below ``scale``.
     """
     if grid < 256:
         raise ValueError(f"boundary grid must be at least 256, got {grid}")

@@ -162,6 +162,56 @@ def sarason_min_norm(nodes, targets, dps: int = 80) -> float:
     return float(np.linalg.norm(product, 2))
 
 
+def interpolant_values(f, z) -> np.ndarray:
+    """The recorded reduction of an interpolant unwound at the array z."""
+    z = np.asarray(z, dtype=complex)
+    s = np.full(z.shape, complex(f.schur_steps[-1][1]))
+    for lam, p in reversed(f.schur_steps[:-1]):
+        u = mobius(lam, z) * s
+        s = (u + p) / (1.0 + np.conj(p) * u)
+    return f.scale * s
+
+
+def _golden_max(fn, a: float, b: float, tol: float) -> float:
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = max(fc, fd)
+    while b - a > tol:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = fn(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = fn(c)
+        best = max(best, fc, fd)
+    return best
+
+
+def sampled_chain_norms(f, grid: int = 4096) -> tuple[float, float]:
+    """(||f||, ||1 - f||) estimated on the unit circle by sampling.
+
+    Maximum modulus over ``grid`` equispaced boundary points, refined by
+    golden-section search within one step of the discrete argmax down to a
+    bracket of step/64.  This is how the chain once estimated its norms;
+    a sample of the sup is a lower bound on it.
+    """
+    thetas = 2.0 * math.pi * np.arange(grid) / grid
+    step = 2.0 * math.pi / grid
+    out = []
+    for shift, sign in ((0.0, 1.0), (1.0, -1.0)):
+        def modulus(t):
+            return abs(shift + sign * interpolant_values(f, np.exp(1j * np.asarray(t))))
+        vals = modulus(thetas)
+        k = int(np.argmax(vals))
+        refined = _golden_max(lambda t: float(modulus(t)), thetas[k] - step,
+                              thetas[k] + step, step / 64.0)
+        out.append(max(float(vals[k]), refined))
+    return out[0], out[1]
+
+
 def _package_distance(z, w):
     """Pseudohyperbolic distance with the package's real/imaginary split."""
     re = 1.0 - (z.real * w.real + z.imag * w.imag)

@@ -199,6 +199,14 @@ class TestAnalyze:
         assert run_cli(["analyze", radial_doc, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("per_point", [
+        ((0, 0.5),),
+        ((0, 0.25), (1, math.nan), (2, 1e-300), (3, 0.1 + 0.2)),
+    ])
+    def test_per_point_rows_match_generic_writer(self, per_point):
+        rows = [{"index": i, "modulus": m} for i, m in per_point]
+        assert cli._per_point_json(per_point) == cli._emit_json(rows, indent=1)
+
 
 class TestDecompose:
     def test_default_delta_is_half_separation(self, tmp_path, pair_doc):
@@ -508,6 +516,12 @@ class TestUsageErrors:
     def test_unknown_flag(self, pair_doc):
         assert run_cli(["analyze", pair_doc, "--bogus"]) == 64
 
+    @pytest.mark.parametrize("command", ["verify-theorem", "analyze", "decompose"])
+    def test_boundary_grid_flag_belongs_to_interpolate(self, pair_doc, capsys, command):
+        # Only interpolate --boundary-csv samples the circle.
+        assert run_cli([command, pair_doc, "--boundary-grid", "64"]) == 64
+        assert "--boundary-grid" in capsys.readouterr().err
+
     def test_out_of_range_resolution_flag(self, pair_doc):
         assert run_cli(["analyze", pair_doc, "--grid-resolution", "16"]) == 64
 
@@ -550,9 +564,9 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "a6d5afa8d1d31141ab71f90c1824b8679d04172f0a64bf6fb6a8213ff7c2ddae"),
+         "20e1c76b1e4a79981f4a3923a03784047b6418594f45d04bad3ed5d6740f3ae2"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "364b1325f9dd360b75f688e9bfb206a07ee4b3c9e62c05d2e58b1f99e3d073a2"),
+         "f9369a67d970e8e52faed0dd1a764da6bf8938a100b8f2c8ab838a58195ba2c9"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
          "dccdae165be5eccf9529e518fd85c996d7868a085e2bcd117400416598ab7e0b"),
         ("interpolate", 24, 0.1, 5,

@@ -1,14 +1,17 @@
 """Unit tests for generators, the zero/one problem, and the proof chain."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from diskinterp import (
     BoundaryGuardError,
     CounterexampleSpec,
+    NumericalError,
     PackingFailureError,
     PointSequence,
     PointSetError,
@@ -335,6 +338,80 @@ class TestOneDistanceSweep:
         sweeps.update(distance=0, sequence=0)
         assert run_cli([command, doc, "--grid-resolution", "64"]) == 0
         assert sweeps == {"distance": 1, "sequence": 1}
+
+
+@pytest.fixture
+def chain_solution(monkeypatch):
+    """Records the solution each chain run gets from solve_pick."""
+    solutions = []
+    solve = harness.solve_pick
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(harness, "solve_pick", recorded)
+    return solutions
+
+
+class TestChainNormBound:
+    """c and c_g are the construction's norm bounds M and 1 + M."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 12, 14, 17, 20, 24, 32])
+    def test_bound_sits_just_above_the_sampled_norms(self, chain_solution, n, seed):
+        report = verify_theorem_chain(generate_separated_random(n, 0.1, seed))
+        (solution,) = chain_solution
+        f = solution.interpolant
+        assert solution.feasibility_margin >= 0.0
+        assert report.c == f.scale
+        assert report.c_g == 1.0 + f.scale
+        sampled, sampled_g = oracles.sampled_chain_norms(f)
+        for bound, estimate in ((report.c, sampled), (report.c_g, sampled_g)):
+            assert estimate <= bound
+            assert bound - estimate <= 1e-6 * bound
+        # A larger norm only lowers eta, so no row bound exceeds the sampled one.
+        eta, eta_g = 1.0 / sampled, 1.0 / sampled_g
+        scale, inv_b = report.fitted_a / report.delta, 1.0 / report.fitted_b
+        limits = ((report.step_a, eta), (report.step_b, eta_g),
+                  (report.final, scale * min(eta, eta_g) ** (1.0 + inv_b)))
+        for rows, limit in limits:
+            assert all(row.bound <= limit for row in rows)
+        # Step A runs over part 1, whose step C rows use eta; part 0's use eta_g.
+        part1 = {row.point for row in report.step_a}
+        for row in report.step_c:
+            limit = scale * (eta if row.point in part1 else eta_g) ** inv_b
+            assert row.bound <= limit
+
+    def test_negative_feasibility_margin_raises(self, monkeypatch, tmp_path):
+        solve = harness.solve_pick
+
+        def outside(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), feasibility_margin=-1e-10)
+
+        monkeypatch.setattr(harness, "solve_pick", outside)
+        seq = generate_separated_random(10, 0.1, 1)
+        with pytest.raises(NumericalError, match="feasibility margin -1.000e-10"):
+            verify_theorem_chain(seq, 64)
+        doc = write_document(tmp_path / "in.json", seq.points)
+        assert run_cli(["verify-theorem", doc, "--grid-resolution", "64"]) == 2
+
+    @pytest.mark.parametrize("via_cli", [False, True])
+    def test_one_interpolant_eval_per_chain(self, monkeypatch, tmp_path, via_cli):
+        # The only evaluation left is solve_pick's node residuals.
+        sizes = []
+        evaluate = pick.interpolant_eval
+        for module in (pick, harness, cli):
+            if getattr(module, "interpolant_eval", None) is evaluate:
+                monkeypatch.setattr(module, "interpolant_eval",
+                                    lambda f, z: sizes.append(np.size(z)) or evaluate(f, z))
+        points = generate_separated_random(10, 0.1, 1).points
+        if via_cli:
+            doc = write_document(tmp_path / "in.json", points)
+            assert run_cli(["verify-theorem", doc, "--grid-resolution", "64"]) == 0
+        else:
+            assert verify_theorem_chain(PointSequence(points), 64).hard_steps_pass
+        assert sizes == [10]
 
 
 class TestRemarkTwoFunctions:
