@@ -161,17 +161,44 @@ def _emit_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# Row layouts of the lists that reports write through _list_json: one
+# object per row at indent 2, as _emit_json lays out a list of dicts.
 _PER_POINT_ROW = '    {\n      "index": %d,\n      "modulus": %s\n    }'
+_COMPLEX_ROW = '    {\n      "re": %s,\n      "im": %s\n    }'
+_CHAIN_ROW = ('    {\n      "point": {\n        "re": %s,\n        "im": %s\n      },\n'
+              '      "value": %s,\n      "bound": %s,\n      "margin": %s,\n'
+              '      "passed": %s\n    }')
+
+
+def _list_json(rows: list) -> _Fragment:
+    """A report's list field, from its rows laid out by one of the templates above.
+
+    The same bytes as ``_emit_json`` gives the list of dicts the rows stand
+    for at indent 1, without building a dict per row.  Floats in a row are
+    formatted by ``_fmt_float``.
+    """
+    return _Fragment("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
 
 
 def _per_point_json(per_point) -> _Fragment:
-    """analyze's ``per_point`` list (never empty), one ``%`` format per row.
+    """analyze's ``per_point`` list of index/modulus objects."""
+    return _list_json([_PER_POINT_ROW % (i, _fmt_float(m)) for i, m in per_point])
 
-    The same bytes as ``_emit_json`` gives the list of index/modulus dicts
-    at indent 1, without building a dict per point.
-    """
-    rows = ",\n".join([_PER_POINT_ROW % (i, _fmt_float(m)) for i, m in per_point])
-    return _Fragment("[\n" + rows + "\n  ]")
+
+def _complex_json(values) -> _Fragment:
+    """A list of complex numbers as re/im objects."""
+    return _list_json([_COMPLEX_ROW % (_fmt_float(z.real), _fmt_float(z.imag))
+                       for z in values])
+
+
+def _chain_rows_json(rows) -> _Fragment:
+    """One step of the bound chain: point, value, bound, margin and pass flag per row."""
+    return _list_json([
+        _CHAIN_ROW % (_fmt_float(r.point.real), _fmt_float(r.point.imag),
+                      _fmt_float(r.value), _fmt_float(r.bound), _fmt_float(r.margin),
+                      "true" if r.passed else "false")
+        for r in rows
+    ])
 
 
 def _csv(header: str, row_format: str, columns) -> str:
@@ -259,19 +286,6 @@ def _decomposition_dict(dec: Decomposition) -> dict:
     }
 
 
-def _rows_dict(rows) -> list:
-    return [
-        {
-            "point": _cplx(r.point),
-            "value": r.value,
-            "bound": r.bound,
-            "margin": r.margin,
-            "passed": r.passed,
-        }
-        for r in rows
-    ]
-
-
 def chain_report_dict(report) -> dict:
     return {
         "hypothesis_ok": report.hypothesis_ok,
@@ -284,10 +298,10 @@ def chain_report_dict(report) -> dict:
         "fitted_b": report.fitted_b,
         "carleson_direct": report.carleson_direct,
         "hard_steps_pass": report.hard_steps_pass,
-        "step_a": _rows_dict(report.step_a),
-        "step_b": _rows_dict(report.step_b),
-        "step_c": _rows_dict(report.step_c),
-        "final": _rows_dict(report.final),
+        "step_a": _chain_rows_json(report.step_a),
+        "step_b": _chain_rows_json(report.step_b),
+        "step_c": _chain_rows_json(report.step_c),
+        "final": _chain_rows_json(report.final),
     }
 
 
@@ -340,8 +354,8 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
         "scale": f.scale,
         "feasibility_margin": solution.feasibility_margin,
         "max_abs_residual": float(np.max(np.abs(solution.residuals))),
-        "residuals": [_cplx(r) for r in solution.residuals],
-        "schur_parameters": [_cplx(p) for _, p in f.schur_steps],
+        "residuals": _complex_json(solution.residuals.tolist()),
+        "schur_parameters": _complex_json([p for _, p in f.schur_steps]),
     }
     _write_text(cfg, _emit_json(doc) + "\n")
     if args.boundary_csv:

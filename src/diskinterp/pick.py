@@ -12,12 +12,26 @@ costs O(n^2), and is the one feasibility test here: ``min_norm`` runs it
 on vectors of trial norms in a k-section search, and
 ``construct_interpolant`` records its parameters as an explicit rational
 solution, evaluable on the closed disk with |f| <= M by construction.
+
+The k-section returns the upper end of the first nested grid cell that
+is narrower than its tolerance, so its answer depends only on which cell
+of each grid holds the threshold.  ``min_norm`` lets the reduction skip
+levels: the parameter that leaves the disk just below the threshold is a
+smooth function of M, so interpolating its modulus through the tested
+rows estimates where it crosses the circle, and one reduction then
+checks the ends of every cell the estimate predicts.  A predicted cell
+counts only if its lower end tests infeasible and its upper end
+feasible, which for a predicate monotone in M singles out the cell the
+blind search keeps.  So the search returns the blind search's float, in
+about 5 reductions instead of 8 on separated random input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,8 +50,21 @@ BISECT_REL_TOL = 1e-8
 # Recursion parameters may exceed the closed disk by at most this much.
 _PARAM_TOL = 1e-9
 
-# Trial norms tested per pass of the norm search.
+# Trial norms of a blind pass of the norm search: the first grid, and the
+# interior of the 17-point grid over a bracket.  A guided pass tests the
+# 2 ends of each predicted cell, these for the deepest one, and after a
+# pass that confirmed no level, these for its bracket as well.
 _TRIALS = 15
+
+# The norm search predicts a level only where the root estimate r, give or
+# take this many times its distance from the secant estimate, fits in one
+# cell ...
+_GUIDE_MARGIN = 2.0
+
+# ... and never narrower than r times this: at that width, rounding in the
+# reduction can make the predicate non-monotone, so finer levels are found
+# by testing the whole grid, as the blind search does.
+_GUIDE_FLOOR = 1e-11
 
 # Interpolants are built at min_norm * (1 + NORM_SLACK), so their norm
 # bound exceeds min_norm by exactly this factor.
@@ -163,44 +190,183 @@ def norm_upper_bound(problem: PickProblem) -> float:
     return float(np.sum(w / per_point_moduli(problem.nodes)))
 
 
+def _grid(lo: float, hi: float) -> np.ndarray:
+    """The k-section's 17-point grid over the bracket (lo, hi), ends included."""
+    space = np.geomspace if hi > 4.0 * lo else np.linspace
+    return space(lo, hi, _TRIALS + 2)
+
+
+def _enter(lo: float, hi: float, grid: np.ndarray, j: int, rel_tol: float):
+    """The k-section's step from the bracket (lo, hi) into its grid's cell j.
+
+    Returns the new bracket and the float the search returns there, or
+    None if the search goes on.
+    """
+    if grid[j] - grid[j - 1] >= hi - lo:
+        return lo, hi, hi  # no float fits strictly inside the bracket
+    lo, hi = float(grid[j - 1]), float(grid[j])
+    return lo, hi, (hi if hi - lo < rel_tol * hi else None)
+
+
+def _blind_step(bracket, grid, inner: list, n: int, rel_tol: float):
+    """The k-section's step into the cell below the first feasible interior grid point.
+
+    ``inner`` holds the exits (:func:`_exits`) of grid[1:-1]; the grid's
+    upper end counts as feasible.
+    """
+    j = inner.index(n) + 1 if n in inner else _TRIALS + 1
+    return _enter(*bracket, grid, j, rel_tol)
+
+
+def _exits(rows: np.ndarray) -> list:
+    """Each row's first node outside the disk, or the row length if none is."""
+    inside = _inside(rows)
+    return np.where(inside.all(axis=1), rows.shape[1], np.argmin(inside, axis=1)).tolist()
+
+
+def _root_interval(lo: float, hi: float, tested: list) -> tuple[float, float]:
+    """Where in the bracket (lo, hi) the tested (M, exit, row) triples place the threshold.
+
+    a and b are the tightest infeasible and feasible trials in the bracket,
+    k the node where row a first leaves the disk.  g(M) = |p_k(M)| - (1 +
+    _PARAM_TOL) changes sign between them; inverse-quadratic interpolation
+    of g through a, b and the nearest other trial where g is defined gives
+    the estimate r, the secant through a and b the estimate r_lin.  The
+    interval is r +- max(_GUIDE_MARGIN * |r - r_lin|, _GUIDE_FLOOR * r),
+    cut to [a, b] but never narrower than 2 * _GUIDE_FLOOR * r; it is
+    [a, b] itself when no estimate is possible.
+    """
+    n = tested[0][2].size
+    a = max((t for t in tested if lo <= t[0] <= hi and t[1] < n), key=itemgetter(0))
+    b = min((t for t in tested if a[0] < t[0] <= hi and t[1] == n), key=itemgetter(0))
+    k = a[1]
+    others = [t for t in tested if t[1] >= k and t[0] != a[0] and t[0] != b[0]]
+    if not others:
+        return a[0], b[0]
+    c = min(others, key=lambda t: a[0] / t[0] if t[0] < a[0] else t[0] / b[0])
+    ma, mb, mc = a[0], b[0], c[0]
+    ga, gb, gc = (float(abs(t[2][k])) - 1.0 - _PARAM_TOL for t in (a, b, c))
+    if not (math.isfinite(ga) and math.isfinite(gc) and gc != ga and gc != gb):
+        return ma, mb
+    r_lin = ma + (mb - ma) * ga / (ga - gb)
+    r = (ma * gb * gc / ((ga - gb) * (ga - gc))
+         + mb * ga * gc / ((gb - ga) * (gb - gc))
+         + mc * ga * gb / ((gc - ga) * (gc - gb)))
+    half = max(_GUIDE_MARGIN * abs(r - r_lin), _GUIDE_FLOOR * r)
+    x0, x1 = max(ma, r - half), min(mb, r + half)
+    if not x0 <= x1:
+        return ma, mb
+    pad = max(0.0, _GUIDE_FLOOR * r - 0.5 * (x1 - x0))
+    return x0 - pad, x1 + pad
+
+
+def _near(lo: float, hi: float, tested: list) -> list:
+    """The tested triples in [lo, hi] and the nearest one on either side."""
+    kept = [t for t in tested if lo <= t[0] <= hi]
+    below = [t for t in tested if t[0] < lo]
+    above = [t for t in tested if t[0] > hi]
+    if below:
+        kept.append(max(below, key=itemgetter(0)))
+    if above:
+        kept.append(min(above, key=itemgetter(0)))
+    return kept
+
+
+def _descend(lo: float, hi: float, x0: float, x1: float, rel_tol: float):
+    """The k-section's cells below (lo, hi) that each hold all of [x0, x1].
+
+    Returns one (lo, hi, answer) triple per level, as :func:`_enter` gives
+    them, and the grids walked: grids[i] lies over the bracket of level i,
+    (lo, hi) being level 0.  The walk stops at the first level where
+    [x0, x1] straddles a grid point, or at a cell where the search returns.
+    """
+    path, grids = [], []
+    answer = None
+    while answer is None:
+        grid = _grid(lo, hi)
+        grids.append(grid)
+        j = int(np.searchsorted(grid, x0, side="right"))
+        if not 0 < j < grid.size or x1 > grid[j]:
+            break
+        lo, hi, answer = _enter(lo, hi, grid, j, rel_tol)
+        path.append((lo, hi, answer))
+    return path, grids
+
+
 def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     """Smallest sup-norm over all analytic interpolants, by k-section search.
 
     Brackets between max_j |w_j| (below every interpolant norm) and the
-    explicit bound of :func:`norm_upper_bound`.  Each pass runs the
-    reduction of :func:`construct_interpolant` at _TRIALS norms at once
-    (both ends included in the first pass, strictly inside later), spaced
-    geometrically while the upper end exceeds four times the lower and
-    linearly after, and keeps the smallest feasible trial and the one
-    below it.  Returns the feasible end once the bracket is narrower than
-    ``rel_tol`` times it.  Raises BracketFailureError if the upper end
-    tests infeasible, which indicates numerical degeneracy such as
-    near-coincident nodes.
+    explicit bound of :func:`norm_upper_bound`.  The first pass runs the
+    reduction of :func:`construct_interpolant` at _TRIALS norms at once,
+    geometrically spaced with both ends included, and keeps the smallest
+    feasible trial and the one below it.  Each later level splits the
+    bracket by a 17-point grid, geometric while its upper end exceeds
+    four times the lower and linear after, and keeps the cell whose upper
+    end is the first feasible grid point.  Returns the feasible end once
+    the bracket is narrower than ``rel_tol`` times it.  Raises
+    BracketFailureError if the upper end tests infeasible, which
+    indicates numerical degeneracy such as near-coincident nodes.
+
+    The returned float depends only on which cell each level keeps, so
+    later passes skip levels without changing it.  Each pass estimates
+    the threshold from the rows already tested (:func:`_root_interval`),
+    walks down the nested grids while the estimate's interval stays inside
+    one cell (:func:`_descend`), and runs one reduction on both ends of
+    every predicted cell plus the interior grid points of the deepest.  A
+    predicted cell counts only if its lower end tests infeasible and its
+    upper end feasible, and so do all above it; for a predicate monotone
+    in M that is exactly the cell the blind search keeps, and the interior
+    points then pick the next level as the blind search does.  So a wrong
+    estimate costs a pass, never the answer.  A pass that confirms no
+    level also makes the next one test the blind grid of its bracket, so
+    every level costs at most two passes.
     """
     lo = float(np.max(np.abs(problem.targets)))
     hi = norm_upper_bound(problem)
     if hi == 0.0:
         return 0.0
     trials = np.geomspace(lo, hi, _TRIALS)
-    feasible = np.all(_inside(_schur_parameters(problem, trials)), axis=1)
-    if feasible[0]:
+    rows = _schur_parameters(problem, trials)
+    exits = _exits(rows)
+    n = rows.shape[1]
+    if exits[0] == n:
         return lo
-    if not feasible[-1]:
+    if exits[-1] < n:
         raise BracketFailureError(
             f"norm bound {hi:.6g} tests infeasible; the problem is "
             f"numerically degenerate"
         )
-    while True:
-        j = int(np.argmax(feasible))  # trials[j - 1] is infeasible
-        if trials[j] - trials[j - 1] >= hi - lo:
-            return hi  # no float fits strictly inside the bracket
-        lo, hi = float(trials[j - 1]), float(trials[j])
-        if hi - lo < rel_tol * hi:
-            return hi
-        space = np.geomspace if hi > 4.0 * lo else np.linspace
-        trials = space(lo, hi, _TRIALS + 2)
-        inner = np.all(_inside(_schur_parameters(problem, trials[1:-1])), axis=1)
-        feasible = np.concatenate(([False], inner, [True]))
+    lo, hi, answer = _enter(lo, hi, trials, exits.index(n), rel_tol)
+    tested = list(zip(trials.tolist(), exits, rows))
+    missed = False
+    while answer is None:
+        path, grids = _descend(lo, hi, *_root_interval(lo, hi, tested), rel_tol)
+        ends = [x for cell in path for x in cell[:2]]
+        blocks = [ends]
+        deep = len(grids) > len(path)  # the search does not return in the deepest cell
+        if deep:
+            blocks.append(grids[-1][1:-1])
+        retry = missed and bool(path)
+        if retry:
+            blocks.append(grids[0][1:-1])
+        trials = np.concatenate(blocks)
+        rows = _schur_parameters(problem, trials)
+        exits = _exits(rows)
+        found = 0
+        while found < len(path) and exits[2 * found] < n and exits[2 * found + 1] == n:
+            found += 1
+        if found == len(path) and deep:
+            cell = path[-1][:2] if path else (lo, hi)
+            inner = exits[len(ends):len(ends) + _TRIALS]
+            lo, hi, answer = _blind_step(cell, grids[-1], inner, n, rel_tol)
+        elif found:
+            lo, hi, answer = path[found - 1]
+        elif retry:
+            lo, hi, answer = _blind_step((lo, hi), grids[0], exits[-_TRIALS:], n, rel_tol)
+        missed = found == 0 and bool(path)
+        tested = _near(lo, hi, tested + list(zip(trials.tolist(), exits, rows)))
+    return answer
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:

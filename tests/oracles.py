@@ -324,3 +324,41 @@ def boundary_csv(thetas, vals) -> str:
             f"{_fmt_float(v.imag)},{_fmt_float(abs(v))}"
         )
     return "\n".join(lines) + "\n"
+
+
+def ksection_min_norm(problem, rel_tol: float = 1e-8) -> float:
+    """``pick.min_norm`` as the package once searched: one blind 15-trial pass per level.
+
+    The first pass tests max|w|, the explicit norm bound and 13 geometric
+    trials between; every later pass tests the 15 interior points of the
+    17-point grid over the bracket, geometric while its upper end exceeds
+    four times the lower and linear after.  The predicate is the package's
+    own, looked up at call time, so a counter on it counts these passes too.
+    """
+    from diskinterp import pick
+    from diskinterp.errors import BracketFailureError
+
+    lo = float(np.max(np.abs(problem.targets)))
+    hi = pick.norm_upper_bound(problem)
+    if hi == 0.0:
+        return 0.0
+    trials = np.geomspace(lo, hi, 15)
+    feasible = np.all(pick._inside(pick._schur_parameters(problem, trials)), axis=1)
+    if feasible[0]:
+        return lo
+    if not feasible[-1]:
+        raise BracketFailureError(
+            f"norm bound {hi:.6g} tests infeasible; the problem is "
+            f"numerically degenerate"
+        )
+    while True:
+        j = int(np.argmax(feasible))  # trials[j - 1] is infeasible
+        if trials[j] - trials[j - 1] >= hi - lo:
+            return hi  # no float fits strictly inside the bracket
+        lo, hi = float(trials[j - 1]), float(trials[j])
+        if hi - lo < rel_tol * hi:
+            return hi
+        space = np.geomspace if hi > 4.0 * lo else np.linspace
+        trials = space(lo, hi, 17)
+        inner = np.all(pick._inside(pick._schur_parameters(problem, trials[1:-1])), axis=1)
+        feasible = np.concatenate(([False], inner, [True]))

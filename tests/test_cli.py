@@ -10,6 +10,7 @@ import pytest
 import oracles
 from conftest import run_cli, write_document
 from diskinterp import (
+    ChainRow,
     PickProblem,
     PointSequence,
     cli,
@@ -312,6 +313,16 @@ class TestInterpolate:
         expected = oracles.boundary_csv(thetas, interpolant_eval(f, np.exp(1j * thetas)))
         assert_same_text(csv.read_text(), expected)
 
+    @pytest.mark.parametrize("values", [
+        [],
+        [0.5 - 0.25j],
+        [complex(0.0, -0.0), complex(math.nan, 1e-300), complex(math.inf, -math.inf),
+         0.1 + 0.2 + 3e-17j, 1e20 - 7j],
+    ])
+    def test_complex_rows_match_generic_writer(self, values):
+        expected = cli._emit_json([cli._cplx(z) for z in values], indent=1)
+        assert cli._complex_json(values) == expected
+
 
 class TestVerifyTheorem:
     def test_pair_passes(self, tmp_path, pair_doc):
@@ -355,6 +366,18 @@ class TestVerifyTheorem:
         assert report["hypothesis_ok"] is False
         assert report["c"] is None
         assert report["step_a"] == []
+
+    @pytest.mark.parametrize("rows", [
+        (),
+        (ChainRow(0.5 - 0.25j, 0.75, 0.5, True),),
+        (ChainRow(complex(0.0, -0.0), 1e-300, 2.5e-301, True),
+         ChainRow(0.1 + 0.2j, 0.25, 0.5, False),
+         ChainRow(complex(0.3, math.nan), math.nan, math.inf, False)),
+    ])
+    def test_chain_rows_match_generic_writer(self, rows):
+        dicts = [{"point": cli._cplx(r.point), "value": r.value, "bound": r.bound,
+                  "margin": r.margin, "passed": r.passed} for r in rows]
+        assert cli._chain_rows_json(rows) == cli._emit_json(dicts, indent=1)
 
     def test_determinism_byte_identical(self, tmp_path, radial_doc):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"

@@ -23,7 +23,7 @@ from diskinterp import (
     solve_pick,
     sup_norm_boundary,
 )
-from oracles import _trace_scale, sarason_min_norm
+from oracles import _trace_scale, ksection_min_norm, sarason_min_norm
 
 
 def zero_one(r: float) -> PickProblem:
@@ -170,6 +170,103 @@ class TestMinNormAgainstOracle:
             targets = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
         expected = sarason_min_norm(seq.points, targets)
         assert min_norm(PickProblem(seq, targets)) == pytest.approx(expected, rel=1e-8)
+
+
+NODE_KINDS = ("uniform", "near_boundary", "clustered", "regular")
+TARGET_KINDS = ("zero_one", "gaussian", "constant")
+
+
+def stress_problem(nodes: str, targets: str, n: int, seed: int) -> PickProblem:
+    """A seeded problem of one node family and one target family."""
+    rng = np.random.default_rng([seed, n, NODE_KINDS.index(nodes), TARGET_KINDS.index(targets)])
+    if nodes == "regular":
+        lam = 0.7 * np.exp(2j * np.pi * np.arange(n) / n)
+    elif nodes == "clustered":
+        lam = 0.6 * np.exp(2j * np.pi * rng.random()) + 0.15 * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        lam = np.where(np.abs(lam) < 0.97, lam, 0.97 * lam / np.abs(lam))
+    else:
+        radius = (0.95 * np.sqrt(rng.random(n)) if nodes == "uniform"
+                  else 1.0 - 10.0 ** rng.uniform(-3.0, -1.0, n))
+        lam = radius * np.exp(2j * np.pi * rng.random(n))
+    if targets == "zero_one":
+        w = (rng.random(n) < 0.5).astype(complex)
+    elif targets == "gaussian":
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        w = np.full(n, 0.3 + 0.4j)
+    return PickProblem(PointSequence(lam), w)
+
+
+def search_outcome(search, problem: PickProblem, rel_tol: float):
+    """The float a norm search returns, or the name of the error it raises."""
+    try:
+        return search(problem, rel_tol)
+    except BracketFailureError as exc:
+        return type(exc).__name__
+
+
+@pytest.fixture
+def reduction_calls(monkeypatch):
+    """Counts calls of the reduction, which is one pass of a norm search."""
+    calls = [0]
+    reduce = pick._schur_parameters
+
+    def counted(problem, Ms):
+        calls[0] += 1
+        return reduce(problem, Ms)
+
+    monkeypatch.setattr(pick, "_schur_parameters", counted)
+    return calls
+
+
+class TestGuidedSearch:
+    """min_norm takes the k-section's cells, so it returns the k-section's float."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("nodes", NODE_KINDS)
+    def test_same_float_as_ksection(self, nodes, rel_tol):
+        for targets in TARGET_KINDS:
+            for n in (2, 3, 5, 8, 12, 17, 24, 33, 48, 64):
+                problem = stress_problem(nodes, targets, n, seed=1)
+                assert search_outcome(min_norm, problem, rel_tol) == (
+                    search_outcome(ksection_min_norm, problem, rel_tol)
+                ), (targets, n)
+
+    def test_feasible_lower_end_takes_one_pass(self, reduction_calls):
+        # A constant target is met by the constant function, at norm max |w|.
+        problem = stress_problem("uniform", "constant", 12, seed=1)
+        assert min_norm(problem) == ksection_min_norm(problem) == 0.5
+        assert reduction_calls[0] == 2
+
+    def test_zero_targets_take_no_pass(self, reduction_calls):
+        problem = PickProblem(generate_separated_random(8, 0.1, 1), np.zeros(8))
+        assert min_norm(problem) == ksection_min_norm(problem) == 0.0
+        assert reduction_calls[0] == 0
+
+    def test_infeasible_upper_end_fails_both_searches(self, monkeypatch):
+        problem = stress_problem("uniform", "gaussian", 12, seed=1)
+        just_above_lo = float(np.max(np.abs(problem.targets))) * (1.0 + 1e-6)
+        monkeypatch.setattr(pick, "norm_upper_bound", lambda p: just_above_lo)
+        for search in (min_norm, ksection_min_norm):
+            with pytest.raises(BracketFailureError, match="tests infeasible"):
+                search(problem)
+
+    def test_fewer_passes_than_ksection(self, reduction_calls):
+        guided, blind = [], []
+        for n in (8, 12, 16, 24, 32, 48, 64):
+            for seed in range(1, 5):
+                seq = generate_separated_random(n, 0.1, seed)
+                rng = np.random.default_rng(seed)
+                random = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+                for targets in (np.arange(n) % 2, random):
+                    problem = PickProblem(seq, targets)
+                    for search, passes in ((min_norm, guided), (ksection_min_norm, blind)):
+                        reduction_calls[0] = 0
+                        search(problem)
+                        passes.append(reduction_calls[0])
+        assert np.mean(guided) <= 5.5
+        assert all(g <= b for g, b in zip(guided, blind))
 
 
 class TestConstructInterpolant:
