@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -62,6 +63,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token as a value rather than an option only when
+        # it is a plain negative number; a minus sign followed by a digit or
+        # a point is enough here, so --targets -0.5+0.3j,1 parses.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -70,7 +78,8 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Numerical knobs shared by every subcommand.
 
-    ``boundary_grid`` is read only by ``interpolate --boundary-csv``.
+    ``grid_resolution`` is read only by ``field`` and ``boundary_grid``
+    only by ``interpolate --boundary-csv``.
     """
 
     grid_resolution: int = 128
@@ -276,8 +285,10 @@ def _decomposition_dict(dec: Decomposition) -> dict:
         "fitted_a": dec.fitted_a,
         "fitted_b": dec.fitted_b,
         "fit_grid_size": dec.fit_grid_size,
-        "fit_grid_resolution": dec.fit_grid_resolution,
+        "rim_samples": dec.rim_samples,
         "worst_point": _cplx(dec.worst_point),
+        "worst_rim": dec.worst_rim,
+        "b_gap": dec.b_gap,
         "search": {
             "method": dec.search,
             "masks_enumerated": dec.masks_enumerated,
@@ -324,9 +335,9 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 def cmd_decompose(args, cfg: RunConfig) -> int:
     seq = load_point_document(args.input)
     if args.delta is not None:
-        dec = decompose(seq, args.delta, cfg.grid_resolution)
+        dec = decompose(seq, args.delta)
     else:
-        dec = corresponding_decomposition(seq, cfg.grid_resolution)
+        dec = corresponding_decomposition(seq)
     _write_text(cfg, _emit_json(_decomposition_dict(dec)) + "\n")
     return EXIT_OK
 
@@ -369,11 +380,7 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
 
 def cmd_verify_theorem(args, cfg: RunConfig) -> int:
     seq = load_point_document(args.input)
-    report = verify_theorem_chain(
-        seq,
-        grid_resolution=cfg.grid_resolution,
-        rel_tol=cfg.bisect_rel_tol,
-    )
+    report = verify_theorem_chain(seq, rel_tol=cfg.bisect_rel_tol)
     _write_text(cfg, _emit_json(chain_report_dict(report)) + "\n")
     if not report.hypothesis_ok:
         return EXIT_DOMAIN
@@ -388,7 +395,7 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
         spec = CounterexampleSpec(
             num_pairs=args.pairs, gap=gap, base_radial_ratio=args.ratio
         )
-        seq, dec = generate_counterexample(spec, cfg.grid_resolution)
+        seq, dec = generate_counterexample(spec)
         report = analyze(seq)
         norm = min_norm(zero_one_problem(dec), rel_tol=cfg.bisect_rel_tol)
         runs.append(
@@ -422,9 +429,9 @@ def cmd_field(args, cfg: RunConfig) -> int:
         product = seq
     else:
         if args.delta is not None:
-            dec = decompose(seq, args.delta, cfg.grid_resolution)
+            dec = decompose(seq, args.delta)
         else:
-            dec = corresponding_decomposition(seq, cfg.grid_resolution)
+            dec = corresponding_decomposition(seq)
         product = dec.part_sequence(0 if args.which == "B0" else 1)
     xs = np.linspace(-_FIELD_RADIUS, _FIELD_RADIUS, cfg.grid_resolution)
     X, Y = np.meshgrid(xs, xs)
@@ -446,7 +453,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON file with RunConfig fields")
     common.add_argument("--output", dest="output_path", help="write report here")
-    common.add_argument("--grid-resolution", type=int, dest="grid_resolution")
     common.add_argument("--bisect-rel-tol", type=float, dest="bisect_rel_tol")
 
     parser = _Parser(
@@ -471,7 +477,8 @@ def build_parser() -> _Parser:
                        help="minimal-norm bounded interpolant")
     p.add_argument("input")
     p.add_argument("--targets", required=True,
-                   help="comma-separated complex target values")
+                   help="comma-separated complex target values, as --targets X "
+                        "or --targets=X; X may open with a minus sign")
     p.add_argument("--boundary-csv", help="also sample |f| on the circle")
     p.add_argument("--boundary-grid", type=int, dest="boundary_grid",
                    help="circle samples for --boundary-csv")
@@ -495,6 +502,8 @@ def build_parser() -> _Parser:
     p.add_argument("--which", choices=("B", "B0", "B1"), default="B")
     p.add_argument("--delta", type=float,
                    help="split at this delta instead of separation/2")
+    p.add_argument("--grid-resolution", type=int, dest="grid_resolution",
+                   help="cells per side of the square grid")
     p.set_defaults(handler="cmd_field")
     return parser
 

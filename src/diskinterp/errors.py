@@ -33,7 +33,7 @@ class PackingFailureError(DomainError):
 
 
 class EmptyGridError(DomainError):
-    """Exclusion disks cover the whole sampled region; delta is too large."""
+    """A comparability fit was asked on an empty set of points."""
 
 
 class ZeroCollisionError(NumericalError):

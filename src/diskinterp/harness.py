@@ -17,7 +17,7 @@ below them, so each reported bound still follows from the theorem; a
 sampled sup on the circle reads a norm low and could overstate them.
 
 Steps A and B are theorems for exact arithmetic, so they are hard checks;
-steps C and the final bound rely on grid-fitted sandwich constants (a, b)
+steps C and the final bound rely on rim-fitted sandwich constants (a, b)
 and are recorded with margins.  A counterexample generator produces
 sequences of near-collision pairs where the zero/one problem stays cheap
 while the separation and Carleson constants collapse.
@@ -136,9 +136,7 @@ class CounterexampleSpec:
             )
 
 
-def generate_counterexample(
-    spec: CounterexampleSpec, grid_resolution: int = 128
-) -> tuple[PointSequence, Decomposition]:
+def generate_counterexample(spec: CounterexampleSpec) -> tuple[PointSequence, Decomposition]:
     """Pairs sigma_n = {mu_n, mu_n'} with in-pair distance gap, split by parity.
 
     The base points mu_n = 1 - ratio^n march to the boundary; each partner
@@ -146,7 +144,7 @@ def generate_counterexample(
     Even-numbered pairs form part0 and odd-numbered pairs part1, so both
     factor products are well separated internally while the full sequence
     has separation <= gap.  The split is declared through ``decompose``,
-    not searched; its (a, b) are fitted on the exclusion grid with
+    not searched; its (a, b) are fitted on the exclusion-disk rims with
     delta = 2 * gap for reporting.
     """
     ratio, gap = spec.base_radial_ratio, spec.gap
@@ -172,7 +170,7 @@ def generate_counterexample(
         pts, label=f"pairs-{spec.num_pairs}-{gap:g}-{ratio:g}"
     )
     part0 = [i for n in range(2, spec.num_pairs + 1, 2) for i in (2 * n - 2, 2 * n - 1)]
-    return seq, decompose(seq, 2.0 * gap, grid_resolution, part0=part0)
+    return seq, decompose(seq, 2.0 * gap, part0=part0)
 
 
 def zero_one_problem(dec: Decomposition) -> PickProblem:
@@ -235,9 +233,7 @@ def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_theorem_chain(
-    seq: PointSequence,
-    grid_resolution: int = 128,
-    rel_tol: float = BISECT_REL_TOL,
+    seq: PointSequence, rel_tol: float = BISECT_REL_TOL
 ) -> ChainReport:
     """Run the full inequality chain on one sequence.
 
@@ -250,7 +246,7 @@ def verify_theorem_chain(
     margin raises NumericalError instead of reporting a bound that does not
     hold.  Sequences whose separation is at or below 1e-6 fail the
     hypothesis and get a partial report (hypothesis_ok False, constants
-    NaN, no rows).  Solver and grid errors propagate.
+    NaN, no rows).  Solver errors propagate.
     """
     if len(seq) < 2:
         raise PointSetError("chain verification needs at least two points")
@@ -264,7 +260,7 @@ def verify_theorem_chain(
             fitted_a=math.nan, fitted_b=math.nan, carleson_direct=carleson,
             step_a=(), step_b=(), step_c=(), final=(),
         )
-    dec = corresponding_decomposition(seq, grid_resolution)
+    dec = corresponding_decomposition(seq)
     problem = zero_one_problem(dec)
     solution = solve_pick(problem, rel_tol=rel_tol)
     if solution.feasibility_margin < 0.0:

@@ -1,23 +1,30 @@
-"""Two-factor splittings of a Blaschke product with fitted comparability.
+"""Two-factor splittings of a Blaschke product with rim-fitted comparability.
 
-A splitting Lambda = Lambda_0 u Lambda_1 induces B = B_0 B_1.  Away from
-the pseudohyperbolic disks D(lam, delta) around the zeros, the two factor
-moduli are power-law comparable:
+A splitting Lambda = Lambda_0 u Lambda_1 induces B = B_0 B_1.  On the
+region Omega = D minus the closed pseudohyperbolic disks D(lam, delta)
+around the zeros, the two factor moduli are power-law comparable:
 
     a |B_0(z)|^(1/b)  <=  |B_1(z)|  <=  (1/a) |B_0(z)|^b.
 
-The constants (a, b) exist for every delta but carry no usable closed
-form, so this module fits them empirically: on a finite exclusion grid it
-takes the extremal b (worst log-modulus ratio) and then the extremal a,
-which makes the sandwich hold at every grid point by construction.
-``decompose`` searches the partitions of a sequence for the split with the
-smallest fitted b: exactly up to 16 points, by enumerating every partition
-and pruning with lower bounds on b from a few witness grid points, and by
-deterministic local search beyond, pruned on witness grid points too;
-a declared split skips the search.  One ``blaschke.log_factors`` matrix
-places the exclusion grid; the search scores partitions on it and
-``decompose`` fits the split's (a, b) from it, always through the one
-fit formula ``_fit_logs``.
+With L0 = log |B_0| and L1 = log |B_1|, both harmonic and negative on
+Omega and zero on the unit circle, L1 - b L0 and L0 - b L1 are harmonic
+on Omega and vanish on the circle.  By the minimum principle they are
+nonnegative on Omega exactly when they are nonnegative on the rims
+dD(lam, delta) that bound it (Garnett, Bounded Analytic Functions,
+Ch. VII).  So the smallest b, the sup over Omega of max(L1/L0, L0/L1), is
+a max over n circles; likewise a, the inf over Omega of
+exp(min(b L0 - L1, b L1 - L0)), is a min over the rims and the unit
+circle, where the exponent is 0.  This module samples every rim at
+128 points, keeps the samples outside every other disk, fits (a, b) on
+them and refines b by golden-section search on the arc around the sample
+that attains it.  ``decompose`` searches the partitions of a sequence for
+the split with the smallest sampled b: exactly up to 16 points, by
+enumerating every partition and pruning with lower bounds on b from a few
+witness samples, and by deterministic local search beyond, pruned on
+witness samples too; a declared split skips the search.  One
+``blaschke.log_factors`` matrix over the rim samples places them; the
+search scores partitions on it and ``decompose`` fits the split's (a, b)
+from it, always through the one fit formula ``_fit_logs``.
 """
 
 from __future__ import annotations
@@ -28,16 +35,21 @@ import numpy as np
 
 from .blaschke import PointSequence, blaschke_log_modulus, log_factors, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
+from .geometry import pseudo_disk_euclidean, sample_pseudo_circle
+from .pick import _golden_max
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
-# are bounded on a few witness grid points, and only those whose bound does
-# not exceed the best b found get a full grid sweep.
+# are bounded on a few witness samples, and only those whose bound does
+# not exceed the best b found get a full sweep of the rim samples.
 EXHAUSTIVE_LIMIT = 16
 
-# Grid log-moduli this close to zero cannot anchor a ratio fit.
+# Samples per exclusion-disk rim, equally spaced in Euclidean angle.
+_RIM_SAMPLES = 128
+
+# Log-moduli this close to zero cannot anchor a ratio fit.
 _FIT_DEGENERACY_TOL = 1e-14
 
-# Evenly spaced partition codes whose argmax grid columns form the
+# Evenly spaced partition codes whose argmax rim samples form the
 # witness set of the pruned exhaustive search.
 _WITNESS_PROBES = 10
 
@@ -47,17 +59,20 @@ _EVAL_CHUNK = 8
 
 @dataclass(frozen=True)
 class ExclusionGrid:
-    """Interior grid points at pseudohyperbolic distance >= delta from a sequence.
+    """Samples of the rims dD(lam, delta) that lie outside every other disk.
 
-    ``factors`` is the ``log_factors`` matrix of the sequence over
-    ``points`` (one row per sequence point, one column per grid point),
-    the matrix the retention test read; both arrays are read-only.
+    ``rim`` holds the index of the sequence point whose rim each sample
+    lies on and ``theta`` the sample's angle about that rim's Euclidean
+    center.  ``factors`` is the ``log_factors`` matrix of the sequence
+    over ``points`` (one row per sequence point, one column per sample),
+    the matrix the exclusion test read.  All arrays are read-only.
     """
 
     points: np.ndarray
     delta: float
-    resolution: int
     factors: np.ndarray
+    rim: np.ndarray
+    theta: np.ndarray
 
     def __len__(self) -> int:
         return self.points.size
@@ -67,12 +82,17 @@ class ExclusionGrid:
 class Decomposition:
     """A two-part splitting of a sequence with its fitted sandwich constants.
 
-    ``search`` names how the split was found: "exhaustive" (every partition
-    enumerated, those whose witness bound could win fully evaluated),
-    "local" (single-move descent: masks_enumerated counts the masks tried,
-    masks_evaluated those whose witness bound could win and were fully
-    scored) or "declared" (given, not searched, with both counts zero):
-    ``decompose`` given part0, and the default of one built by hand.
+    ``fitted_b`` is the refined b, attained at ``worst_point`` on the rim
+    of point ``worst_rim``; ``b_gap`` is how far refinement raised it above
+    the largest sampled ratio, so ``fitted_b - b_gap`` is the sampled b the
+    search minimized.  ``fit_grid_size`` counts the rim samples kept, of
+    ``rim_samples`` per rim.  ``search`` names how the split was found:
+    "exhaustive" (every partition enumerated, those whose witness bound
+    could win fully evaluated), "local" (single-move descent:
+    masks_enumerated counts the masks tried, masks_evaluated those whose
+    witness bound could win and were fully scored) or "declared" (given,
+    not searched, with both counts zero): ``decompose`` given part0, and
+    the default of one built by hand.
     """
 
     base: PointSequence
@@ -82,8 +102,10 @@ class Decomposition:
     fitted_a: float
     fitted_b: float
     fit_grid_size: int
-    fit_grid_resolution: int
+    rim_samples: int
     worst_point: complex
+    worst_rim: int
+    b_gap: float
     search: str = "declared"
     masks_enumerated: int = 0
     masks_evaluated: int = 0
@@ -104,91 +126,82 @@ class Decomposition:
         return PointSequence(self.base.points[list(idx)], label=self.base.label)
 
 
-def _retained_grid(seq: PointSequence, delta: float, resolution: int, R: float):
-    xs = np.linspace(-R, R, resolution)
-    X, Y = np.meshgrid(xs, xs)
-    pts = (X + 1j * Y).ravel()
-    pts = pts[np.abs(pts) < R]
-    LM = log_factors(seq.points, pts)
-    keep = np.min(LM, axis=0) >= np.log(delta)
-    return pts[keep], LM.compress(keep, axis=1)  # C order, as the search reads rows
+def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:
+    """Rim samples of the disks D(lam, delta) that no other disk contains.
 
-
-def exclusion_grid(seq: PointSequence, delta: float, resolution: int) -> ExclusionGrid:
-    """Cartesian grid over [-R, R]^2 minus the disks D(lam, delta).
-
-    R = min(0.999, max |lam| + 0.05) keeps the grid over the region the
-    sequence occupies; points with |z| >= R or within pseudohyperbolic
-    distance delta of any sequence point are dropped.  The distance test
-    reads one ``log_factors`` matrix over the square's points, log delta
-    against each column's minimum, and the grid keeps the retained
-    columns of that matrix for the fit.  When the exclusion disks swallow
-    the square (large delta around points near the origin), the square is
-    widened once to reach past the farthest disk rim before
-    EmptyGridError is raised.
+    Each rim is sampled at _RIM_SAMPLES points by ``sample_pseudo_circle``.
+    One ``log_factors`` matrix over all samples places them: a sample is
+    dropped when another point's row reads below log delta there.  Its own
+    row reads log delta to about 1e-10 and is left out of that test.  The
+    grid keeps the retained columns of that matrix for the search and the
+    fit.  Some sample always survives, whatever delta: the first sample of
+    each rim is its point of largest real part, and no other open disk
+    contains the one that lies furthest right, since that disk would reach
+    further.  ValueError is raised when delta is outside (0, 1).
     """
-    if resolution < 32:
-        raise ValueError(f"grid resolution must be at least 32, got {resolution}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    moduli = np.abs(seq.points)
-    R = min(0.999, float(np.max(moduli)) + 0.05)
-    pts, LM = _retained_grid(seq, delta, resolution, R)
-    if pts.size == 0:
-        rim = float(np.max((moduli + delta) / (1.0 + moduli * delta)))
-        R_wide = min(0.999, rim + 0.05)
-        if R_wide > R:
-            pts, LM = _retained_grid(seq, delta, resolution, R_wide)
-    if pts.size == 0:
-        raise EmptyGridError(
-            f"exclusion disks with delta = {delta:g} cover the sampled square; "
-            f"lower delta"
-        )
-    pts.flags.writeable = False
-    LM.flags.writeable = False
-    return ExclusionGrid(points=pts, delta=float(delta), resolution=int(resolution),
-                         factors=LM)
+    n, m = len(seq), _RIM_SAMPLES
+    pts = np.concatenate([sample_pseudo_circle(lam, delta, m) for lam in seq.points])
+    LM = log_factors(seq.points, pts)
+    inside = LM < np.log(delta)
+    inside.reshape(n, n, m)[np.arange(n), np.arange(n)] = False
+    keep = ~inside.any(axis=0)
+    pts, LM = pts[keep], LM.compress(keep, axis=1)  # C order, as the search reads rows
+    rim = np.repeat(np.arange(n), m)[keep]
+    theta = np.tile(2.0 * np.pi * np.arange(m) / m, n)[keep]
+    for array in (pts, LM, rim, theta):
+        array.flags.writeable = False
+    return ExclusionGrid(points=pts, delta=float(delta), factors=LM, rim=rim, theta=theta)
+
+
+def _fit_a(b, L0: np.ndarray, L1: np.ndarray):
+    """Largest part-symmetric a at exponent b over the columns of L0 and L1.
+
+    The min over the columns of exp(min(b L0 - L1, b L1 - L0)), capped by
+    the exponent's value 0 on the unit circle, where both logs vanish; an
+    array over the rows of 2-D input and a scalar for 1-D input.
+    """
+    b = np.expand_dims(b, -1)
+    return np.exp(np.minimum(np.minimum(b * L0 - L1, b * L1 - L0).min(axis=-1), 0.0))
 
 
 def _fit_logs(L0: np.ndarray, L1: np.ndarray):
-    """Extremal (a, b) of partitions from their grid log-moduli, one row each.
+    """Extremal (a, b) of partitions from their log-moduli, one row each.
 
     b is the worst two-sided ratio of the log-moduli (at least 1); a is then
-    the largest constant keeping both sandwich sides valid at every grid
-    point in both orientations, so that swapping the parts leaves (a, b)
-    unchanged.  Returns (a, b, index of the grid column attaining b), each
-    an array over the rows of 2-D input and a scalar for 1-D input.  One
+    the largest constant keeping both sandwich sides valid at every column
+    in both orientations, so that swapping the parts leaves (a, b)
+    unchanged.  Returns (a, b, index of the column attaining b), each an
+    array over the rows of 2-D input and a scalar for 1-D input.  One
     partition (1-D input) with a log-modulus numerically zero raises
     DegenerateFitError; batches are not checked, since the search's winner
     is refitted on its own.
     """
     if L0.ndim == 1 and (np.max(L0) > -_FIT_DEGENERACY_TOL
                          or np.max(L1) > -_FIT_DEGENERACY_TOL):
-        raise DegenerateFitError("a grid log-modulus is numerically zero")
+        raise DegenerateFitError("a log-modulus is numerically zero")
     ratio = np.maximum(L1 / L0, L0 / L1)
     b = np.maximum(ratio.max(axis=-1), 1.0)
-    bc = np.expand_dims(b, -1)
-    a = np.exp(np.minimum(bc * L0 - L1, bc * L1 - L0).min(axis=-1))
-    return a, b, ratio.argmax(axis=-1)
+    return _fit_a(b, L0, L1), b, ratio.argmax(axis=-1)
 
 
 def comparability_fit(
     part0: PointSequence, part1: PointSequence, grid: ExclusionGrid
 ) -> tuple[float, float, complex]:
-    """Fit (a, b) for the pair (B_0, B_1) on an exclusion grid, from the parts.
+    """Fit (a, b) for the pair (B_0, B_1) on the points of a grid, from the parts.
 
-    With L0(z) = log |B_0(z)| and L1 analogous, b is the grid maximum of
-    max(L1/L0, L0/L1) clamped below at 1, and a the grid minimum of
-    min(exp(b L0 - L1), exp(b L1 - L0)), the largest part-symmetric
-    constant below exp(L1 - L0/b) and exp(b L0 - L1) everywhere; the
-    sandwich then holds at every grid point with these constants by
-    construction.  Returns (a, b, worst_point), the last being the grid
-    point attaining b.
+    With L0(z) = log |B_0(z)| and L1 analogous, b is the maximum over
+    ``grid.points`` of max(L1/L0, L0/L1) clamped below at 1, and a the
+    minimum of min(exp(b L0 - L1), exp(b L1 - L0)), the largest
+    part-symmetric constant below exp(L1 - L0/b) and exp(b L0 - L1)
+    everywhere; the sandwich then holds at every point with these
+    constants by construction.  Returns (a, b, worst_point), the last
+    being the point attaining b.
 
-    The independent reference fit, from the parts evaluated afresh; it
-    equals ``decompose``'s fit exactly.  Nothing in the package calls it:
-    it stays because acceptance criterion 6 uses it as the independent
-    fit and the benchmark tracer times it by name.
+    The independent reference fit, from the parts evaluated afresh and
+    without refinement: on the rim samples of ``exclusion_grid`` its b is
+    the sampled b that ``decompose`` minimizes.  Nothing in the package
+    calls it: it stays because acceptance criterion 6 uses it as the
+    independent fit and the benchmark tracer times it by name.
     """
     if len(grid) == 0:
         raise EmptyGridError("cannot fit on an empty grid")
@@ -200,7 +213,7 @@ def comparability_fit(
 def _search_exhaustive(LM, L_total):
     """Best mask over all nontrivial partitions with index 0 pinned to part0.
 
-    Exact, with lower-bound pruning.  The argmax grid columns of a few
+    Exact, with lower-bound pruning.  The argmax columns of a few
     evenly spaced masks form a witness set S, and b restricted to S is a
     lower bound on a mask's b.  Masks are fully evaluated in increasing
     order of that bound until it exceeds the best b found, with a slack
@@ -301,27 +314,61 @@ def _search_local(LM, L_total, points):
     return mask, tried, evaluated
 
 
-def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128,
-              *, part0=None) -> Decomposition:
-    """Split a sequence to minimize the fitted sandwich exponent b.
+def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: float,
+              worst: int) -> tuple[float, complex]:
+    """Golden-section max of the log-modulus ratio on the rim arc around a sample.
+
+    The arc spans one sample spacing either side of sample ``worst``; each
+    trial point evaluates every factor at once.  Points of the arc inside
+    another disk lie outside Omega and score -inf.  Returns the larger of
+    ``b`` and the best ratio found, with the point attaining it.
+    """
+    points = seq.points
+    rim = int(grid.rim[worst])
+    disk = pseudo_disk_euclidean(points[rim], grid.delta)
+    others = np.arange(len(points)) != rim
+    log_delta = np.log(grid.delta)
+    best = [b, complex(grid.points[worst])]
+
+    def ratio(t: float) -> float:
+        z = disk.euclid_center + disk.euclid_radius * np.exp(1j * t)
+        logs = np.log(np.abs((z - points) / (1.0 - np.conj(points) * z)))
+        if logs[others].min() < log_delta:
+            return -np.inf
+        L0, L1 = logs[mask].sum(), logs[~mask].sum()
+        r = float(max(L1 / L0, L0 / L1))
+        if r > best[0]:
+            best[:] = r, complex(z)
+        return r
+
+    step = 2.0 * np.pi / _RIM_SAMPLES
+    theta = float(grid.theta[worst])
+    _golden_max(ratio, theta - step, theta + step, step / 64.0)
+    return best[0], best[1]
+
+
+def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
+    """Split a sequence to minimize the sampled sandwich exponent b.
 
     The final bound the constants feed degrades with b, so small b is the
     quality measure; ties prefer larger a, then the lexicographically
     smallest part0.  Up to 16 points the search is exact: every nontrivial
-    partition gets a lower bound on b from a few witness grid points, and
-    partitions are swept over the full grid in increasing bound order until
+    partition gets a lower bound on b from a few witness rim samples, and
+    partitions are swept over all samples in increasing bound order until
     the bound exceeds the best b found.  Beyond 16 points a deterministic
     first-improvement single-move search runs from an alternating seed,
     fully scoring only the moves whose witness bound does not rule them
     out.  A declared ``part0`` skips the search and keeps its orientation;
     it must be distinct indices in range(n) that leave part1 nonempty, or
-    PointSetError is raised before any grid is built.  Both searches and
+    PointSetError is raised before any rim is sampled.  Both searches and
     the fit read the one ``log_factors`` matrix that
-    :func:`exclusion_grid` built to place the grid; the split's (a, b)
-    are fitted from its row sums, equal to :func:`comparability_fit` on
-    the two parts.  The returned decomposition records which search ran
-    ("declared" for a given split) and how many partitions it enumerated
-    and fully evaluated.  Grid errors from the delta choice propagate.
+    :func:`exclusion_grid` built to place the rim samples; the split's
+    sampled b equals that of :func:`comparability_fit` on the two parts.  The
+    winner's b is then refined on the arc around the sample attaining it
+    and a recomputed at the refined b.  The returned decomposition records
+    which search ran ("declared" for a given split), how many partitions
+    it enumerated and fully evaluated, the rim attaining b and the
+    refinement's gap.  A delta outside (0, 1) raises ValueError.
     """
     n = len(seq)
     if n < 2:
@@ -333,7 +380,7 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128,
             raise PointSetError(f"part0 must be distinct indices in range({n}) "
                                 f"leaving part1 nonempty, got {idx.tolist()}")
         mask = np.isin(np.arange(n), idx)
-    grid = exclusion_grid(seq, delta, grid_resolution)
+    grid = exclusion_grid(seq, delta)
     LM = grid.factors
     if part0 is not None:
         method, enumerated, evaluated = "declared", 0, 0
@@ -343,18 +390,19 @@ def decompose(seq: PointSequence, delta: float, grid_resolution: int = 128,
     else:
         method = "local"
         mask, enumerated, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
-    a, b, worst = _fit_logs(LM[mask].sum(axis=0), LM[~mask].sum(axis=0))
+    L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
+    _, sampled_b, worst = _fit_logs(L0, L1)
+    b, worst_point = _refine_b(seq, grid, mask, float(sampled_b), int(worst))
     return Decomposition(
         base=seq, part0=tuple(np.flatnonzero(mask).tolist()),
         part1=tuple(np.flatnonzero(~mask).tolist()), delta=float(delta),
-        fitted_a=float(a), fitted_b=float(b), fit_grid_size=len(grid),
-        fit_grid_resolution=int(grid_resolution),
-        worst_point=complex(grid.points[worst]),
+        fitted_a=float(_fit_a(b, L0, L1)), fitted_b=b, fit_grid_size=len(grid),
+        rim_samples=_RIM_SAMPLES, worst_point=worst_point,
+        worst_rim=int(grid.rim[worst]), b_gap=b - float(sampled_b),
         search=method, masks_enumerated=enumerated, masks_evaluated=evaluated,
     )
 
 
-def corresponding_decomposition(seq: PointSequence, grid_resolution: int = 128) -> Decomposition:
+def corresponding_decomposition(seq: PointSequence) -> Decomposition:
     """The splitting at delta = (separation constant) / 2."""
-    delta0 = separation_constant(seq)
-    return decompose(seq, delta0 / 2.0, grid_resolution)
+    return decompose(seq, separation_constant(seq) / 2.0)

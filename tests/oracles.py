@@ -267,6 +267,31 @@ def exclusion_points(points, delta: float, resolution: int) -> np.ndarray:
     return pts
 
 
+def exclusion_rims(points, delta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rim samples outside every other disk D(lam, delta), by a distance filter.
+
+    Each rim is sampled at m angles about its Euclidean center, with the
+    package's closed form and operation order, so the samples match bit for
+    bit.  A sample is kept where the full matrix of pseudohyperbolic
+    distances to the other points has column minimum >= delta.  Returns
+    (kept samples, index of the point whose rim each lies on).
+    """
+    points = np.asarray(points, dtype=complex)
+    angles = 2.0 * np.pi * np.arange(m) / m
+    rims = []
+    for lam in points.tolist():
+        denom = 1.0 - delta * delta * abs(lam) ** 2
+        center = lam * (1.0 - delta * delta) / denom
+        radius = delta * (1.0 - abs(lam) ** 2) / denom
+        rims.append(center + radius * np.exp(1j * angles))
+    samples = np.concatenate(rims)
+    owner = np.repeat(np.arange(points.size), m)
+    dist = _package_distance(samples[None, :], points[:, None])
+    dist[owner, np.arange(samples.size)] = np.inf
+    keep = np.min(dist, axis=0) >= delta
+    return samples[keep], owner[keep]
+
+
 def _package_mobius(lam: complex, z):
     """b_lam(z) with the package's operation order, for bit-level comparisons."""
     if abs(lam) < 1e-14:

@@ -192,9 +192,10 @@ def test_criterion_5_theorem_chain():
 
 
 def _sandwich_violations(dec) -> int:
-    grid = exclusion_grid(dec.base, dec.delta, dec.fit_grid_resolution)
-    L0 = blaschke_log_modulus(dec.part_sequence(0), grid.points)
-    L1 = blaschke_log_modulus(dec.part_sequence(1), grid.points)
+    """Violations on an independent grid inside Omega, from the distance-matrix oracle."""
+    points = oracles.exclusion_points(dec.base.points, dec.delta, 256)
+    L0 = blaschke_log_modulus(dec.part_sequence(0), points)
+    L1 = blaschke_log_modulus(dec.part_sequence(1), points)
     a, b = dec.fitted_a, dec.fitted_b
     bad_lower = ~(a <= np.exp(L1 - L0 / b))
     bad_upper = ~(a <= np.exp(b * L0 - L1))
@@ -213,7 +214,7 @@ def test_criterion_6_hoffman_fit():
         bad = _sandwich_violations(dec)
         if bad:
             failures.append(f"{tag}: {bad} sandwich violations")
-        grid = exclusion_grid(seq, dec.delta, dec.fit_grid_resolution)
+        grid = exclusion_grid(seq, dec.delta)
         best = np.inf
         for k in range(1, count):
             for comb in itertools.combinations(range(1, count), k - 1):
@@ -227,8 +228,12 @@ def test_criterion_6_hoffman_fit():
                     grid,
                 )
                 best = min(best, b)
-        if not dec.fitted_b == pytest.approx(best, rel=1e-12):
-            failures.append(f"{tag}: b {dec.fitted_b!r} vs exhaustive {best!r}")
+        # The search minimizes b on the rim samples; refinement then raises it.
+        sampled_b = dec.fitted_b - dec.b_gap
+        if not sampled_b == pytest.approx(best, rel=1e-12):
+            failures.append(f"{tag}: sampled b {sampled_b!r} vs exhaustive {best!r}")
+        if dec.b_gap < 0.0:
+            failures.append(f"{tag}: refinement lowered b by {-dec.b_gap!r}")
     _report(6, "hoffman fit is clean and exhaustively optimal", failures)
 
 

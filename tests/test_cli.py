@@ -36,6 +36,18 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def interior_cells(resolution: int) -> int:
+    """Cells of the field's square grid that lie in |z| < 0.999."""
+    xs = np.linspace(-0.999, 0.999, resolution)
+    X, Y = np.meshgrid(xs, xs)
+    return int(np.sum(np.abs(X + 1j * Y) < 0.999))
+
+
+def field_rows(path) -> int:
+    """Data rows of a field CSV, below its header."""
+    return len(path.read_text().strip().splitlines()) - 1
+
+
 def assert_same_text(got: str, expected: str):
     """Byte equality, reporting the first differing line (a full diff is slow)."""
     pairs = zip(got.splitlines(keepends=True), expected.splitlines(keepends=True))
@@ -132,23 +144,33 @@ class TestRunConfig:
     def test_precedence_flags_over_file_over_defaults(self, tmp_path, pair_doc):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"grid_resolution": 64}))
-        out = tmp_path / "out.json"
+        out = tmp_path / "out.csv"
         code = run_cli([
-            "decompose", pair_doc, "--config", str(cfg_file),
+            "field", pair_doc, "--config", str(cfg_file),
             "--grid-resolution", "48", "--output", str(out),
         ])
         assert code == 0
-        assert read_json(out)["fit_grid_resolution"] == 48
+        assert field_rows(out) == interior_cells(48)
 
     def test_config_file_applies_without_flags(self, tmp_path, pair_doc):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"grid_resolution": 64}))
-        out = tmp_path / "out.json"
+        out = tmp_path / "out.csv"
         code = run_cli([
-            "decompose", pair_doc, "--config", str(cfg_file), "--output", str(out),
+            "field", pair_doc, "--config", str(cfg_file), "--output", str(out),
         ])
         assert code == 0
-        assert read_json(out)["fit_grid_resolution"] == 64
+        assert field_rows(out) == interior_cells(64)
+
+    def test_config_resolution_leaves_decompose_alone(self, tmp_path, pair_doc):
+        # A shared config file may set grid_resolution; only field reads it.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"grid_resolution": 64}))
+        outs = [tmp_path / "with.json", tmp_path / "without.json"]
+        assert run_cli(["decompose", pair_doc, "--config", str(cfg_file),
+                        "--output", str(outs[0])]) == 0
+        assert run_cli(["decompose", pair_doc, "--output", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, pair_doc):
         cfg_file = tmp_path / "cfg.json"
@@ -227,6 +249,18 @@ class TestDecompose:
         doc = write_document(tmp_path / "one.json", [0.5])
         assert run_cli(["decompose", str(doc)]) == 1
 
+    def test_reports_rim_fit_diagnostics(self, tmp_path, radial_doc):
+        out = tmp_path / "dec.json"
+        assert run_cli(["decompose", radial_doc, "--output", str(out)]) == 0
+        dec = read_json(out)
+        assert list(dec)[5:10] == ["fit_grid_size", "rim_samples", "worst_point",
+                                   "worst_rim", "b_gap"]
+        assert dec["rim_samples"] == 128
+        assert dec["fit_grid_size"] == 6 * 128  # disjoint disks at separation/2
+        assert dec["worst_rim"] in range(6)
+        assert dec["b_gap"] >= 0.0
+        assert "fit_grid_resolution" not in dec
+
     def test_reports_search_diagnostics(self, tmp_path, radial_doc):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["decompose", radial_doc, "--output", str(out1)]) == 0
@@ -278,6 +312,18 @@ class TestInterpolate:
     def test_mismatched_targets_usage_error(self, pair_doc):
         assert run_cli(["interpolate", pair_doc, "--targets", "0,1,2"]) == 64
 
+    @pytest.mark.parametrize("targets", ["-0.5,1", "-0.5+0.3j,1", "-.5j,1"])
+    def test_targets_may_open_with_a_minus_sign(self, tmp_path, pair_doc, targets):
+        # Both flag forms parse; argparse alone reads "-0.5+0.3j,1" as an option.
+        outs = [tmp_path / "separate.json", tmp_path / "joined.json"]
+        assert run_cli(["interpolate", pair_doc, "--targets", targets,
+                        "--output", str(outs[0])]) == 0
+        assert run_cli(["interpolate", pair_doc, f"--targets={targets}",
+                        "--output", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        sol = read_json(outs[0])
+        assert sol["max_abs_residual"] <= 1e-8 * sol["min_norm"]
+
     def test_unparseable_targets_usage_error(self, pair_doc):
         assert run_cli(["interpolate", pair_doc, "--targets", "0,spam"]) == 64
 
@@ -327,10 +373,7 @@ class TestInterpolate:
 class TestVerifyTheorem:
     def test_pair_passes(self, tmp_path, pair_doc):
         out = tmp_path / "chain.json"
-        code = run_cli([
-            "verify-theorem", pair_doc, "--grid-resolution", "64",
-            "--output", str(out),
-        ])
+        code = run_cli(["verify-theorem", pair_doc, "--output", str(out)])
         assert code == 0
         report = read_json(out)
         assert report["hypothesis_ok"] is True
@@ -339,10 +382,7 @@ class TestVerifyTheorem:
 
     def test_radial_exits_zero(self, tmp_path, radial_doc):
         out = tmp_path / "chain.json"
-        code = run_cli([
-            "verify-theorem", radial_doc, "--grid-resolution", "64",
-            "--output", str(out),
-        ])
+        code = run_cli(["verify-theorem", radial_doc, "--output", str(out)])
         assert code == 0
         assert read_json(out)["hard_steps_pass"] is True
 
@@ -350,17 +390,14 @@ class TestVerifyTheorem:
         gen = tmp_path / "ce.json"
         code = run_cli([
             "counterexample", "--pairs", "2", "--gap", "1e-7", "--ratio", "0.5",
-            "--grid-resolution", "64", "--output", str(gen),
+            "--output", str(gen),
         ])
         assert code == 0
         doc = read_json(gen)["runs"][0]["document"]
         points = tmp_path / "cepts.json"
         points.write_text(json.dumps(doc))
         out = tmp_path / "chain.json"
-        code = run_cli([
-            "verify-theorem", str(points), "--grid-resolution", "64",
-            "--output", str(out),
-        ])
+        code = run_cli(["verify-theorem", str(points), "--output", str(out)])
         assert code == 1
         report = read_json(out)
         assert report["hypothesis_ok"] is False
@@ -381,7 +418,7 @@ class TestVerifyTheorem:
 
     def test_determinism_byte_identical(self, tmp_path, radial_doc):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        argv = ["verify-theorem", radial_doc, "--grid-resolution", "64"]
+        argv = ["verify-theorem", radial_doc]
         assert run_cli(argv + ["--output", str(out1)]) == 0
         assert run_cli(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -392,7 +429,7 @@ class TestCounterexample:
         out = tmp_path / "ce.json"
         code = run_cli([
             "counterexample", "--pairs", "2", "--gap", "0.01", "--ratio", "0.5",
-            "--grid-resolution", "64", "--output", str(out),
+            "--output", str(out),
         ])
         assert code == 0
         runs = read_json(out)["runs"]
@@ -403,7 +440,7 @@ class TestCounterexample:
         out = tmp_path / "ce.json"
         code = run_cli([
             "counterexample", "--pairs", "2", "--gap", "0.01", "--ratio", "0.5",
-            "--grid-resolution", "64", "--output", str(out),
+            "--output", str(out),
         ])
         assert code == 0
         search = read_json(out)["runs"][0]["decomposition"]["search"]
@@ -414,7 +451,7 @@ class TestCounterexample:
         out = tmp_path / "ce.json"
         code = run_cli([
             "counterexample", "--pairs", "2", "--gap", "0.1", "0.01", "--ratio",
-            "0.5", "--grid-resolution", "64", "--output", str(out),
+            "0.5", "--output", str(out),
         ])
         assert code == 0
         runs = read_json(out)["runs"]
@@ -424,7 +461,7 @@ class TestCounterexample:
         out = tmp_path / "ce.json"
         code = run_cli([
             "counterexample", "--pairs", "2", "--gap", "0.2", "--ratio", "0.5",
-            "--grid-resolution", "64", "--output", str(out),
+            "--output", str(out),
         ])
         assert code == 0
         summary = read_json(out)["runs"][0]["summary"]
@@ -434,7 +471,7 @@ class TestCounterexample:
         out = tmp_path / "ce.json"
         run_cli([
             "counterexample", "--pairs", "3", "--gap", "0.05", "--ratio", "0.5",
-            "--grid-resolution", "64", "--output", str(out),
+            "--output", str(out),
         ])
         doc = read_json(out)["runs"][0]["document"]
         seq = cli.parse_point_document(doc)
@@ -443,7 +480,7 @@ class TestCounterexample:
     def test_guard_violation_is_domain_error(self, tmp_path):
         code = run_cli([
             "counterexample", "--pairs", "40", "--gap", "0.01", "--ratio", "0.5",
-            "--grid-resolution", "64", "--output", str(tmp_path / "x.json"),
+            "--output", str(tmp_path / "x.json"),
         ])
         assert code == 1
 
@@ -474,11 +511,7 @@ class TestField:
         doc = write_document(tmp_path / "zero.json", [0.0])
         out = tmp_path / "field.csv"
         run_cli(["field", str(doc), "--grid-resolution", "32", "--output", str(out)])
-        xs = np.linspace(-0.999, 0.999, 32)
-        X, Y = np.meshgrid(xs, xs)
-        expected = int(np.sum(np.abs(X + 1j * Y) < 0.999))
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 + expected
+        assert field_rows(out) == interior_cells(32)
 
     def test_split_products_multiply_back(self, tmp_path, pair_doc):
         # log|B0| + log|B1| = log|B| cell by cell on the shared grid.
@@ -515,7 +548,7 @@ class TestField:
         if which == "B":
             product = points
         else:
-            dec = corresponding_decomposition(PointSequence(tuple(points)), resolution)
+            dec = corresponding_decomposition(PointSequence(tuple(points)))
             product = dec.part_sequence(0 if which == "B0" else 1).points
         expected = oracles.field_csv(product, resolution)
         assert_same_text(out.read_text(), expected)
@@ -545,8 +578,14 @@ class TestUsageErrors:
         assert run_cli([command, pair_doc, "--boundary-grid", "64"]) == 64
         assert "--boundary-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify-theorem", "analyze", "decompose"])
+    def test_grid_resolution_flag_belongs_to_field(self, pair_doc, capsys, command):
+        # The split fit samples the disk rims; only field rasterizes a grid.
+        assert run_cli([command, pair_doc, "--grid-resolution", "64"]) == 64
+        assert "--grid-resolution" in capsys.readouterr().err
+
     def test_out_of_range_resolution_flag(self, pair_doc):
-        assert run_cli(["analyze", pair_doc, "--grid-resolution", "16"]) == 64
+        assert run_cli(["field", pair_doc, "--grid-resolution", "16"]) == 64
 
     def test_numerical_breakdown_exits_two(self, pair_doc, monkeypatch):
         def blow_up(args, cfg):
@@ -587,18 +626,18 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "20e1c76b1e4a79981f4a3923a03784047b6418594f45d04bad3ed5d6740f3ae2"),
+         "2240bbc972c8bd2536113ba0415b3ac972773650a8f89f0700abbb6be55857a9"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "f9369a67d970e8e52faed0dd1a764da6bf8938a100b8f2c8ab838a58195ba2c9"),
+         "018e70db3d8821480370adf63f6beb514dce4794cc03eb2ae555284af63d7f13"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
          "dccdae165be5eccf9529e518fd85c996d7868a085e2bcd117400416598ab7e0b"),
         ("interpolate", 24, 0.1, 5,
          ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
          "c0262ce466023d55d60b5ce9254869f427174a5888e37b8366474d71a8ab7f03"),
         ("decompose", 12, 0.1, 6, (),  # exhaustive search
-         "d6e716dff169edb348c0ff9cdd6d3e9a2cf9e12b2ca2a7fb2799b2ba006fc5ed"),
+         "8a17c2febbf9e1751541eccbe10268a6b0deac6078631837402cb2f07a763b70"),
         ("decompose", 20, 0.1, 7, (),  # local search
-         "72d4d1777cdc7e7e26cbec746dda0d9ef30187cac379c99abe7b62425c3c3e12"),
+         "abb5867a9a7f05ef2f116d00290faf7a46734f44cf2c9e0b9ff95b65020719d3"),
     ])
     def test_stdout_digest(self, tmp_path, capsys, command, count, sep, seed, extra, digest):
         doc = write_document(tmp_path / "in.json",
@@ -612,4 +651,4 @@ class TestPinnedOutput:
         assert run_cli(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2a7055687d8f97918b640c08b12194a714cc0507b31f2452fd0b612106860954")
+            "df2bce60d276d1dc5d40fcf9366fae8014f93f65d9e5a85f9d4b1e5979897090")

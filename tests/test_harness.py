@@ -112,7 +112,7 @@ class TestCounterexampleFamily:
 
     def test_small_family_structure(self):
         spec = CounterexampleSpec(num_pairs=2, gap=0.01, base_radial_ratio=0.5)
-        seq, dec = generate_counterexample(spec, grid_resolution=64)
+        seq, dec = generate_counterexample(spec)
         assert len(seq) == 4
         assert separation_constant(seq) <= 0.01
         assert carleson_constant(seq) <= 0.01
@@ -120,7 +120,7 @@ class TestCounterexampleFamily:
 
     def test_pairs_sit_at_gap(self):
         spec = CounterexampleSpec(num_pairs=3, gap=0.05, base_radial_ratio=0.5)
-        seq, _ = generate_counterexample(spec, grid_resolution=64)
+        seq, _ = generate_counterexample(spec)
         pts = seq.points
         for n in range(3):
             d = pseudohyperbolic_distance(pts[2 * n], pts[2 * n + 1])
@@ -128,7 +128,7 @@ class TestCounterexampleFamily:
 
     def test_parity_split(self):
         spec = CounterexampleSpec(num_pairs=3, gap=0.02, base_radial_ratio=0.5)
-        _, dec = generate_counterexample(spec, grid_resolution=64)
+        _, dec = generate_counterexample(spec)
         assert dec.part0 == (2, 3)
         assert dec.part1 == (0, 1, 4, 5)
 
@@ -144,13 +144,13 @@ class TestCounterexampleFamily:
     def test_boundary_guard_propagates(self):
         spec = CounterexampleSpec(num_pairs=40, gap=0.01, base_radial_ratio=0.5)
         with pytest.raises(BoundaryGuardError):
-            generate_counterexample(spec, grid_resolution=64)
+            generate_counterexample(spec)
 
     def test_norm_stays_bounded_as_gap_shrinks(self):
         norms = {}
         for gap in (0.1, 0.001):
             spec = CounterexampleSpec(num_pairs=2, gap=gap, base_radial_ratio=0.5)
-            _, dec = generate_counterexample(spec, grid_resolution=64)
+            _, dec = generate_counterexample(spec)
             norms[gap] = min_norm(zero_one_problem(dec))
         assert norms[0.001] <= 2 * norms[0.1]
 
@@ -158,7 +158,7 @@ class TestCounterexampleFamily:
 class TestZeroOneProblem:
     def make_dec(self, part0=(0,)):
         seq = PointSequence((0.0, 0.5))
-        return corresponding_decomposition(seq, 64), seq
+        return corresponding_decomposition(seq), seq
 
     def test_targets_zero_then_one(self):
         dec, seq = self.make_dec()
@@ -180,8 +180,8 @@ class TestZeroOneProblem:
             base=dec.base, part0=dec.part1, part1=dec.part0, delta=dec.delta,
             fitted_a=dec.fitted_a, fitted_b=dec.fitted_b,
             fit_grid_size=dec.fit_grid_size,
-            fit_grid_resolution=dec.fit_grid_resolution,
-            worst_point=dec.worst_point,
+            rim_samples=dec.rim_samples, worst_point=dec.worst_point,
+            worst_rim=dec.worst_rim, b_gap=dec.b_gap,
         )
         problem = zero_one_problem(swapped)
         combined = problem.targets[list(dec.part0)]
@@ -191,7 +191,7 @@ class TestZeroOneProblem:
 
 class TestVerifyTheoremChain:
     def test_two_point_worked_example(self):
-        report = verify_theorem_chain(PointSequence((0.0, 0.5)), 64)
+        report = verify_theorem_chain(PointSequence((0.0, 0.5)))
         assert report.hypothesis_ok
         assert report.delta == pytest.approx(0.25)
         assert report.c == pytest.approx(2.0, rel=2e-4)
@@ -203,7 +203,7 @@ class TestVerifyTheoremChain:
 
     def test_radial_chain_passes(self):
         seq = generate_radial(0.5, 6)
-        report = verify_theorem_chain(seq, 64)
+        report = verify_theorem_chain(seq)
         assert report.hypothesis_ok
         assert report.hard_steps_pass
         for row_c, row_f in zip(report.step_c, report.final):
@@ -212,7 +212,7 @@ class TestVerifyTheoremChain:
 
     def test_eta_is_reciprocal_and_carleson_matches(self):
         seq = generate_radial(0.5, 5)
-        report = verify_theorem_chain(seq, 64)
+        report = verify_theorem_chain(seq)
         assert report.eta == 1.0 / report.c
         assert report.eta_g == 1.0 / report.c_g
         assert report.carleson_direct == pytest.approx(
@@ -227,15 +227,15 @@ class TestVerifyTheoremChain:
             monkeypatch.setattr(module, "per_point_moduli",
                                 lambda seq: calls.append(seq) or compute(seq))
         seq = generate_radial(0.5, 5)
-        report = verify_theorem_chain(seq, 64)
+        report = verify_theorem_chain(seq)
         assert calls == [seq]
         assert report.carleson_direct == carleson_constant(seq)
         assert [row.value for row in report.final] == compute(seq).tolist()
 
     def test_non_separated_sequence_fails_hypothesis(self):
         spec = CounterexampleSpec(num_pairs=2, gap=1e-7, base_radial_ratio=0.5)
-        seq, _ = generate_counterexample(spec, grid_resolution=64)
-        report = verify_theorem_chain(seq, 64)
+        seq, _ = generate_counterexample(spec)
+        report = verify_theorem_chain(seq)
         assert not report.hypothesis_ok
         assert math.isnan(report.c)
         assert report.step_a == ()
@@ -243,11 +243,11 @@ class TestVerifyTheoremChain:
 
     def test_rejects_singleton(self):
         with pytest.raises(PointSetError):
-            verify_theorem_chain(PointSequence((0.5,)), 64)
+            verify_theorem_chain(PointSequence((0.5,)))
 
     def test_row_count_matches_parts(self):
         seq = generate_radial(0.4, 6)
-        report = verify_theorem_chain(seq, 64)
+        report = verify_theorem_chain(seq)
         assert len(report.step_a) + len(report.step_b) == len(seq)
         assert len(report.step_c) == len(seq)
         assert len(report.final) == len(seq)
@@ -256,7 +256,7 @@ class TestVerifyTheoremChain:
         # The zero/one norm never beats the explicit weak-family combination.
         for ratio, n in ((0.3, 5), (0.5, 6), (0.7, 5)):
             seq = generate_radial(ratio, n)
-            problem = zero_one_problem(corresponding_decomposition(seq, 64))
+            problem = zero_one_problem(corresponding_decomposition(seq))
             assert min_norm(problem) <= norm_upper_bound(problem) * (1 + 1e-12)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -273,8 +273,8 @@ class TestVerifyTheoremChain:
         # Steps A-C are column sums of two factor matrices; each row must
         # agree with the scalar product it stands for.
         seq = generate_separated_random(n, 0.1, seed)
-        report = verify_theorem_chain(seq, 64)
-        dec = corresponding_decomposition(seq, 64)
+        report = verify_theorem_chain(seq)
+        dec = corresponding_decomposition(seq)
         parts = (dec.part_sequence(0), dec.part_sequence(1))
         expected_a = [abs(blaschke_eval(parts[0], pt)) for pt in parts[1].points]
         expected_b = [abs(blaschke_eval(parts[1], pt)) for pt in parts[0].points]
@@ -328,7 +328,7 @@ class TestOneDistanceSweep:
     def test_verify_theorem_chain(self, sweeps):
         points = generate_separated_random(10, 0.1, 1).points
         sweeps.update(distance=0, sequence=0)
-        report = verify_theorem_chain(PointSequence(points), 64)
+        report = verify_theorem_chain(PointSequence(points))
         assert report.hard_steps_pass
         assert sweeps == {"distance": 1, "sequence": 1}
 
@@ -336,7 +336,7 @@ class TestOneDistanceSweep:
     def test_cli(self, sweeps, tmp_path, command):
         doc = write_document(tmp_path / "in.json", generate_separated_random(10, 0.1, 1).points)
         sweeps.update(distance=0, sequence=0)
-        assert run_cli([command, doc, "--grid-resolution", "64"]) == 0
+        assert run_cli([command, doc]) == 0
         assert sweeps == {"distance": 1, "sequence": 1}
 
 
@@ -392,9 +392,9 @@ class TestChainNormBound:
         monkeypatch.setattr(harness, "solve_pick", outside)
         seq = generate_separated_random(10, 0.1, 1)
         with pytest.raises(NumericalError, match="feasibility margin -1.000e-10"):
-            verify_theorem_chain(seq, 64)
+            verify_theorem_chain(seq)
         doc = write_document(tmp_path / "in.json", seq.points)
-        assert run_cli(["verify-theorem", doc, "--grid-resolution", "64"]) == 2
+        assert run_cli(["verify-theorem", doc]) == 2
 
     @pytest.mark.parametrize("via_cli", [False, True])
     def test_one_interpolant_eval_per_chain(self, monkeypatch, tmp_path, via_cli):
@@ -408,29 +408,29 @@ class TestChainNormBound:
         points = generate_separated_random(10, 0.1, 1).points
         if via_cli:
             doc = write_document(tmp_path / "in.json", points)
-            assert run_cli(["verify-theorem", doc, "--grid-resolution", "64"]) == 0
+            assert run_cli(["verify-theorem", doc]) == 0
         else:
-            assert verify_theorem_chain(PointSequence(points), 64).hard_steps_pass
+            assert verify_theorem_chain(PointSequence(points)).hard_steps_pass
         assert sizes == [10]
 
 
 class TestRemarkTwoFunctions:
     def test_pair_values(self):
-        dec = corresponding_decomposition(PointSequence((0.0, 0.5)), 64)
+        dec = corresponding_decomposition(PointSequence((0.0, 0.5)))
         eta1, eta2 = remark_two_functions_check(dec)
         assert eta1 == pytest.approx(0.5, abs=1e-12)
         assert eta2 == pytest.approx(0.5, abs=1e-12)
 
     def test_eta1_dominates_chain_eta(self):
         seq = generate_radial(0.5, 4)
-        report = verify_theorem_chain(seq, 64)
-        dec = corresponding_decomposition(seq, 64)
+        report = verify_theorem_chain(seq)
+        dec = corresponding_decomposition(seq)
         eta1, _ = remark_two_functions_check(dec)
         assert eta1 >= report.eta * (1 - 1e-6)
 
     def test_mirror_symmetric_parts(self):
         from diskinterp import decompose
 
-        dec = decompose(PointSequence((0.5, -0.5)), 0.25, 64)
+        dec = decompose(PointSequence((0.5, -0.5)), 0.25)
         eta1, eta2 = remark_two_functions_check(dec)
         assert eta1 == pytest.approx(eta2, abs=1e-15)

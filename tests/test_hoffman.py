@@ -1,6 +1,7 @@
-"""Unit tests for exclusion grids, sandwich fits, and decompositions."""
+"""Unit tests for exclusion-disk rims, sandwich fits, and decompositions."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from conftest import make_sequence
 from diskinterp import (
     CounterexampleSpec,
     Decomposition,
-    EmptyGridError,
     PointSequence,
     PointSetError,
     blaschke_log_modulus,
@@ -19,88 +19,129 @@ from diskinterp import (
     decompose,
     exclusion_grid,
     generate_counterexample,
+    generate_radial,
     generate_separated_random,
     pseudohyperbolic_distance,
+    sample_pseudo_circle,
     separation_constant,
 )
 from diskinterp import blaschke, hoffman
 from diskinterp.hoffman import _fit_logs, _search_exhaustive, _search_local
 
 
-def sandwich_violations(dec: Decomposition) -> int:
-    """Count grid points where the fitted sandwich fails, in the fit's own form."""
-    grid = exclusion_grid(dec.base, dec.delta, dec.fit_grid_resolution)
-    L0 = blaschke_log_modulus(dec.part_sequence(0), grid.points)
-    L1 = blaschke_log_modulus(dec.part_sequence(1), grid.points)
+@dataclass(frozen=True)
+class PointGrid:
+    """Bare points, with the ``points`` and ``len()`` that ``comparability_fit`` reads."""
+
+    points: np.ndarray
+
+    def __len__(self) -> int:
+        return self.points.size
+
+
+def cartesian_grid(seq: PointSequence, delta: float, resolution: int) -> PointGrid:
+    """The independent Cartesian grid inside Omega, from the distance-matrix oracle."""
+    return PointGrid(oracles.exclusion_points(seq.points, delta, resolution))
+
+
+def sandwich_violations(dec: Decomposition, resolution: int = 128) -> int:
+    """Count points of an independent grid inside Omega where the fitted sandwich fails."""
+    points = cartesian_grid(dec.base, dec.delta, resolution).points
+    L0 = blaschke_log_modulus(dec.part_sequence(0), points)
+    L1 = blaschke_log_modulus(dec.part_sequence(1), points)
     a, b = dec.fitted_a, dec.fitted_b
     lower_ok = a <= np.exp(L1 - L0 / b)
     upper_ok = a <= np.exp(b * L0 - L1)
     return int(np.sum(~lower_ok) + np.sum(~upper_ok))
 
 
+def sampled_b(dec: Decomposition) -> float:
+    """The b of the rim samples alone, before refinement."""
+    return dec.fitted_b - dec.b_gap
+
+
 class TestExclusionGrid:
     def test_origin_disk_is_removed(self):
-        grid = exclusion_grid(PointSequence((0.0,)), 0.5, 64)
-        assert len(grid) > 0
-        assert np.min(np.abs(grid.points)) >= 0.5
+        grid = exclusion_grid(PointSequence((0.0,)), 0.5)
+        assert len(grid) == hoffman._RIM_SAMPLES
+        assert np.allclose(np.abs(grid.points), 0.5, rtol=0, atol=1e-15)
 
     def test_all_points_clear_every_disk(self, rng):
         seq = make_sequence(rng, 5)
-        grid = exclusion_grid(seq, 0.2, 64)
+        grid = exclusion_grid(seq, 0.2)
         dist = pseudohyperbolic_distance(
             grid.points[None, :], seq.points[:, None]
         )
+        columns = np.arange(len(grid))
+        assert np.allclose(dist[grid.rim, columns], 0.2, rtol=0, atol=1e-10)
+        dist[grid.rim, columns] = np.inf
         assert np.min(dist) >= 0.2
 
-    def test_large_delta_empties_grid(self):
-        with pytest.raises(EmptyGridError):
-            exclusion_grid(PointSequence((0.0,)), 0.999, 32)
-
-    def test_rejects_small_resolution(self):
-        with pytest.raises(ValueError):
-            exclusion_grid(PointSequence((0.0,)), 0.5, 16)
+    def test_large_delta_keeps_the_rightmost_rim_sample(self):
+        # No other open disk contains the first sample (the point of largest
+        # real part) of the rim that reaches furthest right, so no delta
+        # empties the samples, even one that swallows every point.
+        for points in ((0.0,), (0.0, 0.05), (0.1, -0.1, 0.1j)):
+            seq = PointSequence(points)
+            for delta in (0.9, 0.999):
+                firsts = [sample_pseudo_circle(lam, delta, 1)[0] for lam in seq.points]
+                assert max(firsts, key=lambda z: z.real) in exclusion_grid(seq, delta).points
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            exclusion_grid(PointSequence((0.0,)), 1.5, 64)
+            exclusion_grid(PointSequence((0.0,)), 1.5)
 
     def test_deterministic(self):
         seq = PointSequence((0.1, -0.4j, 0.3 + 0.3j))
-        g1 = exclusion_grid(seq, 0.15, 48)
-        g2 = exclusion_grid(seq, 0.15, 48)
+        g1 = exclusion_grid(seq, 0.15)
+        g2 = exclusion_grid(seq, 0.15)
         assert np.array_equal(g1.points, g2.points)
+        assert np.array_equal(g1.factors, g2.factors)
 
 
-def assert_grid_matches_oracle(seq: PointSequence, delta: float, resolution: int):
-    grid = exclusion_grid(seq, delta, resolution)
-    assert np.array_equal(
-        grid.points, oracles.exclusion_points(seq.points, delta, resolution)
-    )
+def assert_grid_matches_oracle(seq: PointSequence, delta: float):
+    grid = exclusion_grid(seq, delta)
+    points, rim = oracles.exclusion_rims(seq.points, delta, hoffman._RIM_SAMPLES)
+    assert np.array_equal(grid.points, points)
+    assert np.array_equal(grid.rim, rim)
     assert np.array_equal(grid.factors, blaschke.log_factors(seq.points, grid.points))
     return grid
 
 
 class TestExclusionGridAgainstOracle:
-    """The factor-matrix test keeps exactly the distance-matrix filter's points."""
+    """The factor-matrix test keeps exactly the distance-matrix filter's samples."""
 
     @pytest.mark.parametrize("resolution", [32, 97, 128])
     @pytest.mark.parametrize("count, seed", [(2, 1), (5, 2), (10, 3), (17, 4), (32, 5)])
     def test_seeded_sequences(self, count, seed, resolution):
         seq = generate_separated_random(count, 0.1, seed)
-        for delta in (separation_constant(seq) / 2, 0.05, 0.3):
-            assert_grid_matches_oracle(seq, delta, resolution)
+        half = separation_constant(seq) / 2
+        for delta in (half, 0.05, 0.3):
+            grid = assert_grid_matches_oracle(seq, delta)
+            if delta <= half:  # disjoint disks: every sample is kept
+                assert len(grid) == count * hoffman._RIM_SAMPLES
+        # The rim fit holds on an independent Cartesian grid of this
+        # resolution inside Omega: the minimum principle.
+        assert sandwich_violations(corresponding_decomposition(seq), resolution) == 0
 
     @pytest.mark.parametrize("points, delta", [((0.0,), 0.5), ((0.05, -0.03j), 0.6)])
     def test_widened_square(self, points, delta):
+        # These disks swallowed the square max|lam| + 0.05 that the old
+        # Cartesian fit sampled, which then had to be widened; the rims
+        # reach past it with no such step.
         seq = PointSequence(points)
-        grid = assert_grid_matches_oracle(seq, delta, 64)
+        grid = assert_grid_matches_oracle(seq, delta)
         assert np.max(np.abs(grid.points)) > np.max(np.abs(seq.points)) + 0.05
 
     @pytest.mark.parametrize("pairs, gap, ratio", [(2, 0.1, 0.5), (4, 0.01, 0.5),
                                                    (6, 0.001, 0.7)])
     def test_counterexample_family(self, pairs, gap, ratio):
+        # delta = 2 gap is above half the separation, so the disks of a
+        # pair overlap and each drops the other's samples.
         seq, dec = generate_counterexample(CounterexampleSpec(pairs, gap, ratio))
-        assert_grid_matches_oracle(seq, dec.delta, dec.fit_grid_resolution)
+        grid = assert_grid_matches_oracle(seq, dec.delta)
+        assert 0 < len(grid) < len(seq) * hoffman._RIM_SAMPLES
+        assert dec.fit_grid_size == len(grid)
 
 
 class TestComparabilityFit:
@@ -114,7 +155,7 @@ class TestComparabilityFit:
 
     def test_singleton_parts_fit_is_finite(self):
         base = PointSequence((0.0, 0.5))
-        grid = exclusion_grid(base, 0.2, 64)
+        grid = exclusion_grid(base, 0.2)
         a, b, worst = comparability_fit(
             PointSequence((0.0,)), PointSequence((0.5,)), grid
         )
@@ -126,12 +167,12 @@ class TestComparabilityFit:
     def test_refit_has_zero_violations(self, rng):
         for _ in range(5):
             seq = make_sequence(rng, 6, min_sep=0.15)
-            dec = decompose(seq, separation_constant(seq) / 2, 64)
-            assert sandwich_violations(dec) == 0
+            dec = decompose(seq, separation_constant(seq) / 2)
+            assert sandwich_violations(dec, 64) == 0
 
     def test_matches_direct_formula(self):
         base = PointSequence((0.2, -0.3, 0.4j))
-        grid = exclusion_grid(base, 0.1, 48)
+        grid = exclusion_grid(base, 0.1)
         part0, part1 = PointSequence((0.2,)), PointSequence((-0.3, 0.4j))
         a, b, _ = comparability_fit(part0, part1, grid)
         rows = oracles.log_moduli_rows([0.2, -0.3, 0.4j], grid.points)
@@ -142,7 +183,7 @@ class TestComparabilityFit:
     def test_swap_symmetry(self, rng):
         for _ in range(5):
             seq = make_sequence(rng, 5, min_sep=0.15)
-            grid = exclusion_grid(seq, 0.1, 48)
+            grid = exclusion_grid(seq, 0.1)
             k = len(seq) // 2
             p0 = PointSequence(seq.points[:k])
             p1 = PointSequence(seq.points[k:])
@@ -156,8 +197,8 @@ class TestComparabilityFit:
         # only grow and the min defining a can only shrink.
         seq = PointSequence((0.3, -0.2 + 0.4j, -0.5))
         p0, p1 = PointSequence((0.3,)), PointSequence((-0.2 + 0.4j, -0.5))
-        coarse = exclusion_grid(seq, 0.1, 65)
-        fine = exclusion_grid(seq, 0.1, 129)
+        coarse = cartesian_grid(seq, 0.1, 65)
+        fine = cartesian_grid(seq, 0.1, 129)
         assert len(set(np.round(coarse.points, 12)) - set(np.round(fine.points, 12))) == 0
         a_c, b_c, _ = comparability_fit(p0, p1, coarse)
         a_f, b_f, _ = comparability_fit(p0, p1, fine)
@@ -167,7 +208,7 @@ class TestComparabilityFit:
 
 class TestDecompose:
     def test_two_points_split_across_parts(self):
-        dec = decompose(PointSequence((0.5, -0.5)), 0.25, 64)
+        dec = decompose(PointSequence((0.5, -0.5)), 0.25)
         assert dec.part0 == (0,)
         assert dec.part1 == (1,)
 
@@ -175,25 +216,25 @@ class TestDecompose:
         pts = tuple(1.0 - 2.0 ** -n for n in range(1, 7))
         seq = PointSequence(pts)
         delta = separation_constant(seq) / 2
-        dec = decompose(seq, delta, 64)
-        grid = exclusion_grid(seq, delta, 64)
+        dec = decompose(seq, delta)
+        grid = exclusion_grid(seq, delta)
         _, b_halves, _ = comparability_fit(
             PointSequence(pts[:3]), PointSequence(pts[3:]), grid
         )
-        assert dec.fitted_b <= b_halves * (1 + 1e-12)
+        assert sampled_b(dec) <= b_halves * (1 + 1e-12)
 
     def test_parts_nonempty_and_partition(self, rng):
         for _ in range(5):
             seq = make_sequence(rng, 6, min_sep=0.15)
-            dec = decompose(seq, 0.1, 64)
+            dec = decompose(seq, 0.1)
             assert dec.part0 and dec.part1
             assert sorted(dec.part0 + dec.part1) == list(range(len(seq)))
 
     def test_exhaustive_optimality_small(self, rng):
         for count in (4, 5):
             seq = make_sequence(rng, count, min_sep=0.2)
-            dec = decompose(seq, 0.1, 48)
-            grid = exclusion_grid(seq, 0.1, 48)
+            dec = decompose(seq, 0.1)
+            grid = exclusion_grid(seq, 0.1)
             best = np.inf
             for k in range(1, count):
                 for comb in itertools.combinations(range(1, count), k - 1):
@@ -207,28 +248,28 @@ class TestDecompose:
                         grid,
                     )
                     best = min(best, b)
-            assert dec.fitted_b == pytest.approx(best, rel=1e-12)
+            assert sampled_b(dec) == pytest.approx(best, rel=1e-12)
 
     def test_local_search_beyond_exhaustive_limit(self, rng):
         seq = make_sequence(rng, 18, min_sep=0.12)
-        dec = decompose(seq, 0.05, 48)
+        dec = decompose(seq, 0.05)
         assert dec.part0 and dec.part1
         assert np.isfinite(dec.fitted_b)
-        assert sandwich_violations(dec) == 0
+        assert sandwich_violations(dec, 64) == 0
         assert dec.search == "local"
         assert dec.masks_enumerated > 18
         assert 0 < dec.masks_evaluated <= dec.masks_enumerated
 
     def test_records_exhaustive_search(self):
         seq = generate_separated_random(12, 0.1, 5)
-        dec = corresponding_decomposition(seq, 128)
+        dec = corresponding_decomposition(seq)
         assert dec.search == "exhaustive"
         assert dec.masks_enumerated == 2 ** 11 - 1
         assert 0 < dec.masks_evaluated < dec.masks_enumerated
 
     def test_rejects_singleton(self):
         with pytest.raises(PointSetError):
-            decompose(PointSequence((0.5,)), 0.2, 64)
+            decompose(PointSequence((0.5,)), 0.2)
 
     @pytest.mark.parametrize("count, search, part0", [
         pytest.param(10, "exhaustive", None, id="10-exhaustive"),
@@ -239,16 +280,21 @@ class TestDecompose:
     def test_fit_equals_comparability_fit(self, count, search, part0):
         seq = generate_separated_random(count, 0.1, 1)
         delta = separation_constant(seq) / 2
-        dec = decompose(seq, delta, 128, part0=part0)
+        dec = decompose(seq, delta, part0=part0)
         assert dec.search == search
         if part0 is not None:
             # The declared orientation is kept, even without index 0.
             assert dec.part0 == tuple(sorted(part0))
             assert (dec.masks_enumerated, dec.masks_evaluated) == (0, 0)
-        fit = comparability_fit(
-            dec.part_sequence(0), dec.part_sequence(1), exclusion_grid(seq, delta, 128)
-        )
-        assert (dec.fitted_a, dec.fitted_b, dec.worst_point) == fit
+        grid = exclusion_grid(seq, delta)
+        a, b, worst = comparability_fit(dec.part_sequence(0), dec.part_sequence(1), grid)
+        # The sampled fit is the reference fit exactly; refinement only
+        # raises b, which lowers a, on the rim of the sample attaining b.
+        assert sampled_b(dec) == b
+        assert dec.b_gap >= 0.0 and dec.fitted_a <= a
+        assert grid.rim[np.flatnonzero(grid.points == worst)[0]] == dec.worst_rim
+        rho = pseudohyperbolic_distance(dec.worst_point, seq.points[dec.worst_rim])
+        assert rho == pytest.approx(delta, abs=1e-10)
 
     @pytest.mark.parametrize("part0", [(), tuple(range(6)), (1, 1, 2), (0, 6), (-1, 2),
                                        (0.0, 1.0), (True,), [[0, 1]]],
@@ -261,24 +307,82 @@ class TestDecompose:
         monkeypatch.setattr(hoffman, "exclusion_grid", no_grid)
         seq = generate_separated_random(6, 0.1, 1)
         with pytest.raises(PointSetError, match="part0"):
-            decompose(seq, 0.05, 64, part0=part0)
+            decompose(seq, 0.05, part0=part0)
 
     def test_fits_from_the_search_matrix(self, counted_calls):
-        # One log_factors matrix over the grid serves both the search and
-        # the fit of the winner; nothing evaluates the parts again.
+        # One log_factors matrix over the rim samples serves both the search
+        # and the fit of the winner; nothing evaluates the parts again.
         seq = generate_separated_random(10, 0.1, 1)
-        decompose(seq, separation_constant(seq) / 2, 128)
+        decompose(seq, separation_constant(seq) / 2)
         assert counted_calls == {"log_factors": 1}
 
-    def test_propagates_empty_grid(self):
-        with pytest.raises(EmptyGridError):
-            decompose(PointSequence((0.0, 0.05)), 0.999, 32)
+    def test_large_declared_delta_still_fits(self):
+        # delta 0.999 swallows both points and most of each other's rim,
+        # and the samples left still fit a valid sandwich.
+        dec = decompose(PointSequence((0.0, 0.05)), 0.999)
+        assert 0 < dec.fit_grid_size < 2 * dec.rim_samples
+        assert 0.0 < dec.fitted_a <= 1.0 and 1.0 <= dec.fitted_b < np.inf
+
+
+# The five inputs (n, separation, seed) of the grid-against-rim comparison.
+GRID_TABLE = [(10, 0.2, 2), (10, 0.2, 6), (16, 0.1, 1), (20, 0.1, 1), (32, 0.1, 3)]
+
+
+# The radial families of the acceptance gate and random inputs, n = 8..14.
+MINIMUM_PRINCIPLE_INPUTS = (
+    [pytest.param(generate_radial(r, c), id=f"radial-{r}-{c}")
+     for r in (0.3, 0.5, 0.7) for c in (4, 6, 8)]
+    + [pytest.param(generate_separated_random(n, 0.1, s), id=f"random-{n}-{s}")
+       for n in range(8, 15) for s in (1, 2)]
+)
+
+
+class TestRimFit:
+    @pytest.mark.parametrize("seq", MINIMUM_PRINCIPLE_INPUTS)
+    def test_minimum_principle_on_independent_grid(self, seq):
+        # L1 - b L0 and L0 - b L1 are harmonic on Omega and vanish on the
+        # circle, so constants fitted on the rims hold at every interior point.
+        dec = corresponding_decomposition(seq)
+        assert sandwich_violations(dec, 256) == 0
+
+    @pytest.mark.parametrize("count, sep, seed", GRID_TABLE)
+    def test_rim_b_not_below_grid_b(self, count, sep, seed):
+        # The Cartesian grid samples Omega's interior, where the ratio
+        # stays below its max on the rims; for these splits it reads b
+        # low by 1.4-9.2 %.
+        seq = generate_separated_random(count, sep, seed)
+        dec = corresponding_decomposition(seq)
+        _, grid_b, _ = comparability_fit(dec.part_sequence(0), dec.part_sequence(1),
+                                         cartesian_grid(seq, dec.delta, 128))
+        assert sampled_b(dec) >= grid_b
+        assert dec.fitted_b >= sampled_b(dec)
+
+    @pytest.mark.parametrize("count, sep, seed", GRID_TABLE)
+    def test_refinement_raises_b_and_lowers_a(self, count, sep, seed):
+        seq = generate_separated_random(count, sep, seed)
+        dec = corresponding_decomposition(seq)
+        a, b, _ = comparability_fit(dec.part_sequence(0), dec.part_sequence(1),
+                                    exclusion_grid(seq, dec.delta))
+        assert dec.b_gap >= 0.0
+        assert dec.fitted_b >= b
+        assert dec.fitted_a <= a <= 1.0
+        assert dec.b_gap <= 1e-3 * dec.fitted_b
+
+    @pytest.mark.parametrize("count, seed", [(4, 1), (6, 2), (8, 3), (10, 4), (10, 5)])
+    def test_exhaustive_rim_search_matches_oracle(self, count, seed):
+        seq = generate_separated_random(count, 0.1, seed)
+        dec = corresponding_decomposition(seq)
+        rows = oracles.log_moduli_rows(seq.points, exclusion_grid(seq, dec.delta).points)
+        _, b, part0 = oracles.best_partition(rows)
+        assert dec.search == "exhaustive"
+        assert dec.part0 == part0
+        assert sampled_b(dec) == pytest.approx(b, rel=1e-12)
 
 
 def oracle_rows(count: int, seed: int) -> np.ndarray:
-    """Oracle log-moduli of a seeded sequence on a coarse exclusion grid."""
+    """Oracle log-moduli of a seeded sequence on a coarse Cartesian grid inside Omega."""
     seq = generate_separated_random(count, 0.1, seed)
-    grid = exclusion_grid(seq, separation_constant(seq) / 2, 32)
+    grid = cartesian_grid(seq, separation_constant(seq) / 2, 32)
     return oracles.log_moduli_rows(seq.points, grid.points)
 
 
@@ -330,7 +434,7 @@ class TestLocalSearchAgainstOracle:
         # The plain search fully fits every move from its full row sum; the
         # pruned one must find the same split after trying the same moves.
         seq = generate_separated_random(count, 0.1, count % 5 + 1)
-        LM = exclusion_grid(seq, separation_constant(seq) / 2, 128).factors
+        LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
         mask, tried, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
         part0, plain_tried = oracles.local_search(LM, seq.points)
         assert tuple(np.flatnonzero(mask).tolist()) == part0
@@ -341,22 +445,22 @@ class TestLocalSearchAgainstOracle:
 class TestCorrespondingDecomposition:
     def test_singleton_is_refused_by_decompose(self):
         # A singleton's separation is 1, so the split is asked at delta 0.5
-        # and decompose refuses it before any grid is built.
+        # and decompose refuses it before any rim is sampled.
         with pytest.raises(PointSetError, match="at least two points"):
-            corresponding_decomposition(PointSequence((0.5,)), 64)
+            corresponding_decomposition(PointSequence((0.5,)))
 
     def test_pair_delta(self):
-        dec = corresponding_decomposition(PointSequence((0.0, 0.5)), 64)
+        dec = corresponding_decomposition(PointSequence((0.0, 0.5)))
         assert dec.delta == pytest.approx(0.25)
 
     def test_triple_delta(self):
-        dec = corresponding_decomposition(PointSequence((0.0, 0.5, -0.5)), 64)
+        dec = corresponding_decomposition(PointSequence((0.0, 0.5, -0.5)))
         assert dec.delta == pytest.approx(0.25)
 
     def test_delta_is_half_separation(self, rng):
         for _ in range(5):
             seq = make_sequence(rng, 5, min_sep=0.15)
-            dec = corresponding_decomposition(seq, 64)
+            dec = corresponding_decomposition(seq)
             assert dec.delta == pytest.approx(
                 separation_constant(seq) / 2, abs=1e-12
             )
@@ -369,7 +473,7 @@ class TestDecompositionType:
             Decomposition(
                 base=base, part0=(0, 1), part1=(), delta=0.2,
                 fitted_a=0.5, fitted_b=2.0, fit_grid_size=10,
-                fit_grid_resolution=32, worst_point=0.0,
+                rim_samples=128, worst_point=0.0, worst_rim=0, b_gap=0.0,
             )
 
     def test_rejects_overlap(self):
@@ -378,7 +482,7 @@ class TestDecompositionType:
             Decomposition(
                 base=base, part0=(0, 1), part1=(1,), delta=0.2,
                 fitted_a=0.5, fitted_b=2.0, fit_grid_size=10,
-                fit_grid_resolution=32, worst_point=0.0,
+                rim_samples=128, worst_point=0.0, worst_rim=0, b_gap=0.0,
             )
 
     def test_indices_are_normalized_to_base_order(self):
@@ -386,7 +490,7 @@ class TestDecompositionType:
         dec = Decomposition(
             base=base, part0=(2, 0), part1=(1,), delta=0.05,
             fitted_a=0.5, fitted_b=2.0, fit_grid_size=10,
-            fit_grid_resolution=32, worst_point=0.0,
+            rim_samples=128, worst_point=0.0, worst_rim=0, b_gap=0.0,
         )
         assert dec.part0 == (0, 2)
         assert np.allclose(dec.part_sequence(0).points, [0.1, 0.3])
