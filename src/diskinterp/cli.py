@@ -104,8 +104,12 @@ class RunConfig:
             raise UsageError(
                 f"boundary_grid must lie in [32, 4096], got {self.boundary_grid}"
             )
-        if not self.bisect_rel_tol > 0:  # NaN too, which JSON configs can hold
-            raise UsageError("bisect_rel_tol must be positive")
+        # NaN fails too, which a flag or a JSON config can hold; a tolerance
+        # of 1 or more would stop the norm search after its first pass.
+        if not 0 < self.bisect_rel_tol < 1:
+            raise UsageError(
+                f"bisect_rel_tol must lie in (0, 1), got {self.bisect_rel_tol!r}"
+            )
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:

@@ -121,6 +121,17 @@ class TestRunConfig:
         with pytest.raises(cli.UsageError):
             cli.RunConfig(bisect_rel_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [1.0, 64.0, math.nan])
+    def test_tolerance_outside_unit_interval_exits_64(self, tmp_path, pair_doc, capsys, tol):
+        # At 1 or more the norm search stopped after its first pass.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"bisect_rel_tol": tol}))
+        for extra in (["--bisect-rel-tol", repr(tol)], ["--config", str(cfg_file)]):
+            assert run_cli(["interpolate", pair_doc, "--targets", "0,1", *extra]) == 64
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "bisect_rel_tol must lie in (0, 1)" in err
+
     @pytest.mark.parametrize("key, value", [
         ("grid_resolution", 64.0), ("grid_resolution", True), ("grid_resolution", "64"),
         ("boundary_grid", 300.5), ("boundary_grid", False),
