@@ -128,8 +128,9 @@ class CounterexampleSpec:
     def __post_init__(self):
         if self.num_pairs < 2:
             raise ValueError(f"num_pairs must be at least 2, got {self.num_pairs}")
-        if not 0.0 < self.gap < 1.0:
-            raise ValueError(f"gap must lie in (0, 1), got {self.gap!r}")
+        # The split is fitted at delta = 2 * gap, which must lie in (0, 1).
+        if not 0.0 < self.gap < 0.5:
+            raise ValueError(f"gap must lie in (0, 0.5), got {self.gap!r}")
         if not 0.0 < self.base_radial_ratio < 1.0:
             raise ValueError(
                 f"base_radial_ratio must lie in (0, 1), got {self.base_radial_ratio!r}"

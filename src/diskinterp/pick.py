@@ -15,31 +15,32 @@ solution, evaluable on the closed disk with |f| <= M by construction.
 
 The k-section returns the upper end of the first nested grid cell that
 is narrower than its tolerance, so its answer depends only on which cell
-of each grid holds the threshold.  ``min_norm`` lets the reduction skip
-levels.  Before any reduction it estimates the threshold in closed form:
-A(M) = M^2 C - W C W* with C the Szego Gram matrix of the nodes and W =
+of each grid holds the threshold.  ``min_norm`` runs it as one loop that
+reads each level's cell off a table of the trials tested so far, and
+runs a reduction only for a level the table does not decide.  That
+reduction tests the ends of every nested cell a guide predicts, and the
+interior grid of the deepest, so one reduction can decide many levels.
+The first is guided by a closed-form estimate of the threshold: A(M) =
+M^2 C - W C W* with C the Szego Gram matrix of the nodes and W =
 diag(w), so the minimal norm is the square root of the top eigenvalue
-of C^-1 W C W* (Pick's theorem).  The first reduction then tests the
-first pass's trials together with the ends of every nested cell the
-estimate predicts, and the interior grid of the deepest.  Later passes
-estimate the threshold from the tested rows instead: the parameter that
-leaves the disk just below it is a smooth function of M, so
-interpolating its modulus estimates where it crosses the circle.  A
-predicted cell counts only if its lower end tests infeasible and its
-upper end feasible, which for a predicate monotone in M singles out the
-cell the blind search keeps.  So the search returns the blind search's
-float, and a wrong or skipped estimate costs a pass, never the answer.
-On the separated random inputs of the benchmark (n = 8 to 64) it takes
-1.2 reductions on average and never more than 2, against 4.7 with the
-row interpolation alone and 8 for the blind search.
+of C^-1 W C W* (Pick's theorem).  Later ones are guided by the tested
+rows: the parameter that leaves the disk just below the threshold is a
+smooth function of M, so interpolating its modulus estimates where it
+crosses the circle.  A reduction that leaves its level undecided makes
+the next one test that level's whole grid, so a level costs at most two
+reductions, and a wrong or skipped guide costs a reduction, never the
+answer: the search returns the blind search's float.  On the separated
+random inputs of the benchmark (n = 8 to 64, seeds 1, 2, 3 and 7919) it
+takes 1.2 reductions on average and at most 3, against 8 for the blind
+search.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,10 +59,8 @@ BISECT_REL_TOL = 1e-8
 # Recursion parameters may exceed the closed disk by at most this much.
 _PARAM_TOL = 1e-9
 
-# Trial norms of a blind pass of the norm search: the first grid, and the
-# interior of the 17-point grid over a bracket.  A guided pass tests the
-# 2 ends of each predicted cell, these for the deepest one, and after a
-# pass that confirmed no level, these for its bracket as well.
+# Trial norms of the norm search's first level, and the interior points of
+# the 17-point grid of each later level.
 _TRIALS = 15
 
 # The norm search predicts a level only where the root estimate r, give or
@@ -214,10 +213,12 @@ def norm_upper_bound(problem: PickProblem) -> float:
     """sum_j |w_j| / |B_j(lam_j)|, a guaranteed-feasible norm bound.
 
     This is the triangle-inequality norm of the explicit interpolant
-    sum_j w_j B_j / B_j(lam_j).
+    sum_j w_j B_j / B_j(lam_j).  It is inf where the sum overflows, which
+    :func:`min_norm` reports.
     """
     w = np.abs(problem.targets)
-    return float(np.sum(w / problem._moduli))
+    with np.errstate(over="ignore"):
+        return float(np.sum(w / problem._moduli))
 
 
 def _norm_estimate(problem: PickProblem) -> float | None:
@@ -278,42 +279,52 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     return scale * math.sqrt(rq)
 
 
-def _grid(lo: float, hi: float) -> np.ndarray:
-    """The k-section's 17-point grid over the bracket (lo, hi), ends included."""
+@lru_cache(maxsize=64)
+def _grid(lo: float, hi: float) -> tuple:
+    """The k-section's 17-point grid over the bracket (lo, hi), ends included.
+
+    Cached: a search builds each grid when it predicts a level and again
+    when it enters it.
+    """
     space = np.geomspace if hi > 4.0 * lo else np.linspace
-    return space(lo, hi, _TRIALS + 2)
+    return tuple(space(lo, hi, _TRIALS + 2).tolist())
 
 
-def _enter(lo: float, hi: float, grid: np.ndarray, j: int, rel_tol: float):
-    """The k-section's step from the bracket (lo, hi) into its grid's cell j.
+def _enter(grid: tuple, j: int, rel_tol: float):
+    """The k-section's step into the cell (grid[j - 1], grid[j]).
 
     Returns the new bracket and the float the search returns there, or
     None if the search goes on.
     """
-    if grid[j] - grid[j - 1] >= hi - lo:
-        return lo, hi, hi  # no float fits strictly inside the bracket
-    lo, hi = float(grid[j - 1]), float(grid[j])
+    lo, hi = grid[j - 1], grid[j]
+    if hi - lo >= grid[-1] - grid[0]:
+        return grid[0], grid[-1], grid[-1]  # no float fits strictly inside the bracket
     return lo, hi, (hi if hi - lo < rel_tol * hi else None)
 
 
-def _blind_step(bracket, grid, inner: list, n: int, rel_tol: float):
-    """The k-section's step into the cell below the first feasible interior grid point.
+def _cell(grid: tuple, tested: dict) -> int | None:
+    """The index j of the cell (grid[j - 1], grid[j]) the k-section keeps, or None.
 
-    ``inner`` holds the exits (:func:`_exits`) of grid[1:-1]; the grid's
-    upper end counts as feasible.
+    ``tested`` maps each tested trial norm to its exit (the first node
+    outside the disk, or n if none is) and its row.  The cell lies below
+    the first interior grid point that tested feasible, the upper end
+    counting as feasible, and is known only if the point below that one
+    tested infeasible.  With the whole interior tested this is the blind
+    search's rule.
     """
-    j = inner.index(n) + 1 if n in inner else _TRIALS + 1
-    return _enter(*bracket, grid, j, rel_tol)
+    last = len(grid) - 1
+    for j in range(1, last):
+        t = tested.get(grid[j])
+        if t is not None and t[0] == t[1].size:
+            break
+    else:
+        j = last
+    t = tested.get(grid[j - 1])
+    return j if t is not None and t[0] < t[1].size else None
 
 
-def _exits(rows: np.ndarray) -> list:
-    """Each row's first node outside the disk, or the row length if none is."""
-    inside = _inside(rows)
-    return np.where(inside.all(axis=1), rows.shape[1], np.argmin(inside, axis=1)).tolist()
-
-
-def _root_interval(lo: float, hi: float, tested: list) -> tuple[float, float]:
-    """Where in the bracket (lo, hi) the tested (M, exit, row) triples place the threshold.
+def _root_interval(lo: float, hi: float, tested: dict) -> tuple[float, float]:
+    """Where in the bracket (lo, hi) the tested trials (:func:`_cell`) place the threshold.
 
     a and b are the tightest infeasible and feasible trials in the bracket,
     k the node where row a first leaves the disk.  g(M) = |p_k(M)| - (1 +
@@ -324,16 +335,14 @@ def _root_interval(lo: float, hi: float, tested: list) -> tuple[float, float]:
     cut to [a, b] but never narrower than 2 * _GUIDE_FLOOR * r; it is
     [a, b] itself when no estimate is possible.
     """
-    n = tested[0][2].size
-    a = max((t for t in tested if lo <= t[0] <= hi and t[1] < n), key=itemgetter(0))
-    b = min((t for t in tested if a[0] < t[0] <= hi and t[1] == n), key=itemgetter(0))
-    k = a[1]
-    others = [t for t in tested if t[1] >= k and t[0] != a[0] and t[0] != b[0]]
+    ma = max(M for M, (e, row) in tested.items() if lo <= M <= hi and e < row.size)
+    mb = min(M for M, (e, row) in tested.items() if ma < M <= hi and e == row.size)
+    k = tested[ma][0]
+    others = [M for M, (e, _) in tested.items() if e >= k and M != ma and M != mb]
     if not others:
-        return a[0], b[0]
-    c = min(others, key=lambda t: a[0] / t[0] if t[0] < a[0] else t[0] / b[0])
-    ma, mb, mc = a[0], b[0], c[0]
-    ga, gb, gc = (float(abs(t[2][k])) - 1.0 - _PARAM_TOL for t in (a, b, c))
+        return ma, mb
+    mc = min(others, key=lambda M: ma / M if M < ma else M / mb)
+    ga, gb, gc = (float(abs(tested[M][1][k])) - 1.0 - _PARAM_TOL for M in (ma, mb, mc))
     if not (math.isfinite(ga) and math.isfinite(gc) and gc != ga and gc != gb):
         return ma, mb
     r_lin = ma + (mb - ma) * ga / (ga - gb)
@@ -348,102 +357,53 @@ def _root_interval(lo: float, hi: float, tested: list) -> tuple[float, float]:
     return x0 - pad, x1 + pad
 
 
-def _near(lo: float, hi: float, tested: list) -> list:
-    """The tested triples in [lo, hi] and the nearest one on either side."""
-    kept = [t for t in tested if lo <= t[0] <= hi]
-    below = [t for t in tested if t[0] < lo]
-    above = [t for t in tested if t[0] > hi]
-    if below:
-        kept.append(max(below, key=itemgetter(0)))
-    if above:
-        kept.append(min(above, key=itemgetter(0)))
-    return kept
+def _predicted(grid: tuple, x0: float, x1: float, rel_tol: float) -> list:
+    """The trials that decide the levels from ``grid`` down if the threshold lies in [x0, x1].
 
-
-def _descend(lo: float, hi: float, x0: float, x1: float, rel_tol: float):
-    """The k-section's cells below (lo, hi) that each hold all of [x0, x1].
-
-    Returns one (lo, hi, answer) triple per level, as :func:`_enter` gives
-    them, and the grids walked: grids[i] lies over the bracket of level i,
-    (lo, hi) being level 0.  The walk stops at the first level where
-    [x0, x1] straddles a grid point, or at a cell where the search returns.
+    The ends of every nested cell that holds all of [x0, x1], then the
+    interior of the deepest grid, unless the search returns in the
+    deepest cell.
     """
-    path, grids = [], []
-    answer = None
-    while answer is None:
+    ends = []
+    while True:
+        j = bisect_right(grid, x0)
+        if not 0 < j < len(grid) or x1 > grid[j]:
+            return ends + list(grid[1:-1])
+        lo, hi, answer = _enter(grid, j, rel_tol)
+        ends += (lo, hi)
+        if answer is not None:
+            return ends
         grid = _grid(lo, hi)
-        grids.append(grid)
-        j = int(np.searchsorted(grid, x0, side="right"))
-        if not 0 < j < grid.size or x1 > grid[j]:
-            break
-        lo, hi, answer = _enter(lo, hi, grid, j, rel_tol)
-        path.append((lo, hi, answer))
-    return path, grids
-
-
-def _pass_trials(path: list, grids: list) -> list:
-    """The trial blocks of a guided pass.
-
-    Both ends of every predicted cell, then the interior grid of the
-    deepest bracket unless the search returns in it.
-    """
-    blocks = [[x for cell in path for x in cell[:2]]]
-    if len(grids) > len(path):
-        blocks.append(grids[-1][1:-1])
-    return blocks
-
-
-def _confirm(bracket, path: list, grids: list, exits: list, n: int, rel_tol: float):
-    """The deepest step of a guided pass the tested exits confirm, and the levels found.
-
-    ``exits`` holds the exits of :func:`_pass_trials`' blocks, in order.  A
-    predicted cell counts only if its lower end tests infeasible and its
-    upper end feasible, and so do all above it.  If every one does and the
-    search does not return in the deepest, its interior grid takes the
-    blind step below it.  The step is None if no level is found.
-    """
-    found = 0
-    while found < len(path) and exits[2 * found] < n and exits[2 * found + 1] == n:
-        found += 1
-    if found == len(path) and len(grids) > len(path):
-        cell = path[-1][:2] if path else bracket
-        inner = exits[2 * len(path):2 * len(path) + _TRIALS]
-        return _blind_step(cell, grids[-1], inner, n, rel_tol), found
-    return (path[found - 1] if found else None), found
 
 
 def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     """Smallest sup-norm over all analytic interpolants, by k-section search.
 
     Brackets between max_j |w_j| (below every interpolant norm) and the
-    explicit bound of :func:`norm_upper_bound`.  The first pass runs the
-    reduction of :func:`construct_interpolant` at _TRIALS norms at once,
-    geometrically spaced with both ends included, and keeps the smallest
-    feasible trial and the one below it.  Each later level splits the
-    bracket by a 17-point grid, geometric while its upper end exceeds
-    four times the lower and linear after, and keeps the cell whose upper
-    end is the first feasible grid point.  Returns the feasible end once
-    the bracket is narrower than ``rel_tol`` times it.  Raises
-    BracketFailureError if the upper end tests infeasible, which
-    indicates numerical degeneracy such as near-coincident nodes.
+    explicit bound of :func:`norm_upper_bound`.  The first level tests
+    _TRIALS norms, geometrically spaced with both ends included, and keeps
+    the smallest feasible trial and the one below it.  Each later level
+    splits the bracket by a 17-point grid, geometric while its upper end
+    exceeds four times the lower and linear after, and keeps the cell
+    whose upper end is the first feasible grid point.  Returns the
+    feasible end once the bracket is narrower than ``rel_tol`` times it.
+    Raises BracketFailureError if the bound overflows or its upper end
+    tests infeasible, which indicates numerical degeneracy such as
+    near-coincident nodes, and ValueError unless 0 < rel_tol < 1: at 1 or
+    more the search would stop after its first level.
 
-    The returned float depends only on which cell each level keeps, so
-    passes skip levels without changing it.  The first pass adds to its
-    trials the cells :func:`_norm_estimate` predicts: the estimate,
-    give or take _ESTIMATE_TOL relative, is walked down the nested grids
-    while it stays inside one cell (:func:`_descend`), and the ends of
-    every such cell plus the interior grid points of the deepest go into
-    the same reduction.  Each later pass does the same with the threshold
-    estimated from the rows already tested (:func:`_root_interval`).  A
-    predicted cell counts only if its lower end tests infeasible and its
-    upper end feasible, and so do all above it (:func:`_confirm`); for a
-    predicate monotone in M that is exactly the cell the blind search
-    keeps, and the interior points then pick the next level as the blind
-    search does.  So a wrong or skipped estimate costs a pass, never the
-    answer.  A pass that confirms no level also makes the next one test
-    the blind grid of its bracket, so every level costs at most two
-    passes.  Raises ValueError unless 0 < rel_tol < 1: at 1 or more the
-    search would stop after its first pass.
+    Each level reads its cell off the trials tested so far (:func:`_cell`),
+    so the returned float is the blind search's whichever trials are
+    tested.  A level they do not decide costs one reduction, on the
+    trials a guide predicts (:func:`_predicted`): the ends of every
+    nested cell that holds the predicted threshold, then the interior of
+    the deepest grid.  The first reduction also tests the first level,
+    and is guided by :func:`_norm_estimate`, give or take _ESTIMATE_TOL
+    relative; later ones by the rows already tested
+    (:func:`_root_interval`).  A wrong or skipped guide costs a
+    reduction, never the answer: a reduction that leaves its level
+    undecided makes the next one test that level's interior as well, so
+    a level costs at most two reductions.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -451,54 +411,41 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     hi = norm_upper_bound(problem)
     if hi == 0.0:
         return 0.0
-    first = np.geomspace(lo, hi, _TRIALS)
-    j_guess, path, grids = 0, [], []
+    if not math.isfinite(hi):
+        raise BracketFailureError(
+            "norm bound sum_j |w_j| / |B_j(lam_j)| overflows; the targets are "
+            "too large to bracket the minimal norm"
+        )
+    n = len(problem)
+    grid = tuple(np.geomspace(lo, hi, _TRIALS).tolist())
+    trials = list(grid)
     estimate = _norm_estimate(problem)
     if estimate is not None:
         x0, x1 = estimate * (1.0 - _ESTIMATE_TOL), estimate * (1.0 + _ESTIMATE_TOL)
-        j = int(np.searchsorted(first, x0, side="right"))
-        if 0 < j < _TRIALS and x1 <= first[j]:
-            j_guess = j
-            cell = _enter(lo, hi, first, j, rel_tol)
-            if cell[2] is None:
-                path, grids = _descend(*cell[:2], x0, x1, rel_tol)
-    trials = np.concatenate([first, *_pass_trials(path, grids)])
-    rows = _schur_parameters(problem, trials)
-    exits = _exits(rows)
-    n = rows.shape[1]
-    if exits[0] == n:
-        return lo
-    if exits[_TRIALS - 1] < n:
-        raise BracketFailureError(
-            f"norm bound {hi:.6g} tests infeasible; the problem is "
-            f"numerically degenerate"
-        )
-    j = exits.index(n)
-    lo, hi, answer = _enter(lo, hi, first, j, rel_tol)
-    missed = False
-    if answer is None and j == j_guess:
-        step, found = _confirm((lo, hi), path, grids, exits[_TRIALS:], n, rel_tol)
-        if step:
-            lo, hi, answer = step
-        missed = found == 0 and bool(path)
-    tested = list(zip(trials.tolist(), exits, rows))
-    while answer is None:
-        path, grids = _descend(lo, hi, *_root_interval(lo, hi, tested), rel_tol)
-        blocks = _pass_trials(path, grids)
-        retry = missed and bool(path)
-        if retry:
-            blocks.append(grids[0][1:-1])
-        trials = np.concatenate(blocks)
+        trials += _predicted(grid, x0, x1, rel_tol)
+    tested = {}
+    while True:
+        trials = list(dict.fromkeys(trials))
         rows = _schur_parameters(problem, trials)
-        exits = _exits(rows)
-        step, found = _confirm((lo, hi), path, grids, exits, n, rel_tol)
-        if step is None and retry:
-            step = _blind_step((lo, hi), grids[0], exits[-_TRIALS:], n, rel_tol)
-        if step:
-            lo, hi, answer = step
-        missed = found == 0 and bool(path)
-        tested = _near(lo, hi, tested + list(zip(trials.tolist(), exits, rows)))
-    return answer
+        inside = _inside(rows)
+        exits = np.where(inside.all(axis=1), n, np.argmin(inside, axis=1)).tolist()
+        tested.update(zip(trials, zip(exits, rows)))
+        if tested[lo][0] == n:
+            return lo
+        if tested[hi][0] < n:
+            raise BracketFailureError(
+                f"norm bound {hi:.6g} tests infeasible; the problem is "
+                f"numerically degenerate"
+            )
+        start = grid
+        while (j := _cell(grid, tested)) is not None:
+            a, b, answer = _enter(grid, j, rel_tol)
+            if answer is not None:
+                return answer
+            grid = _grid(a, b)
+        trials = _predicted(grid, *_root_interval(grid[0], grid[-1], tested), rel_tol)
+        if grid is start:  # the reduction decided no level
+            trials += grid[1:-1]
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:

@@ -320,6 +320,15 @@ class TestInterpolate:
         assert code == 0
         assert read_json(out)["min_norm"] == pytest.approx(1.0, rel=1e-7)
 
+    def test_overflowing_norm_bound_exits_2(self, tmp_path, capsys):
+        # The minimal norm is finite (about 1.55e308); its explicit bound is not.
+        doc = write_document(tmp_path / "n48.json", generate_separated_random(48, 0.1, 3).points)
+        targets = ",".join(str(7e298 * (i % 2)) for i in range(48))
+        assert run_cli(["interpolate", doc, "--targets", targets]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "norm bound" in err and "overflows" in err
+
     def test_mismatched_targets_usage_error(self, pair_doc):
         assert run_cli(["interpolate", pair_doc, "--targets", "0,1,2"]) == 64
 
@@ -446,6 +455,14 @@ class TestCounterexample:
         runs = read_json(out)["runs"]
         assert len(runs) == 1
         assert runs[0]["summary"]["separation_constant"] <= 0.01
+
+    @pytest.mark.parametrize("gap", ["0.5", "0.9"])
+    def test_gap_of_half_or_more_exits_64(self, capsys, gap):
+        # The split is fitted at delta = 2 * gap, which must stay below 1.
+        assert run_cli(["counterexample", "--pairs", "2", "--gap", gap, "--ratio", "0.5"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gap must lie in (0, 0.5)" in err
 
     def test_split_is_declared_not_searched(self, tmp_path):
         out = tmp_path / "ce.json"

@@ -107,6 +107,9 @@ class TestCounterexampleFamily:
             CounterexampleSpec(num_pairs=2, gap=0.0, base_radial_ratio=0.5)
         with pytest.raises(ValueError):
             CounterexampleSpec(num_pairs=2, gap=1.0, base_radial_ratio=0.5)
+        # The split is fitted at delta = 2 * gap, which must stay below 1.
+        with pytest.raises(ValueError, match="gap"):
+            CounterexampleSpec(num_pairs=2, gap=0.5, base_radial_ratio=0.5)
         with pytest.raises(ValueError):
             CounterexampleSpec(num_pairs=2, gap=0.01, base_radial_ratio=1.0)
 

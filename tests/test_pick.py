@@ -113,6 +113,16 @@ class TestMinNorm:
         with pytest.raises(BracketFailureError):
             solve_pick(zero_one(0.5))
 
+    def test_overflowing_bound_fails_the_bracket(self, reduction_calls):
+        # The minimal norm is about 1.55e308, finite, but the explicit
+        # bound's sum overflows, so no bracket can be built.
+        seq = generate_separated_random(48, 0.1, 3)
+        problem = PickProblem(seq, 7e298 * (np.arange(48) % 2))
+        assert norm_upper_bound(problem) == np.inf
+        with pytest.raises(BracketFailureError, match="overflows"):
+            min_norm(problem)
+        assert reduction_calls[0] == 0
+
     def test_bracket_endpoints(self, rng):
         for _ in range(10):
             problem = random_problem(rng, 5)
@@ -260,6 +270,23 @@ class TestGuidedSearch:
             with pytest.raises(BracketFailureError, match="tests infeasible"):
                 search(problem)
 
+    def test_unguided_search_is_the_ksection(self, monkeypatch, reduction_calls):
+        # With no norm estimate and a root interval that predicts nothing,
+        # every level costs one reduction of its whole grid.
+        monkeypatch.setattr(pick, "_norm_estimate", lambda problem: None)
+        monkeypatch.setattr(pick, "_root_interval", lambda lo, hi, tested: (lo, hi))
+        for nodes in NODE_KINDS:
+            for targets in TARGET_KINDS:
+                for n in (2, 5, 12, 24, 48):
+                    problem = stress_problem(nodes, targets, n, seed=1)
+                    for rel_tol in (1e-4, 1e-8, 1e-12):
+                        outcomes = []
+                        for search in (min_norm, ksection_min_norm):
+                            reduction_calls[0] = 0
+                            outcomes.append((search_outcome(search, problem, rel_tol),
+                                             reduction_calls[0]))
+                        assert outcomes[0] == outcomes[1], (nodes, targets, n, rel_tol)
+
     def test_fewer_passes_than_ksection(self, reduction_calls):
         guided, blind = [], []
         for n in (8, 12, 16, 24, 32, 48, 64):
@@ -347,14 +374,15 @@ class TestPickEstimate:
         for nodes in NODE_KINDS:
             for targets in TARGET_KINDS:
                 for n in (5, 12, 17, 24, 33, 41, 64):
-                    problem = stress_problem(nodes, targets, n, seed=2)
-                    for rel_tol in (1e-4, 1e-8, 1e-12):
-                        passes = []
-                        for search in (min_norm, ksection_min_norm):
-                            reduction_calls[0] = 0
-                            search_outcome(search, problem, rel_tol)
-                            passes.append(reduction_calls[0])
-                        assert passes[0] <= passes[1], (nodes, targets, n, rel_tol)
+                    for seed in (1, 2, 3):
+                        problem = stress_problem(nodes, targets, n, seed)
+                        for rel_tol in (1e-4, 1e-8, 1e-12):
+                            passes = []
+                            for search in (min_norm, ksection_min_norm):
+                                reduction_calls[0] = 0
+                                search_outcome(search, problem, rel_tol)
+                                passes.append(reduction_calls[0])
+                            assert passes[0] <= passes[1], (nodes, targets, n, seed, rel_tol)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e200])
     def test_extreme_target_scales(self, scale):
