@@ -1,9 +1,11 @@
 """Finite Blaschke products and the sequence invariants built from them.
 
-Sums of factor log-moduli log |b_lam(z)| are row or column sums of one
-phase-free matrix, :func:`log_factors`.  :func:`blaschke_eval` alone adds
-up factor phases too, so products of hundreds of factors with moduli near
-0 or 1 neither underflow nor lose the phase.  On
+Sums of factor log-moduli log |b_lam(z)| at points off the sequence are
+row or column sums of one phase-free matrix, :func:`log_factors`.  Sums
+over pairs of sequence points take the logs of the distance matrix the
+sequence holds instead.  :func:`blaschke_eval` keeps its own loop, since
+it adds up factor phases too, so products of hundreds of factors with
+moduli near 0 or 1 neither underflow nor lose the phase.  On
 top of the product sit the classical invariants of a point sequence: the
 separation constant (worst pairwise pseudohyperbolic distance), the
 uniform-separation constant inf_n |B_n(lam_n)| taken over the products

@@ -336,12 +336,13 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _split(seq: PointSequence, delta: float | None) -> Decomposition:
+    """The split at ``--delta``, or at separation/2 when it is not given."""
+    return corresponding_decomposition(seq) if delta is None else decompose(seq, delta)
+
+
 def cmd_decompose(args, cfg: RunConfig) -> int:
-    seq = load_point_document(args.input)
-    if args.delta is not None:
-        dec = decompose(seq, args.delta)
-    else:
-        dec = corresponding_decomposition(seq)
+    dec = _split(load_point_document(args.input), args.delta)
     _write_text(cfg, _emit_json(_decomposition_dict(dec)) + "\n")
     return EXIT_OK
 
@@ -432,11 +433,7 @@ def cmd_field(args, cfg: RunConfig) -> int:
     if args.which == "B":
         product = seq
     else:
-        if args.delta is not None:
-            dec = decompose(seq, args.delta)
-        else:
-            dec = corresponding_decomposition(seq)
-        product = dec.part_sequence(0 if args.which == "B0" else 1)
+        product = _split(seq, args.delta).part_sequence(0 if args.which == "B0" else 1)
     xs = np.linspace(-_FIELD_RADIUS, _FIELD_RADIUS, cfg.grid_resolution)
     X, Y = np.meshgrid(xs, xs)
     j, i = np.nonzero(np.abs(X + 1j * Y) < _FIELD_RADIUS)

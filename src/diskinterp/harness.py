@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import (
-    PointSequence,
-    log_factors,
-    per_point_moduli,
-    separation_constant,
-)
+from .blaschke import DISTINCT_TOL, PointSequence, per_point_moduli, separation_constant
 from .errors import (
     BoundaryGuardError,
     NumericalError,
@@ -131,6 +126,10 @@ class CounterexampleSpec:
         # The split is fitted at delta = 2 * gap, which must lie in (0, 1).
         if not 0.0 < self.gap < 0.5:
             raise ValueError(f"gap must lie in (0, 0.5), got {self.gap!r}")
+        # A pair any closer would not be distinct points of a sequence.
+        if self.gap <= DISTINCT_TOL:
+            raise ValueError(f"gap must exceed the distinctness floor "
+                             f"{DISTINCT_TOL:g}, got {self.gap!r}")
         if not 0.0 < self.base_radial_ratio < 1.0:
             raise ValueError(
                 f"base_radial_ratio must lie in (0, 1), got {self.base_radial_ratio!r}"
@@ -149,12 +148,7 @@ def generate_counterexample(spec: CounterexampleSpec) -> tuple[PointSequence, De
     delta = 2 * gap for reporting.
     """
     ratio, gap = spec.base_radial_ratio, spec.gap
-    if ratio ** spec.num_pairs <= RADIAL_GUARD:
-        raise BoundaryGuardError(
-            f"1 - {ratio:g}^{spec.num_pairs} is within {RADIAL_GUARD:g} of "
-            f"the unit circle"
-        )
-    base = 1.0 - ratio ** np.arange(1, spec.num_pairs + 1, dtype=float)
+    base = generate_radial(ratio, spec.num_pairs).points.real
     # Shaded a hair below gap so rounding in the realized pseudohyperbolic
     # distance cannot push the separation constant above gap itself.
     g_eff = gap * (1.0 - 1e-12)
@@ -227,9 +221,13 @@ def _row(point: complex, value: float, bound: float) -> ChainRow:
 
 
 def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
-    """|B_0| and |B_1| at every base point without its own factor, from log_factors."""
-    logs = log_factors(dec.base.points, dec.base.points)
-    np.fill_diagonal(logs, 0.0)
+    """|B_0| and |B_1| at every base point without its own factor.
+
+    Column sums over each part of the logs of the sequence's distance
+    matrix, the one that :func:`per_point_moduli` reads; its unit diagonal
+    contributes log 1 = 0, which drops each point's own factor.
+    """
+    logs = np.log(dec.base._distances)
     return tuple(np.exp(logs[list(part)].sum(axis=0)) for part in (dec.part0, dec.part1))
 
 

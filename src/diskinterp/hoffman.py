@@ -24,7 +24,8 @@ witness samples, and by deterministic local search beyond, pruned on
 witness samples too; a declared split skips the search.  One
 ``blaschke.log_factors`` matrix over the rim samples places them; the
 search scores partitions on it and ``decompose`` fits the split's (a, b)
-from it, always through the one fit formula ``_fit_logs``.
+from it.  b comes from ``_fit_b`` and a from ``_fit_a``, which runs only
+where a is read: to break ties in b and for the reported fit.
 """
 
 from __future__ import annotations
@@ -164,13 +165,12 @@ def _fit_a(b, L0: np.ndarray, L1: np.ndarray):
     return np.exp(np.minimum(np.minimum(b * L0 - L1, b * L1 - L0).min(axis=-1), 0.0))
 
 
-def _fit_logs(L0: np.ndarray, L1: np.ndarray):
-    """Extremal (a, b) of partitions from their log-moduli, one row each.
+def _fit_b(L0: np.ndarray, L1: np.ndarray):
+    """Sandwich exponent b of partitions from their log-moduli, one row each.
 
-    b is the worst two-sided ratio of the log-moduli (at least 1); a is then
-    the largest constant keeping both sandwich sides valid at every column
-    in both orientations, so that swapping the parts leaves (a, b)
-    unchanged.  Returns (a, b, index of the column attaining b), each an
+    b is the worst two-sided ratio max(L1/L0, L0/L1) of the log-moduli over
+    the columns, clamped below at 1, so that swapping the parts leaves it
+    unchanged.  Returns (b, index of the column attaining it), each an
     array over the rows of 2-D input and a scalar for 1-D input.  One
     partition (1-D input) with a log-modulus numerically zero raises
     DegenerateFitError; batches are not checked, since the search's winner
@@ -180,8 +180,7 @@ def _fit_logs(L0: np.ndarray, L1: np.ndarray):
                          or np.max(L1) > -_FIT_DEGENERACY_TOL):
         raise DegenerateFitError("a log-modulus is numerically zero")
     ratio = np.maximum(L1 / L0, L0 / L1)
-    b = np.maximum(ratio.max(axis=-1), 1.0)
-    return _fit_a(b, L0, L1), b, ratio.argmax(axis=-1)
+    return np.maximum(ratio.max(axis=-1), 1.0), ratio.argmax(axis=-1)
 
 
 def comparability_fit(
@@ -205,9 +204,10 @@ def comparability_fit(
     """
     if len(grid) == 0:
         raise EmptyGridError("cannot fit on an empty grid")
-    a, b, worst = _fit_logs(blaschke_log_modulus(part0, grid.points),
-                            blaschke_log_modulus(part1, grid.points))
-    return float(a), float(b), complex(grid.points[worst])
+    L0 = blaschke_log_modulus(part0, grid.points)
+    L1 = blaschke_log_modulus(part1, grid.points)
+    b, worst = _fit_b(L0, L1)
+    return float(_fit_a(b, L0, L1)), float(b), complex(grid.points[worst])
 
 
 def _search_exhaustive(LM, L_total):
@@ -233,9 +233,9 @@ def _search_exhaustive(LM, L_total):
         masks[:, j] = (codes >> (j - 1)) & 1
     probes = np.unique(np.linspace(0, len(masks) - 1, _WITNESS_PROBES).astype(np.int64))
     L0 = masks[probes].astype(float) @ LM
-    witnesses = np.unique(_fit_logs(L0, L_total - L0)[2])
+    witnesses = np.unique(_fit_b(L0, L_total - L0)[1])
     L0 = masks.astype(float) @ LM[:, witnesses]
-    bound = _fit_logs(L0, L_total[witnesses] - L0)[1]
+    bound = _fit_b(L0, L_total[witnesses] - L0)[0]
     order = np.argsort(bound, kind="stable")
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
     best = None
@@ -247,7 +247,8 @@ def _search_exhaustive(LM, L_total):
                 break
         chunk = masks[order[start:start + _EVAL_CHUNK]]
         L0 = chunk.astype(float) @ LM
-        a, b, _ = _fit_logs(L0, L_total - L0)
+        b = _fit_b(L0, L_total - L0)[0]
+        a = _fit_a(b, L0, L_total - L0)
         evaluated += len(chunk)
         for row in range(len(chunk)):
             key = (float(b[row]), -float(a[row]),
@@ -266,10 +267,12 @@ def _search_local(LM, L_total, points):
     that full fit, the move's b is bounded on the witness columns, the
     argmax columns of the masks fully scored so far: the bound is a max
     over a subset of the same elementwise ratios, so a move whose witness
-    b exceeds the current b cannot win and is not fully scored.  A move
-    that wins is rescored on its exact row sum, and it is accepted only if
-    it still beats the current mask, so the current score is always that
-    of an exact row sum and strictly decreases, which ends the descent.
+    b exceeds the current b cannot win and is not fully scored.  The full
+    fit finds b first, and a only when b does not exceed the current b,
+    since a larger b loses on b alone.  A move that wins is rescored on
+    its exact row sum, and it is accepted only if it still beats the
+    current mask, so the current score is always that of an exact row sum
+    and strictly decreases, which ends the descent.
     Returns (mask, masks tried, masks fully scored), the seed counting in
     both.
     """
@@ -280,8 +283,8 @@ def _search_local(LM, L_total, points):
 
     def exact():  # exact part-0 row, (b, -a) and argmax column of the mask
         L0 = LM[mask].sum(axis=0)
-        a, b, worst = _fit_logs(L0, L_total - L0)
-        return L0, (b, -a), worst
+        b, worst = _fit_b(L0, L_total - L0)
+        return L0, (b, -_fit_a(b, L0, L_total - L0)), worst
 
     L0, current, worst = exact()
     witnesses = np.array([worst])
@@ -296,13 +299,13 @@ def _search_local(LM, L_total, points):
                 tried += 1
                 move = np.add if mask[i] else np.subtract
                 L0w = move(L0[witnesses], LM[i, witnesses])
-                if _fit_logs(L0w, L_total[witnesses] - L0w)[1] <= current[0]:
+                if _fit_b(L0w, L_total[witnesses] - L0w)[0] <= current[0]:
                     evaluated += 1
                     cand = move(L0, LM[i])
-                    a, b, worst = _fit_logs(cand, L_total - cand)
+                    b, worst = _fit_b(cand, L_total - cand)
                     if worst not in witnesses:
                         witnesses = np.append(witnesses, worst)
-                    if (b, -a) < current:
+                    if b <= current[0] and (b, -_fit_a(b, cand, L_total - cand)) < current:
                         L0_exact, score, _ = exact()
                         if score < current:
                             L0, current = L0_exact, score
@@ -319,7 +322,9 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: floa
     """Golden-section max of the log-modulus ratio on the rim arc around a sample.
 
     The arc spans one sample spacing either side of sample ``worst``; each
-    trial point evaluates every factor at once.  Points of the arc inside
+    trial point evaluates every factor at once, inline, since a
+    ``log_factors`` column per trial made a refinement about 6 times
+    slower at n = 10 and 17 times at n = 32.  Points of the arc inside
     another disk lie outside Omega and score -inf.  Returns the larger of
     ``b`` and the best ratio found, with the point attaining it.
     """
@@ -391,7 +396,7 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
         method = "local"
         mask, enumerated, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
     L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
-    _, sampled_b, worst = _fit_logs(L0, L1)
+    sampled_b, worst = _fit_b(L0, L1)
     b, worst_point = _refine_b(seq, grid, mask, float(sampled_b), int(worst))
     return Decomposition(
         base=seq, part0=tuple(np.flatnonzero(mask).tolist()),

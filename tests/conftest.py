@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from diskinterp import PointSequence, blaschke, cli, hoffman
+from diskinterp import PointSequence, blaschke, cli, geometry, harness, hoffman, pick
 
 
 @pytest.fixture
@@ -16,7 +16,11 @@ def rng():
 
 @pytest.fixture
 def counted_calls(monkeypatch):
-    """Counts calls of every function that evaluates factor log-moduli."""
+    """Counts calls of every function that evaluates factor log-moduli.
+
+    Every binding of each function in the package's modules is counted,
+    the defining module's and each ``from .x import f`` copy.
+    """
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -25,10 +29,10 @@ def counted_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((hoffman, "log_factors"), (blaschke, "log_factors"),
-                         (hoffman, "comparability_fit"),
-                         (hoffman, "blaschke_log_modulus")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module in (blaschke, cli, geometry, harness, hoffman, pick):
+        for name in ("log_factors", "comparability_fit", "blaschke_log_modulus"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 

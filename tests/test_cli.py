@@ -464,6 +464,20 @@ class TestCounterexample:
         assert out == ""
         assert "gap must lie in (0, 0.5)" in err
 
+    @pytest.mark.parametrize("gap", ["1e-9", "1e-12"])
+    def test_gap_at_distinctness_floor_exits_64(self, capsys, gap):
+        # Pairs this close would not be distinct points; the usage error
+        # names gap instead of the points it would have produced.
+        argv = ["counterexample", "--pairs", "4", "--gap", gap, "--ratio", "0.5"]
+        assert run_cli(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gap must exceed the distinctness floor 1e-09" in err
+
+    def test_gap_just_above_floor_runs(self, capsys):
+        argv = ["counterexample", "--pairs", "4", "--gap", "1.1e-9", "--ratio", "0.5"]
+        assert run_cli(argv) == 0
+
     def test_split_is_declared_not_searched(self, tmp_path):
         out = tmp_path / "ce.json"
         code = run_cli([
@@ -654,9 +668,9 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "2240bbc972c8bd2536113ba0415b3ac972773650a8f89f0700abbb6be55857a9"),
+         "de11bd3b4b7d20a436e576e197459b623cede9fc830e14a36febb43c17d7ad28"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "018e70db3d8821480370adf63f6beb514dce4794cc03eb2ae555284af63d7f13"),
+         "93e4a210601091fa71bf56af5bd3473a85a1ec700208ed88b5e46db11bc61447"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
          "dccdae165be5eccf9529e518fd85c996d7868a085e2bcd117400416598ab7e0b"),
         ("interpolate", 24, 0.1, 5,

@@ -110,6 +110,10 @@ class TestCounterexampleFamily:
         # The split is fitted at delta = 2 * gap, which must stay below 1.
         with pytest.raises(ValueError, match="gap"):
             CounterexampleSpec(num_pairs=2, gap=0.5, base_radial_ratio=0.5)
+        # Pairs at or below the distinctness floor would not be distinct points.
+        for gap in (1e-9, 1e-12):
+            with pytest.raises(ValueError, match="gap must exceed the distinctness floor"):
+                CounterexampleSpec(num_pairs=2, gap=gap, base_radial_ratio=0.5)
         with pytest.raises(ValueError):
             CounterexampleSpec(num_pairs=2, gap=0.01, base_radial_ratio=1.0)
 
@@ -271,10 +275,18 @@ class TestVerifyTheoremChain:
         assert len(report.step_a) + len(report.step_b) == n
 
 
+    @pytest.mark.parametrize("n, seed", [(10, 2), (17, 1)])
+    def test_evaluates_factors_once(self, counted_calls, n, seed):
+        # The exclusion grid is the one log_factors matrix; the step and
+        # final rows read the sequence's distance matrix.
+        verify_theorem_chain(generate_separated_random(n, 0.1, seed))
+        assert counted_calls == {"log_factors": 1}
+
     @pytest.mark.parametrize("n, seed", [(8, 1), (10, 2), (14, 3), (17, 1)])
     def test_step_values_match_scalar_products(self, n, seed):
-        # Steps A-C are column sums of two factor matrices; each row must
-        # agree with the scalar product it stands for.
+        # Steps A-C are column sums over each part of the logs of the
+        # distance matrix; each row must agree with the scalar product it
+        # stands for.
         seq = generate_separated_random(n, 0.1, seed)
         report = verify_theorem_chain(seq)
         dec = corresponding_decomposition(seq)

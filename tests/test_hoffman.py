@@ -26,7 +26,7 @@ from diskinterp import (
     separation_constant,
 )
 from diskinterp import blaschke, hoffman
-from diskinterp.hoffman import _fit_logs, _search_exhaustive, _search_local
+from diskinterp.hoffman import _fit_a, _fit_b, _search_exhaustive, _search_local
 
 
 @dataclass(frozen=True)
@@ -316,6 +316,21 @@ class TestDecompose:
         decompose(seq, separation_constant(seq) / 2)
         assert counted_calls == {"log_factors": 1}
 
+    def test_fits_a_only_where_it_is_read(self, monkeypatch):
+        # a breaks ties among the fully evaluated masks and is reported for
+        # the winner; the witness bounds read b alone.
+        rows = []
+
+        def counted(b, L0, L1):
+            rows.append(1 if L0.ndim == 1 else L0.shape[0])
+            return _fit_a(b, L0, L1)
+
+        monkeypatch.setattr(hoffman, "_fit_a", counted)
+        seq = generate_separated_random(12, 0.1, 5)
+        dec = decompose(seq, separation_constant(seq) / 2)
+        assert dec.search == "exhaustive"
+        assert sum(rows) <= dec.masks_evaluated + 1 < dec.masks_enumerated
+
     def test_large_declared_delta_still_fits(self):
         # delta 0.999 swallows both points and most of each other's rim,
         # and the samples left still fit a valid sandwich.
@@ -411,7 +426,8 @@ class TestPrunedSearchAgainstOracle:
         swapped = mask.copy()
         swapped[[1, 2]] = mask[[2, 1]]
         L0 = np.array([mask, swapped]).astype(float) @ rows
-        a, b, _ = _fit_logs(L0, rows.sum(axis=0) - L0)
+        b = _fit_b(L0, rows.sum(axis=0) - L0)[0]
+        a = _fit_a(b, L0, rows.sum(axis=0) - L0)
         assert b[0] == b[1] and a[0] == a[1]
         assert searched_part0(rows) == part0
 
