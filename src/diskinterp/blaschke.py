@@ -1,7 +1,10 @@
 """Finite Blaschke products and the sequence invariants built from them.
 
-Sums of factor log-moduli log |b_lam(z)| at points off the sequence are
-row or column sums of one phase-free matrix, :func:`log_factors`.  Sums
+Factor log-moduli log |b_lam(z)| at points off the sequence come from one
+private row kernel, which writes a factor's row into reused buffers.
+:func:`log_factors` stacks its rows into the phase-free matrix that the
+split search sums, and :func:`blaschke_log_modulus` adds them into its
+output one factor at a time, so it never holds the whole matrix.  Sums
 over pairs of sequence points take the logs of the distance matrix the
 sequence holds instead.  :func:`blaschke_eval` keeps its own loop, since
 it adds up factor phases too, so products of hundreds of factors with
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import DegenerateSequenceError, PointSetError, ZeroCollisionError
 from .geometry import (
     INTERIOR_GUARD,
+    _ZERO_POINT_TOL,
     _check_closed_disk,
     _mobius,
     check_interior,
@@ -45,7 +49,9 @@ DEGENERACY_TOL = 1e-12
 # A factor log-modulus under this is a collision with a zero of the product.
 _LOG_COLLISION = np.log(1e-300)
 
-# Evaluation points per factor matrix in blaschke_log_modulus.
+# Evaluation points per row buffer in blaschke_log_modulus.  On a 256^2
+# field grid at n = 32 and 64, smaller buffers pay per-row call overhead
+# (512 takes about three times as long), and 8192 to 32768 time alike.
 _LOG_CHUNK = 8192
 
 # Points with np.abs at or above this get the scalar check_interior test.
@@ -128,13 +134,33 @@ class AnalysisReport:
     per_point: tuple[tuple[int, float], ...]
 
 
+def _log_factor_row(lam: complex, z: np.ndarray, num: np.ndarray, den: np.ndarray,
+                    out: np.ndarray) -> None:
+    """out = log |b_lam(z)|, -inf at a zero, with the ufuncs of ``_mobius`` in its order.
+
+    ``num`` and ``den`` are complex scratch of z's size; the caller holds
+    np.errstate(divide="ignore").
+    """
+    if abs(lam) < _ZERO_POINT_TOL:
+        np.abs(z, out=out)
+    else:
+        np.subtract(z, lam, out=num)
+        np.multiply(np.conj(lam) / abs(lam), num, out=num)
+        np.multiply(np.conj(lam), z, out=den)
+        np.subtract(1.0, den, out=den)
+        np.divide(num, den, out=num)
+        np.abs(num, out=out)
+    np.log(out, out=out)
+
+
 def log_factors(points: np.ndarray, z) -> np.ndarray:
     """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     rows = np.empty((len(points), z.size))
+    num, den = np.empty(z.size, dtype=complex), np.empty(z.size, dtype=complex)
     with np.errstate(divide="ignore"):
         for i, lam in enumerate(points):
-            rows[i] = np.log(np.abs(_mobius(lam, z)))
+            _log_factor_row(lam, z, num, den, rows[i])
     return rows
 
 
@@ -164,19 +190,34 @@ def blaschke_eval(seq: PointSequence, z):
 
 
 def blaschke_log_modulus(seq: PointSequence, z):
-    """log |B(z)| as column sums of :func:`log_factors`, _LOG_CHUNK points at a time.
+    """log |B(z)| as rows of the one kernel, added in order, _LOG_CHUNK points at a time.
 
-    Raises ZeroCollisionError if any factor modulus is below 1e-300, i.e.
-    the evaluation point collides with a zero.
+    The first factor's row is written into the output and each later row is
+    added to it, which is numpy's axis-0 sum of :func:`log_factors` bit for
+    bit, without the n x _LOG_CHUNK matrix.  Raises ZeroCollisionError if any
+    factor modulus is below 1e-300, i.e. the evaluation point collides with
+    a zero.
     """
     _check_closed_disk(z)
     flat = np.asarray(z, dtype=complex).reshape(-1)
     out = np.empty(flat.size)
-    for start in range(0, flat.size, _LOG_CHUNK):
-        logs = log_factors(seq.points, flat[start:start + _LOG_CHUNK])
-        if np.min(logs) < _LOG_COLLISION:
-            raise ZeroCollisionError("evaluation point collides with a zero of the product")
-        out[start:start + _LOG_CHUNK] = logs.sum(axis=0)
+    size = min(flat.size, _LOG_CHUNK)
+    num, den = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    row = np.empty(size)
+    with np.errstate(divide="ignore"):
+        for start in range(0, flat.size, _LOG_CHUNK):
+            chunk = flat[start:start + _LOG_CHUNK]
+            k = chunk.size
+            total = out[start:start + k]
+            for i, lam in enumerate(seq.points):
+                dest = total if i == 0 else row[:k]
+                _log_factor_row(lam, chunk, num[:k], den[:k], dest)
+                if np.min(dest) < _LOG_COLLISION:
+                    raise ZeroCollisionError(
+                        "evaluation point collides with a zero of the product"
+                    )
+                if i:
+                    np.add(total, dest, out=total)
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

@@ -423,12 +423,32 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _near_zero_cells(xs: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Mask of the grid cells xs[i] + 1j xs[j] within _FIELD_ZERO_RADIUS of a zero.
+
+    A cell is that close to a zero only if both of its axis values are, so
+    each zero tests only the cells whose axis values pass; the margin of 2
+    covers the rounding of the complex modulus.
+    """
+    near = np.zeros((xs.size, xs.size), dtype=bool)
+    for lam in zeros:
+        i = np.flatnonzero(np.abs(xs - lam.real) < 2 * _FIELD_ZERO_RADIUS)
+        j = np.flatnonzero(np.abs(xs - lam.imag) < 2 * _FIELD_ZERO_RADIUS)[:, None]
+        near[j, i] |= np.abs(xs[i] + 1j * xs[j] - lam) < _FIELD_ZERO_RADIUS
+    return near
+
+
 def cmd_field(args, cfg: RunConfig) -> int:
     """CSV of log|B|, log|B_0| or log|B_1| on the cells |z| < 0.999 of a square grid.
 
-    Cell (j, i) is xs[i] + 1j xs[j], so the axis values are formatted once;
-    cells within 1e-6 of a zero print ``nan``.
+    Cell (j, i) is xs[i] + 1j xs[j], so the axis values are formatted once.
+    Cells within 1e-6 of a zero print ``nan``; they are found from the grid
+    axes, so a zero tests only the few cells whose axis values lie near its
+    own.
     """
+    if args.which == "B" and args.delta is not None:
+        raise UsageError("--delta applies only to --which B0 or B1, "
+                         "which split the sequence")
     seq = load_point_document(args.input)
     if args.which == "B":
         product = seq
@@ -438,9 +458,7 @@ def cmd_field(args, cfg: RunConfig) -> int:
     X, Y = np.meshgrid(xs, xs)
     j, i = np.nonzero(np.abs(X + 1j * Y) < _FIELD_RADIUS)
     pts = xs[i] + 1j * xs[j]
-    near_zero = np.zeros(pts.size, dtype=bool)
-    for lam in product.points:
-        near_zero |= np.abs(pts - lam) < _FIELD_ZERO_RADIUS
+    near_zero = _near_zero_cells(xs, product.points)[j, i]
     values = np.full(pts.size, math.nan)
     values[~near_zero] = blaschke_log_modulus(product, pts[~near_zero])
     labels = np.array([format(x, ".17g") for x in xs.tolist()], dtype=object)

@@ -158,6 +158,14 @@ def generate_counterexample(spec: CounterexampleSpec) -> tuple[PointSequence, De
             "a partner point lands within the boundary guard band; "
             "reduce num_pairs or gap"
         )
+    # The spec refuses gap <= DISTINCT_TOL, but near the boundary one ulp
+    # of a partner is a sizable share of a gap just above it.
+    realized = float(np.min(pseudohyperbolic_distance(base, partner)))
+    if realized <= DISTINCT_TOL:
+        raise ValueError(
+            f"gap {gap!r} rounds to an in-pair distance of {realized:.3e}, "
+            f"not above the distinctness floor {DISTINCT_TOL:g}"
+        )
     pts = np.empty(2 * spec.num_pairs, dtype=complex)
     pts[0::2] = base
     pts[1::2] = partner

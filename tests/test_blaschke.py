@@ -156,6 +156,17 @@ class TestBlaschkeLogModulus:
         assert grid.shape == (30, 40)
         assert np.array_equal(grid.ravel(), got[:1200])
 
+    def test_bit_equal_with_zero_at_origin(self, rng):
+        # lam = 0 takes the kernel's identity branch; rows are added in
+        # order across three chunks, the last one short.
+        seq = PointSequence(np.concatenate(([0.0], make_sequence(rng, 12).points)))
+        m = 2 * blaschke._LOG_CHUNK + 77
+        radius = 0.999 * np.sqrt(rng.random(m))
+        zs = radius * np.exp(2j * np.pi * rng.random(m))
+        got = blaschke_log_modulus(seq, zs)
+        assert np.array_equal(got, oracles.sequential_log_modulus(seq.points, zs))
+        assert np.array_equal(got, blaschke.log_factors(seq.points, zs).sum(axis=0))
+
     @settings(max_examples=40)
     @given(seq=sequences(), data=st.data())
     def test_consistent_with_linear_eval(self, seq, data):
@@ -176,6 +187,14 @@ class TestLogFactors:
         for i, lam in enumerate(seq.points):
             assert np.allclose(logs[i], np.log(np.abs(mobius_transform(lam, zs))),
                                rtol=1e-14, atol=0.0)
+
+    def test_rows_bit_equal_to_mobius_formula(self, rng):
+        pts = np.concatenate(([0.0, 1e-15j], make_sequence(rng, 6).points))
+        zs = 0.99 * rng.random(300) * np.exp(2j * np.pi * rng.random(300))
+        logs = blaschke.log_factors(pts, zs)
+        for i, lam in enumerate(pts):
+            want = np.log(np.abs(oracles._package_mobius(lam, zs)))
+            assert np.array_equal(logs[i], want)
 
     def test_exact_zero_is_minus_inf(self):
         pts = np.array([0.5, -0.25j])

@@ -474,6 +474,15 @@ class TestCounterexample:
         assert out == ""
         assert "gap must exceed the distinctness floor 1e-09" in err
 
+    def test_gap_rounding_to_floor_exits_64(self, capsys):
+        # Above the floor, but the rounded partner of point 4 lands at
+        # distance 1e-9 from it.
+        argv = ["counterexample", "--pairs", "4", "--gap", "1.0000001e-9", "--ratio", "0.5"]
+        assert run_cli(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gap 1.0000001e-09 rounds to an in-pair distance" in err
+
     def test_gap_just_above_floor_runs(self, capsys):
         argv = ["counterexample", "--pairs", "4", "--gap", "1.1e-9", "--ratio", "0.5"]
         assert run_cli(argv) == 0
@@ -596,6 +605,40 @@ class TestField:
         assert_same_text(out.read_text(), expected)
         if resolution == 33:
             assert expected.count(",nan\n") == 1
+
+    @pytest.mark.parametrize("resolution", [32, 33])
+    def test_bytes_match_row_writer_near_nodes(self, tmp_path, resolution):
+        # Zeros within 1e-6 of a grid node but not on it print nan there.
+        # The first two share the column xs[a]; the third shares the row
+        # xs[b] with the first and sits 1.27e-6 from its node, inside the
+        # axis test on both axes but outside the radius, so its node prints
+        # a value.
+        xs = np.linspace(-0.999, 0.999, resolution)
+        a, b, c, d = 10, 12, 20, resolution - 9
+        zeros = [
+            xs[a] + 3e-7 + 1j * (xs[b] - 4e-7),
+            xs[a] - 2e-7 + 1j * (xs[c] + 5e-7),
+            xs[d] + 9e-7 + 1j * (xs[b] + 9e-7),
+            xs[d] - 1e-7 + 1j * (xs[d] - 6e-7),
+        ]
+        points = np.concatenate((zeros, generate_separated_random(8, 0.1, 5).points))
+        doc = write_document(tmp_path / "near.json", points)
+        out = tmp_path / "field.csv"
+        code = run_cli([
+            "field", doc, "--grid-resolution", str(resolution), "--output", str(out),
+        ])
+        assert code == 0
+        expected = oracles.field_csv(points, resolution)
+        assert_same_text(out.read_text(), expected)
+        assert expected.count(",nan\n") == 3
+
+    def test_delta_without_split_exits_64(self, pair_doc, capsys):
+        # --which B takes the whole sequence, so no delta is read.
+        assert run_cli(["field", pair_doc, "--which", "B", "--delta", "0.1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--delta" in err
+        assert run_cli(["field", pair_doc, "--which", "B0", "--delta", "0.1"]) == 0
 
 
 class TestUsageErrors:
