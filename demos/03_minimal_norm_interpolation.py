@@ -29,8 +29,9 @@ for M in (1.5, 2.0, 3.0):
     smallest = np.linalg.eigvalsh(pick_matrix(problem, M))[0]
     print(f"  M = {M}: smallest Pick eigenvalue = {smallest:+.6f}")
 
-# min_norm searches on that reduction, and solve_pick reruns it to build an
-# actual rational interpolant at (slightly above) the minimal norm.
+# min_norm brackets the smallest norm that reduction accepts, and solve_pick
+# reruns it to build an actual rational interpolant at (slightly above) the
+# minimal norm.
 solution = solve_pick(problem)
 f = solution.interpolant
 print("residuals    =", np.abs(solution.residuals))

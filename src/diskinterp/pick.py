@@ -9,38 +9,34 @@ the Cholesky factorization of the Pick matrix
     A(M)[j, k] = (M^2 - w_j conj(w_k)) / (1 - lam_j conj(lam_k)),
 
 costs O(n^2), and is the one feasibility test here: ``min_norm`` runs it
-on vectors of trial norms in a k-section search, and
-``construct_interpolant`` records its parameters as an explicit rational
-solution, evaluable on the closed disk with |f| <= M by construction.
+on vectors of trial norms, and ``construct_interpolant`` records its
+parameters as an explicit rational solution, evaluable on the closed
+disk with |f| <= M by construction.
 
-The k-section returns the upper end of the first nested grid cell that
-is narrower than its tolerance, so its answer depends only on which cell
-of each grid holds the threshold.  ``min_norm`` runs it as one loop that
-reads each level's cell off a table of the trials tested so far, and
-runs a reduction only for a level the table does not decide.  That
-reduction tests the ends of every nested cell a guide predicts, and the
-interior grid of the deepest, so one reduction can decide many levels.
-The first is guided by a closed-form estimate of the threshold: A(M) =
-M^2 C - W C W* with C the Szego Gram matrix of the nodes and W =
-diag(w), so the minimal norm is the square root of the top eigenvalue
-of C^-1 W C W* (Pick's theorem).  Later ones are guided by the tested
-rows: the parameter that leaves the disk just below the threshold is a
-smooth function of M, so interpolating its modulus estimates where it
-crosses the circle.  A reduction that leaves its level undecided makes
-the next one test that level's whole grid, so a level costs at most two
-reductions, and a wrong or skipped guide costs a reduction, never the
-answer: the search returns the blind search's float.  On the separated
-random inputs of the benchmark (n = 8 to 64, seeds 1, 2, 3 and 7919) it
-takes 1.2 reductions on average and at most 3, against 8 for the blind
-search.
+``min_norm`` returns a tested bracket around the threshold: a feasible
+norm M_hi with an infeasible one within rel_tol * M_hi below it.  Its
+first reduction tests a short ladder of trials around a closed-form
+estimate of the threshold: A(M) = M^2 C - W C W* with C the Szego Gram
+matrix of the nodes and W = diag(w), so the minimal norm is the square
+root of the top eigenvalue of C^-1 W C W* (Pick's theorem).  Where the
+ladder misses, the tested rows place the threshold: the parameter
+nearest to leaving the disk is a smooth function of M, and interpolating
+its modulus gives the next ladder's centre.  A blind k-section backs
+both up: a reduction with no estimate, or after one that failed to halve
+the bracket, also tests the interior of a 17-point grid over the
+bracket, so without estimates the search splits the bracket 16 ways per
+reduction, as the blind search does.  On separated random inputs of the
+benchmark's ``interpolate`` sizes (sep 0.1, seeds 1-40, parity and
+random targets) one reduction of 11 trials decides every search at the
+default rel_tol up to n = 32, and two at most decide it at n = 48 and
+64, where the estimate drifts by up to 1e-4.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +47,7 @@ from .errors import (
     PointSetError,
     RecursionBreakdownError,
 )
-from .geometry import _check_closed_disk, _mobius
+from .geometry import _ZERO_POINT_TOL, _check_closed_disk, _mobius
 
 # Relative bracket width at which the norm search stops.
 BISECT_REL_TOL = 1e-8
@@ -59,28 +55,27 @@ BISECT_REL_TOL = 1e-8
 # Recursion parameters may exceed the closed disk by at most this much.
 _PARAM_TOL = 1e-9
 
-# Trial norms of the norm search's first level, and the interior points of
-# the 17-point grid of each later level.
-_TRIALS = 15
+# Rungs of a ladder on each side of its guess (:func:`_ladder`).
+_RUNGS = 3
 
-# The norm search predicts a level only where the root estimate r, give or
-# take this many times its distance from the secant estimate, fits in one
-# cell ...
-_GUIDE_MARGIN = 2.0
+# The k-section's trial norms per pass: its first pass tests this many
+# from end to end, and later ones the interior of a grid of _GRID + 2.
+_GRID = 15
 
-# ... and never narrower than r times this: at that width, rounding in the
-# reduction can make the predicate non-monotone, so finer levels are found
-# by testing the whole grid, as the blind search does.
+# Below this relative bracket width, rounding in the reduction can make the
+# predicate non-monotone, so the search stops guessing and tests grids.
 _GUIDE_FLOOR = 1e-11
 
 # The norm estimate is skipped when the nodes' Carleson constant is below
 # this ...
 _ESTIMATE_MIN_DELTA = 1e-16
 
-# ... and otherwise predicts the threshold in estimate * (1 +- this).  A
-# wider interval predicts fewer levels; 1e-8 took 1.7 reductions per
-# search on the benchmark's inputs, this 1.2.
-_ESTIMATE_TOL = 2e-9
+# ... and lies within 1e-8 of the threshold where it is above this, so
+# the first ladder reaches out to the first of these relative distances,
+# and otherwise to the second.  Below that, it drifted by up to 8.7e-5 on
+# the benchmark's inputs (at n = 64), so the second is a decade past that.
+_ESTIMATE_SHARP_DELTA = 1e-10
+_SHARP_REACH, _DRIFT_REACH = 1e-7, 1e-3
 
 # Squarings of T T* the norm estimate takes at most; 7 were the most
 # the benchmark's inputs needed.
@@ -116,13 +111,22 @@ class PickProblem:
         return len(self.nodes)
 
     @cached_property
-    def _divisors(self) -> tuple[np.ndarray, ...]:
-        """b_{lam_i}(lam_j) for j > i, one array per i < n - 1.
+    def _factor_values(self) -> np.ndarray:
+        """b_{lam_i}(lam_j) at [i, j], for i < n - 1 and every node j.
 
-        Cached: every pass of the norm search divides by the same factors.
+        One broadcast of :func:`_mobius`'s formula, with its convention
+        b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  The reduction
+        divides by the entries right of the diagonal, and the norm
+        estimate multiplies along the columns.  Cached: every pass of the
+        norm search divides by the same factors.
         """
         lam = self.nodes.points
-        return tuple(_mobius(lam[i], lam[i + 1:]) for i in range(lam.size - 1))
+        centre = lam[:-1, None]
+        zero = np.abs(centre) < _ZERO_POINT_TOL
+        centre = np.where(zero, 0.0, centre)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = np.where(zero, 1.0, np.conj(centre) / np.abs(centre))
+        return unit * (lam - centre) / (1.0 - np.conj(centre) * lam)
 
     @cached_property
     def _moduli(self) -> np.ndarray:
@@ -185,10 +189,11 @@ def _schur_parameters(problem: PickProblem, Ms) -> np.ndarray:
     closed disk are meaningless (possibly inf or nan).
     """
     vals = problem.targets / np.asarray(Ms, dtype=float).reshape(-1, 1)
+    factors = problem._factor_values
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, divisor in enumerate(problem._divisors):
+        for i in range(len(factors)):
             p, rest = vals[:, i:i + 1], vals[:, i + 1:]
-            vals[:, i + 1:] = (rest - p) / (1.0 - np.conj(p) * rest) / divisor
+            vals[:, i + 1:] = (rest - p) / (1.0 - np.conj(p) * rest) / factors[i, i + 1:]
     return vals
 
 
@@ -255,11 +260,9 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     w = problem.targets / scale
     d = np.sqrt(1.0 - np.abs(lam) ** 2)
     den = 1.0 - np.outer(lam, np.conj(lam))
-    # The products omit the unimodular factor of each b_{lam_i}; that
-    # scales the columns of F by unimodular constants and leaves ||T||.
     # The factor b_{lam_j}(lam_j) = 0 makes F lower triangular.
     products = np.ones(den.shape, dtype=complex)
-    np.cumprod((lam[:, None] - lam[:-1]) / den[:, :-1], axis=1, out=products[:, 1:])
+    np.cumprod(problem._factor_values.T, axis=1, out=products[:, 1:])
     F = np.outer(d, d) / den * products
     T = np.linalg.solve(F, w[:, None] * F)
     Th = T.conj().T
@@ -279,131 +282,84 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     return scale * math.sqrt(rq)
 
 
-@lru_cache(maxsize=64)
-def _grid(lo: float, hi: float) -> tuple:
-    """The k-section's 17-point grid over the bracket (lo, hi), ends included.
+def _ladder(r: float, rel_tol: float, reach: float) -> list:
+    """Trial norms around a guess r of the threshold.
 
-    Cached: a search builds each grid when it predicts a level and again
-    when it enters it.
+    The rungs r * (1 + 0.999 j rel_tol), |j| <= _RUNGS, lie less than
+    rel_tol apart, so two of them that straddle the threshold end the
+    search.  Beyond them, one pair r * (1 +- 10^-k) per decade up to the
+    relative distance ``reach`` leaves a bracket within a decade of the
+    guess's error when the rungs miss.
     """
-    space = np.geomspace if hi > 4.0 * lo else np.linspace
-    return tuple(space(lo, hi, _TRIALS + 2).tolist())
+    trials = [r * (1.0 + 0.999 * j * rel_tol) for j in range(-_RUNGS, _RUNGS + 1)]
+    k = math.floor(math.log10(_RUNGS * rel_tol)) + 1
+    while 10.0 ** k <= reach:
+        trials += (r * (1.0 - 10.0 ** k), r * (1.0 + 10.0 ** k))
+        k += 1
+    return trials
 
 
-def _enter(grid: tuple, j: int, rel_tol: float):
-    """The k-section's step into the cell (grid[j - 1], grid[j]).
-
-    Returns the new bracket and the float the search returns there, or
-    None if the search goes on.
-    """
-    lo, hi = grid[j - 1], grid[j]
-    if hi - lo >= grid[-1] - grid[0]:
-        return grid[0], grid[-1], grid[-1]  # no float fits strictly inside the bracket
-    return lo, hi, (hi if hi - lo < rel_tol * hi else None)
-
-
-def _cell(grid: tuple, tested: dict) -> int | None:
-    """The index j of the cell (grid[j - 1], grid[j]) the k-section keeps, or None.
+def _root(tested: dict, a: float, b: float) -> float | None:
+    """The threshold in the bracket (a, b] as the tested rows place it, or None.
 
     ``tested`` maps each tested trial norm to its exit (the first node
-    outside the disk, or n if none is) and its row.  The cell lies below
-    the first interior grid point that tested feasible, the upper end
-    counting as feasible, and is known only if the point below that one
-    tested infeasible.  With the whole interior tested this is the blind
-    search's rule.
+    outside the disk, or n if none is) and its row.  k is the node of
+    row b's largest parameter, the one nearest to leaving the disk, and
+    g(M) = log |p_k(M)| - log(1 + _PARAM_TOL) crosses 0 where it leaves.
+    log M is interpolated as a polynomial in g through the three rows
+    with p_k defined (exit at least k) and the smallest |g|, two if
+    there are only two, and evaluated at g = 0: inverse quadratic
+    interpolation in log-log coordinates, where |p_k| is nearly linear
+    even across a wide bracket (at n = 2 it is c / M).  None when the
+    estimate is not in (a, b].
     """
-    last = len(grid) - 1
-    for j in range(1, last):
-        t = tested.get(grid[j])
-        if t is not None and t[0] == t[1].size:
-            break
-    else:
-        j = last
-    t = tested.get(grid[j - 1])
-    return j if t is not None and t[0] < t[1].size else None
-
-
-def _root_interval(lo: float, hi: float, tested: dict) -> tuple[float, float]:
-    """Where in the bracket (lo, hi) the tested trials (:func:`_cell`) place the threshold.
-
-    a and b are the tightest infeasible and feasible trials in the bracket,
-    k the node where row a first leaves the disk.  g(M) = |p_k(M)| - (1 +
-    _PARAM_TOL) changes sign between them; inverse-quadratic interpolation
-    of g through a, b and the nearest other trial where g is defined gives
-    the estimate r, the secant through a and b the estimate r_lin.  The
-    interval is r +- max(_GUIDE_MARGIN * |r - r_lin|, _GUIDE_FLOOR * r),
-    cut to [a, b] but never narrower than 2 * _GUIDE_FLOOR * r; it is
-    [a, b] itself when no estimate is possible.
-    """
-    ma = max(M for M, (e, row) in tested.items() if lo <= M <= hi and e < row.size)
-    mb = min(M for M, (e, row) in tested.items() if ma < M <= hi and e == row.size)
-    k = tested[ma][0]
-    others = [M for M, (e, _) in tested.items() if e >= k and M != ma and M != mb]
-    if not others:
-        return ma, mb
-    mc = min(others, key=lambda M: ma / M if M < ma else M / mb)
-    ga, gb, gc = (float(abs(tested[M][1][k])) - 1.0 - _PARAM_TOL for M in (ma, mb, mc))
-    if not (math.isfinite(ga) and math.isfinite(gc) and gc != ga and gc != gb):
-        return ma, mb
-    r_lin = ma + (mb - ma) * ga / (ga - gb)
-    r = (ma * gb * gc / ((ga - gb) * (ga - gc))
-         + mb * ga * gc / ((gb - ga) * (gb - gc))
-         + mc * ga * gb / ((gc - ga) * (gc - gb)))
-    half = max(_GUIDE_MARGIN * abs(r - r_lin), _GUIDE_FLOOR * r)
-    x0, x1 = max(ma, r - half), min(mb, r + half)
-    if not x0 <= x1:
-        return ma, mb
-    pad = max(0.0, _GUIDE_FLOOR * r - 0.5 * (x1 - x0))
-    return x0 - pad, x1 + pad
-
-
-def _predicted(grid: tuple, x0: float, x1: float, rel_tol: float) -> list:
-    """The trials that decide the levels from ``grid`` down if the threshold lies in [x0, x1].
-
-    The ends of every nested cell that holds all of [x0, x1], then the
-    interior of the deepest grid, unless the search returns in the
-    deepest cell.
-    """
-    ends = []
-    while True:
-        j = bisect_right(grid, x0)
-        if not 0 < j < len(grid) or x1 > grid[j]:
-            return ends + list(grid[1:-1])
-        lo, hi, answer = _enter(grid, j, rel_tol)
-        ends += (lo, hi)
-        if answer is not None:
-            return ends
-        grid = _grid(lo, hi)
+    k = int(np.argmax(np.abs(tested[b][1])))
+    edge = math.log1p(_PARAM_TOL)
+    points = {}
+    for M, (e, row) in tested.items():
+        p = float(abs(row[k])) if e >= k else 0.0
+        if 0.0 < p < math.inf:
+            points.setdefault(math.log(p) - edge, math.log(M))
+    nearest = sorted(points, key=abs)[:3]
+    x = 0.0
+    for g in nearest:
+        term = points[g]
+        for h in nearest:
+            if h != g:
+                term *= h / (h - g)
+        x += term
+    return math.exp(x) if len(nearest) > 1 and math.log(a) < x <= math.log(b) else None
 
 
 def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
-    """Smallest sup-norm over all analytic interpolants, by k-section search.
+    """Smallest sup-norm over all analytic interpolants, to ``rel_tol`` relative.
 
-    Brackets between max_j |w_j| (below every interpolant norm) and the
-    explicit bound of :func:`norm_upper_bound`.  The first level tests
-    _TRIALS norms, geometrically spaced with both ends included, and keeps
-    the smallest feasible trial and the one below it.  Each later level
-    splits the bracket by a 17-point grid, geometric while its upper end
-    exceeds four times the lower and linear after, and keeps the cell
-    whose upper end is the first feasible grid point.  Returns the
-    feasible end once the bracket is narrower than ``rel_tol`` times it.
-    Raises BracketFailureError if the bound overflows or its upper end
-    tests infeasible, which indicates numerical degeneracy such as
-    near-coincident nodes, and ValueError unless 0 < rel_tol < 1: at 1 or
-    more the search would stop after its first level.
+    Returns a tested-feasible norm M_hi such that a tested-infeasible
+    norm M_lo satisfies M_hi - M_lo < rel_tol * M_hi, or the feasible
+    end of a bracket with no float strictly inside.  Each reduction
+    (:func:`_schur_parameters`) tests a vector of trial norms in the
+    bracket (M_lo, M_hi), which then becomes the smallest feasible norm
+    tested and the largest tested below it.  The bracket starts between
+    max_j |w_j|, below every interpolant norm and returned if it tests
+    feasible, and the explicit bound of :func:`norm_upper_bound`.
+    Raises BracketFailureError if the bound overflows or tests
+    infeasible, which indicates numerical degeneracy such as
+    near-coincident nodes, and ValueError unless 0 < rel_tol < 1.
 
-    Each level reads its cell off the trials tested so far (:func:`_cell`),
-    so the returned float is the blind search's whichever trials are
-    tested.  A level they do not decide costs one reduction, on the
-    trials a guide predicts (:func:`_predicted`): the ends of every
-    nested cell that holds the predicted threshold, then the interior of
-    the deepest grid.  The first reduction also tests the first level,
-    and is guided by :func:`_norm_estimate`, give or take _ESTIMATE_TOL
-    relative; later ones by the rows already tested
-    (:func:`_root_interval`).  A wrong or skipped guide costs a
-    reduction, never the answer: a reduction that leaves its level
-    undecided makes the next one test that level's interior as well, so
-    a level costs at most two reductions.
+    The first reduction tests both ends and a ladder (:func:`_ladder`)
+    around the estimate of :func:`_norm_estimate`, out to _SHARP_REACH
+    relative, or to _DRIFT_REACH where the nodes' Carleson constant is
+    below _ESTIMATE_SHARP_DELTA and the estimate drifts.  Where the
+    estimate is skipped it tests the k-section's first pass, _GRID
+    geometric trials from end to end.  Each later reduction tests a
+    ladder around where the tested rows place the threshold
+    (:func:`_root`), out to the bracket's relative width or 1.  It adds
+    the k-section's grid of the bracket, _GRID + 2 points, geometric
+    while the upper end exceeds four times the lower and linear after,
+    when there is no such estimate or the last reduction failed to halve
+    the bracket in log M.  Below a relative width of _GUIDE_FLOOR,
+    rounding can make the predicate non-monotone, so no estimate is made
+    there.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -417,15 +373,16 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
             "too large to bracket the minimal norm"
         )
     n = len(problem)
-    grid = tuple(np.geomspace(lo, hi, _TRIALS).tolist())
-    trials = list(grid)
     estimate = _norm_estimate(problem)
-    if estimate is not None:
-        x0, x1 = estimate * (1.0 - _ESTIMATE_TOL), estimate * (1.0 + _ESTIMATE_TOL)
-        trials += _predicted(grid, x0, x1, rel_tol)
+    if estimate is None:
+        trials = np.geomspace(lo, hi, _GRID).tolist()
+    else:
+        sharp = np.min(problem._moduli) >= _ESTIMATE_SHARP_DELTA
+        trials = [lo, hi, *_ladder(estimate, rel_tol, _SHARP_REACH if sharp else _DRIFT_REACH)]
     tested = {}
+    a, b = lo, hi
     while True:
-        trials = list(dict.fromkeys(trials))
+        trials = [M for M in dict.fromkeys(trials) if a <= M <= b and M not in tested]
         rows = _schur_parameters(problem, trials)
         inside = _inside(rows)
         exits = np.where(inside.all(axis=1), n, np.argmin(inside, axis=1)).tolist()
@@ -437,15 +394,16 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
                 f"norm bound {hi:.6g} tests infeasible; the problem is "
                 f"numerically degenerate"
             )
-        start = grid
-        while (j := _cell(grid, tested)) is not None:
-            a, b, answer = _enter(grid, j, rel_tol)
-            if answer is not None:
-                return answer
-            grid = _grid(a, b)
-        trials = _predicted(grid, *_root_interval(grid[0], grid[-1], tested), rel_tol)
-        if grid is start:  # the reduction decided no level
-            trials += grid[1:-1]
+        span = math.log(b / a)
+        b = min(M for M, (e, _) in tested.items() if e == n)
+        a = max(M for M in tested if M < b)
+        if b - a < rel_tol * b or math.nextafter(a, math.inf) >= b:
+            return b
+        r = _root(tested, a, b) if b - a > _GUIDE_FLOOR * b else None
+        trials = [] if r is None else _ladder(r, rel_tol, min(b / a - 1.0, 1.0))
+        if r is None or 2.0 * math.log(b / a) > span:
+            space = np.geomspace if b > 4.0 * a else np.linspace
+            trials += space(a, b, _GRID + 2).tolist()
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:
