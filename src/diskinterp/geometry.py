@@ -99,12 +99,9 @@ class PseudoDisk:
     """Euclidean realization of the pseudohyperbolic disk D(lam, delta).
 
     The sublevel set {z : |b_lam(z)| < delta} is an ordinary Euclidean disk
-    with shifted center.  ``center_param`` and ``radius_param`` are the
-    defining (lam, delta); the Euclidean data is derived.
+    with shifted center; this holds its Euclidean center and radius.
     """
 
-    center_param: complex
-    radius_param: float
     euclid_center: complex
     euclid_radius: float
 
@@ -129,12 +126,7 @@ def pseudo_disk_euclidean(lam: complex, delta: float) -> PseudoDisk:
     denom = 1.0 - delta * delta * abs(lam) ** 2
     center = lam * (1.0 - delta * delta) / denom
     radius = delta * (1.0 - abs(lam) ** 2) / denom
-    return PseudoDisk(
-        center_param=lam,
-        radius_param=float(delta),
-        euclid_center=center,
-        euclid_radius=float(radius),
-    )
+    return PseudoDisk(euclid_center=center, euclid_radius=float(radius))
 
 
 def sample_pseudo_circle(lam: complex, delta: float, m: int) -> np.ndarray:

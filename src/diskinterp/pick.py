@@ -28,8 +28,8 @@ bracket, so without estimates the search splits the bracket 16 ways per
 reduction, as the blind search does.  On separated random inputs of the
 benchmark's ``interpolate`` sizes (sep 0.1, seeds 1-40, parity and
 random targets) one reduction of 11 trials decides every search at the
-default rel_tol up to n = 32, and two at most decide it at n = 48 and
-64, where the estimate drifts by up to 1e-4.
+default rel_tol, n = 48 and 64 included, where the estimate lies within
+9e-9 of the threshold.
 """
 
 from __future__ import annotations
@@ -62,22 +62,21 @@ _RUNGS = 3
 # from end to end, and later ones the interior of a grid of _GRID + 2.
 _GRID = 15
 
-# Below this relative bracket width, rounding in the reduction can make the
-# predicate non-monotone, so the search stops guessing and tests grids.
+# Below this relative bracket width the search stops guessing from the
+# rows and tests grids.  It does not bound where the predicate is monotone:
+# rounding in the reduction makes the verdict switch back and forth over a
+# band around the threshold, about 1e-13 relative on
+# stress_problem("near_boundary", "gaussian", 8, 1) of tests/test_pick.py,
+# up to 8e-12 on its "regular" family at n = 48 and up to 2e-9 at n = 64,
+# where the norms reach 1e9 (seeds 1-6).
 _GUIDE_FLOOR = 1e-11
 
 # The norm estimate is skipped when the nodes' Carleson constant is below
-# this ...
+# the first of these.  Above it, the estimate lies within 9e-9 of the
+# threshold on the benchmark's inputs, so the first ladder reaches out to
+# the second relative distance around it, a decade past that.
 _ESTIMATE_MIN_DELTA = 1e-16
-
-# ... and lies within 1e-8 of the threshold where it is above this, so
-# the first ladder reaches out to the first of these relative distances,
-# and otherwise to the second.  Below that, it drifted by up to 8.7e-5 on
-# the benchmark's inputs (at n = 64), so the second is a decade past that.
-# One reach for all inputs costs either 8 more trials per search up to
-# n = 32 (1e-3) or up to 5 reductions at n = 64 (1e-7).
-_ESTIMATE_SHARP_DELTA = 1e-10
-_SHARP_REACH, _DRIFT_REACH = 1e-7, 1e-3
+_ESTIMATE_REACH = 1e-7
 
 # Squarings of T T* the norm estimate takes at most; 7 were the most
 # the benchmark's inputs needed.
@@ -240,16 +239,19 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     entry is a product of Mobius values, accurate to rounding even where
     C is singular to working precision and a Cholesky factor of C has no
     correct digit.  The rows of F here carry sqrt(1 - |lam_j|^2) as well,
-    which balances them and leaves F^-1 W F unchanged.  The norm of T =
-    F^-1 W F is found by squaring T T* until the Rayleigh quotient of its
-    largest column settles.
+    which balances them and leaves F^-1 W F unchanged.  T = F^-1 W F is
+    found by forward substitution, row by row: its rows span as many
+    decades as F's, and a pivoting solve mixes them and loses up to 2.5e-4.
+    The norm of T is found by squaring T T* until the Rayleigh quotient of
+    its largest column settles.
 
-    On separated random nodes the estimate lies within 1e-8 of the
-    reduction's threshold (mostly 1e-9, the reduction's own tolerance)
-    while the nodes' Carleson constant min_j |B_j(lam_j)| is above 1e-10,
-    and within 2e-3 down to 1e-16 (_ESTIMATE_MIN_DELTA).  Below that the
-    drift reaches 1e-2 by 1e-18 and order one by 1e-25, so there the
-    estimate is skipped.
+    On the benchmark's separated random inputs the estimate lies within
+    9e-9 of the reduction's threshold (median 1e-9, the reduction's own
+    tolerance).  On the stress families of the tests it lies within 1.1e-8
+    where the nodes' Carleson constant min_j |B_j(lam_j)| is in [1e-16,
+    1e-10), and within 1.4e-7 where it is larger.  Below 1e-16
+    (_ESTIMATE_MIN_DELTA) constant targets put it off by up to 1e25, so
+    there the estimate is skipped.
     """
     if np.min(problem._moduli) < _ESTIMATE_MIN_DELTA:
         return None
@@ -266,7 +268,10 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     products = np.ones(den.shape, dtype=complex)
     np.cumprod(problem._factor_values.T, axis=1, out=products[:, 1:])
     F = np.outer(d, d) / den * products
-    T = np.linalg.solve(F, w[:, None] * F)
+    T = w[:, None] * F
+    for j in range(len(T)):
+        T[j] -= F[j, :j] @ T[:j]
+        T[j] /= F[j, j]
     Th = T.conj().T
     K = T @ Th
     top = 0.0
@@ -349,19 +354,19 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     near-coincident nodes, and ValueError unless 0 < rel_tol < 1.
 
     The first reduction tests both ends and a ladder (:func:`_ladder`)
-    around the estimate of :func:`_norm_estimate`, out to _SHARP_REACH
-    relative, or to _DRIFT_REACH where the nodes' Carleson constant is
-    below _ESTIMATE_SHARP_DELTA and the estimate drifts.  Where the
-    estimate is skipped it tests the k-section's first pass, _GRID
-    geometric trials from end to end.  Each later reduction tests a
-    ladder around where the tested rows place the threshold
-    (:func:`_root`), out to the bracket's relative width or 1.  It adds
-    the k-section's grid of the bracket, _GRID + 2 points, geometric
-    while the upper end exceeds four times the lower and linear after,
-    when there is no such estimate or the last reduction failed to halve
-    the bracket in log M.  Below a relative width of _GUIDE_FLOOR,
-    rounding can make the predicate non-monotone, so no estimate is made
-    there.
+    around the estimate of :func:`_norm_estimate`, out to _ESTIMATE_REACH
+    relative.  Where the estimate is skipped it tests the k-section's
+    first pass, _GRID geometric trials from end to end.  Each later
+    reduction tests a ladder around where the tested rows place the
+    threshold (:func:`_root`), out to the bracket's relative width or 1.
+    It adds the k-section's grid of the bracket, _GRID + 2 points,
+    geometric while the upper end exceeds four times the lower and linear
+    after, when there is no such estimate or the last reduction failed to
+    halve the bracket in log M.  Below a relative width of _GUIDE_FLOOR
+    no estimate is made.  Rounding makes the predicate non-monotone over
+    a band around the threshold, up to 2e-9 relative on ill-conditioned
+    inputs (see _GUIDE_FLOOR), so a rel_tol below that band fixes the
+    threshold only to the band.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -379,8 +384,7 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     if estimate is None:
         trials = np.geomspace(lo, hi, _GRID).tolist()
     else:
-        sharp = np.min(problem._moduli) >= _ESTIMATE_SHARP_DELTA
-        trials = [lo, hi, *_ladder(estimate, rel_tol, _SHARP_REACH if sharp else _DRIFT_REACH)]
+        trials = [lo, hi, *_ladder(estimate, rel_tol, _ESTIMATE_REACH)]
     tested = {}
     a, b = lo, hi
     while True:

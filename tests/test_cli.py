@@ -713,14 +713,14 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "37e8da37d2df09c8828d7bd7f235dfa16297608f7b7b75f828c8e7e422774eda"),
+         "3ebd179345e92a12719171ffc2aaab19bc5458cab6262e8db9ca3fc153a4589e"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "9331060d81cb5e3165b138eaa3cadcea3f1f33b2f4400f4fa9beb199d5307967"),
+         "28c2e846f3ea8eec672873bd2efd8e77e14cf4571e02a0341bba3a821dd123af"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
-         "1a71316387fe77bb38438cbeeef6696b273c39d0dc79b0340f814463f7cb7be5"),
+         "e84f567d72973e61a202061ae7fa2cf67bb148e70594e3d39c77b4d84cc90642"),
         ("interpolate", 24, 0.1, 5,
          ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
-         "32835b5d1c1c1299526a234cd1cf1b33e64da1772824ac11c8f1315889d9465a"),
+         "feafdf10e9ab2687e50e9357acc69d6dc787e3443f881b86ed46260904f4d236"),
         ("decompose", 12, 0.1, 6, (),  # exhaustive search
          "8a17c2febbf9e1751541eccbe10268a6b0deac6078631837402cb2f07a763b70"),
         ("decompose", 20, 0.1, 7, (),  # local search
@@ -738,4 +738,4 @@ class TestPinnedOutput:
         assert run_cli(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c45dd6503840e36bbc3138fefc4902d2c86f1350d0e2ada34dd2054eeeaa6304")
+            "c7d526cde65304ecbfc51e8b2a8a6cbd08f195700232db488866ce6ccf5cc9d9")
