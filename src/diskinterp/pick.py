@@ -238,19 +238,19 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     |lam_m|^2) / (1 - conj(lam_m) z) * prod_{i<m} b_{lam_i}(z).  Each
     entry is a product of Mobius values, accurate to rounding even where
     C is singular to working precision and a Cholesky factor of C has no
-    correct digit.  The rows of F here carry sqrt(1 - |lam_j|^2) as well,
-    which balances them and leaves F^-1 W F unchanged.  T = F^-1 W F is
-    found by forward substitution, row by row: its rows span as many
-    decades as F's, and a pivoting solve mixes them and loses up to 2.5e-4.
-    The norm of T is found by squaring T T* until the Rayleigh quotient of
-    its largest column settles.
+    correct digit.  Dividing each row of F by its diagonal entry leaves
+    F^-1 W F unchanged and makes F unit lower triangular, so T = F^-1 W F
+    follows by forward substitution, row by row.  F's rows span many
+    decades, and a pivoting solve mixes them and loses up to 2.5e-4.  The
+    norm of T is found by squaring T T* until the Rayleigh quotient of its
+    largest column settles.
 
     On the benchmark's separated random inputs the estimate lies within
     9e-9 of the reduction's threshold (median 1e-9, the reduction's own
     tolerance).  On the stress families of the tests it lies within 1.1e-8
     where the nodes' Carleson constant min_j |B_j(lam_j)| is in [1e-16,
     1e-10), and within 1.4e-7 where it is larger.  Below 1e-16
-    (_ESTIMATE_MIN_DELTA) constant targets put it off by up to 1e25, so
+    (_ESTIMATE_MIN_DELTA) constant targets put it off by up to 2e25, so
     there the estimate is skipped.
     """
     if np.min(problem._moduli) < _ESTIMATE_MIN_DELTA:
@@ -267,11 +267,11 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     # The factor b_{lam_j}(lam_j) = 0 makes F lower triangular.
     products = np.ones(den.shape, dtype=complex)
     np.cumprod(problem._factor_values.T, axis=1, out=products[:, 1:])
-    F = np.outer(d, d) / den * products
+    F = d / den * products
+    F /= F.diagonal()[:, None]
     T = w[:, None] * F
-    for j in range(len(T)):
+    for j in range(1, len(T)):
         T[j] -= F[j, :j] @ T[:j]
-        T[j] /= F[j, j]
     Th = T.conj().T
     K = T @ Th
     top = 0.0

@@ -713,14 +713,14 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "3ebd179345e92a12719171ffc2aaab19bc5458cab6262e8db9ca3fc153a4589e"),
+         "b98ed6be86667b07c4ab2aaad551bdfcba50284171174ea1b39f7ea67be9ca7c"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "28c2e846f3ea8eec672873bd2efd8e77e14cf4571e02a0341bba3a821dd123af"),
+         "6d8ce9f129ddc1a6bdfe0b6cdad8372eb81d3b626d7ab15d1aa39bea49eb4fd5"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
-         "e84f567d72973e61a202061ae7fa2cf67bb148e70594e3d39c77b4d84cc90642"),
+         "1a71316387fe77bb38438cbeeef6696b273c39d0dc79b0340f814463f7cb7be5"),
         ("interpolate", 24, 0.1, 5,
          ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
-         "feafdf10e9ab2687e50e9357acc69d6dc787e3443f881b86ed46260904f4d236"),
+         "85854d51168ce20de41dd0285a8a7aa7605bae1fff1684dd748684e6f6e5ad4b"),
         ("decompose", 12, 0.1, 6, (),  # exhaustive search
          "8a17c2febbf9e1751541eccbe10268a6b0deac6078631837402cb2f07a763b70"),
         ("decompose", 20, 0.1, 7, (),  # local search
@@ -738,4 +738,4 @@ class TestPinnedOutput:
         assert run_cli(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c7d526cde65304ecbfc51e8b2a8a6cbd08f195700232db488866ce6ccf5cc9d9")
+            "3d98b5e6a291051714b5e83778774fb0f2e8d45628df0feb434f60bae5931b65")
