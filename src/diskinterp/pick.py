@@ -19,13 +19,9 @@ first reduction tests a short ladder of trials around a closed-form
 estimate of the threshold: A(M) = M^2 C - W C W* with C the Szego Gram
 matrix of the nodes and W = diag(w), so the minimal norm is the square
 root of the top eigenvalue of C^-1 W C W* (Pick's theorem).  Where the
-ladder misses, the tested rows place the threshold: the parameter
-nearest to leaving the disk is a smooth function of M, and interpolating
-its modulus gives the next ladder's centre.  A blind k-section backs
-both up: a reduction with no estimate, or after one that failed to halve
-the bracket, also tests the interior of a 17-point grid over the
-bracket, so without estimates the search splits the bracket 16 ways per
-reduction, as the blind search does.  On separated random inputs of the
+ladder misses, or the estimate is skipped, a blind k-section takes over:
+each later reduction tests the interior of a 17-point grid over the
+bracket and splits it 16 ways.  On separated random inputs of the
 benchmark's ``interpolate`` sizes (sep 0.1, seeds 1-40, parity and
 random targets) one reduction of 11 trials decides every search at the
 default rel_tol, n = 48 and 64 included, where the estimate lies within
@@ -55,21 +51,12 @@ BISECT_REL_TOL = 1e-8
 # Recursion parameters may exceed the closed disk by at most this much.
 _PARAM_TOL = 1e-9
 
-# Rungs of a ladder on each side of its guess (:func:`_ladder`).
+# Rungs of a ladder on each side of its estimate (:func:`_ladder`).
 _RUNGS = 3
 
 # The k-section's trial norms per pass: its first pass tests this many
 # from end to end, and later ones the interior of a grid of _GRID + 2.
 _GRID = 15
-
-# Below this relative bracket width the search stops guessing from the
-# rows and tests grids.  It does not bound where the predicate is monotone:
-# rounding in the reduction makes the verdict switch back and forth over a
-# band around the threshold, about 1e-13 relative on
-# stress_problem("near_boundary", "gaussian", 8, 1) of tests/test_pick.py,
-# up to 8e-12 on its "regular" family at n = 48 and up to 2e-9 at n = 64,
-# where the norms reach 1e9 (seeds 1-6).
-_GUIDE_FLOOR = 1e-11
 
 # The norm estimate is skipped when the nodes' Carleson constant is below
 # the first of these.  Above it, the estimate lies within 9e-9 of the
@@ -289,53 +276,21 @@ def _norm_estimate(problem: PickProblem) -> float | None:
     return scale * math.sqrt(rq)
 
 
-def _ladder(r: float, rel_tol: float, reach: float) -> list:
-    """Trial norms around a guess r of the threshold.
+def _ladder(r: float, rel_tol: float) -> list:
+    """Trial norms around an estimate r of the threshold.
 
     The rungs r * (1 + 0.999 j rel_tol), |j| <= _RUNGS, lie less than
     rel_tol apart, so two of them that straddle the threshold end the
     search.  Beyond them, one pair r * (1 +- 10^-k) per decade up to the
-    relative distance ``reach`` leaves a bracket within a decade of the
-    guess's error when the rungs miss.
+    relative distance _ESTIMATE_REACH leaves a bracket within a decade of
+    the estimate's error when the rungs miss.
     """
     trials = [r * (1.0 + 0.999 * j * rel_tol) for j in range(-_RUNGS, _RUNGS + 1)]
     k = math.floor(math.log10(_RUNGS * rel_tol)) + 1
-    while 10.0 ** k <= reach:
+    while 10.0 ** k <= _ESTIMATE_REACH:
         trials += (r * (1.0 - 10.0 ** k), r * (1.0 + 10.0 ** k))
         k += 1
     return trials
-
-
-def _root(tested: dict, a: float, b: float) -> float | None:
-    """The threshold in the bracket (a, b] as the tested rows place it, or None.
-
-    ``tested`` maps each tested trial norm to its exit (the first node
-    outside the disk, or n if none is) and its row.  k is the node of
-    row b's largest parameter, the one nearest to leaving the disk, and
-    g(M) = log |p_k(M)| - log(1 + _PARAM_TOL) crosses 0 where it leaves.
-    log M is interpolated as a polynomial in g through the three rows
-    with p_k defined (exit at least k) and the smallest |g|, two if
-    there are only two, and evaluated at g = 0: inverse quadratic
-    interpolation in log-log coordinates, where |p_k| is nearly linear
-    even across a wide bracket (at n = 2 it is c / M).  None when the
-    estimate is not in (a, b].
-    """
-    k = int(np.argmax(np.abs(tested[b][1])))
-    edge = math.log1p(_PARAM_TOL)
-    points = {}
-    for M, (e, row) in tested.items():
-        p = float(abs(row[k])) if e >= k else 0.0
-        if 0.0 < p < math.inf:
-            points.setdefault(math.log(p) - edge, math.log(M))
-    nearest = sorted(points, key=abs)[:3]
-    x = 0.0
-    for g in nearest:
-        term = points[g]
-        for h in nearest:
-            if h != g:
-                term *= h / (h - g)
-        x += term
-    return math.exp(x) if len(nearest) > 1 and math.log(a) < x <= math.log(b) else None
 
 
 def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
@@ -354,19 +309,16 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     near-coincident nodes, and ValueError unless 0 < rel_tol < 1.
 
     The first reduction tests both ends and a ladder (:func:`_ladder`)
-    around the estimate of :func:`_norm_estimate`, out to _ESTIMATE_REACH
-    relative.  Where the estimate is skipped it tests the k-section's
-    first pass, _GRID geometric trials from end to end.  Each later
-    reduction tests a ladder around where the tested rows place the
-    threshold (:func:`_root`), out to the bracket's relative width or 1.
-    It adds the k-section's grid of the bracket, _GRID + 2 points,
-    geometric while the upper end exceeds four times the lower and linear
-    after, when there is no such estimate or the last reduction failed to
-    halve the bracket in log M.  Below a relative width of _GUIDE_FLOOR
-    no estimate is made.  Rounding makes the predicate non-monotone over
-    a band around the threshold, up to 2e-9 relative on ill-conditioned
-    inputs (see _GUIDE_FLOOR), so a rel_tol below that band fixes the
-    threshold only to the band.
+    around the estimate of :func:`_norm_estimate`.  Where the estimate is
+    skipped it tests the k-section's first pass, _GRID geometric trials
+    from end to end.  Every later reduction tests the k-section's grid of
+    the bracket, _GRID + 2 points, geometric while the upper end exceeds
+    four times the lower and linear after.  Rounding makes the predicate
+    non-monotone over a band around the threshold: about 1e-13 relative
+    on stress_problem("near_boundary", "gaussian", 8, 1) of
+    tests/test_pick.py, up to 8e-12 on its "regular" family at n = 48 and
+    up to 2e-9 at n = 64, where the norms reach 1e9 (seeds 1-6).  A
+    rel_tol below that band fixes the threshold only to the band.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
@@ -379,37 +331,30 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
             "norm bound sum_j |w_j| / |B_j(lam_j)| overflows; the targets are "
             "too large to bracket the minimal norm"
         )
-    n = len(problem)
     estimate = _norm_estimate(problem)
     if estimate is None:
         trials = np.geomspace(lo, hi, _GRID).tolist()
     else:
-        trials = [lo, hi, *_ladder(estimate, rel_tol, _ESTIMATE_REACH)]
+        trials = [lo, hi, *_ladder(estimate, rel_tol)]
     tested = {}
     a, b = lo, hi
     while True:
         trials = [M for M in dict.fromkeys(trials) if a <= M <= b and M not in tested]
-        rows = _schur_parameters(problem, trials)
-        inside = _inside(rows)
-        exits = np.where(inside.all(axis=1), n, np.argmin(inside, axis=1)).tolist()
-        tested.update(zip(trials, zip(exits, rows)))
-        if tested[lo][0] == n:
+        feasible = _inside(_schur_parameters(problem, trials)).all(axis=1)
+        tested.update(zip(trials, feasible.tolist()))
+        if tested[lo]:
             return lo
-        if tested[hi][0] < n:
+        if not tested[hi]:
             raise BracketFailureError(
                 f"norm bound {hi:.6g} tests infeasible; the problem is "
                 f"numerically degenerate"
             )
-        span = math.log(b / a)
-        b = min(M for M, (e, _) in tested.items() if e == n)
+        b = min(M for M, ok in tested.items() if ok)
         a = max(M for M in tested if M < b)
         if b - a < rel_tol * b or math.nextafter(a, math.inf) >= b:
             return b
-        r = _root(tested, a, b) if b - a > _GUIDE_FLOOR * b else None
-        trials = [] if r is None else _ladder(r, rel_tol, min(b / a - 1.0, 1.0))
-        if r is None or 2.0 * math.log(b / a) > span:
-            space = np.geomspace if b > 4.0 * a else np.linspace
-            trials += space(a, b, _GRID + 2).tolist()
+        space = np.geomspace if b > 4.0 * a else np.linspace
+        trials = space(a, b, _GRID + 2).tolist()
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:
