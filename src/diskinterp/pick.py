@@ -110,10 +110,14 @@ class PickProblem:
         """
         lam = self.nodes.points
         centre = lam[:-1, None]
-        zero = np.abs(centre) < _ZERO_POINT_TOL
+        # np.hypot is the scalar abs() that _mobius takes; numpy's complex
+        # abs differs from it in the last bit or two on about a third of
+        # points.
+        modulus = np.hypot(centre.real, centre.imag)
+        zero = modulus < _ZERO_POINT_TOL
         centre = np.where(zero, 0.0, centre)
         with np.errstate(divide="ignore", invalid="ignore"):
-            unit = np.where(zero, 1.0, np.conj(centre) / np.abs(centre))
+            unit = np.where(zero, 1.0, np.conj(centre) / modulus)
         return unit * (lam - centre) / (1.0 - np.conj(centre) * lam)
 
     @cached_property

@@ -713,14 +713,14 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "b98ed6be86667b07c4ab2aaad551bdfcba50284171174ea1b39f7ea67be9ca7c"),
+         "c85acaf825fd90d60249941b2bc2867519e65530e321c6cbc5116a53f858ade7"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "6d8ce9f129ddc1a6bdfe0b6cdad8372eb81d3b626d7ab15d1aa39bea49eb4fd5"),
+         "bd459565b5e79fbbecbe57c0bafbdd6e77f72eee1cbe916328de2a98e6aa4024"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
-         "1a71316387fe77bb38438cbeeef6696b273c39d0dc79b0340f814463f7cb7be5"),
+         "3459b77a59a6cf1e727064b914ad794865e986878c2120c894f2d78e23adc181"),
         ("interpolate", 24, 0.1, 5,
          ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
-         "85854d51168ce20de41dd0285a8a7aa7605bae1fff1684dd748684e6f6e5ad4b"),
+         "0a07f2ef2f7a1f902a938cc21b861ace126b9209e0ef9ed25c71056083e6061f"),
         ("decompose", 12, 0.1, 6, (),  # exhaustive search
          "8a17c2febbf9e1751541eccbe10268a6b0deac6078631837402cb2f07a763b70"),
         ("decompose", 20, 0.1, 7, (),  # local search

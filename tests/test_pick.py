@@ -25,6 +25,7 @@ from diskinterp import (
     solve_pick,
     sup_norm_boundary,
 )
+from diskinterp.geometry import _mobius
 from oracles import _trace_scale, ksection_min_norm, sarason_min_norm
 
 
@@ -649,6 +650,18 @@ class TestSolvePick:
         solution = solve_pick(problem)
         expected = interpolant_eval(solution.interpolant, problem.nodes.points)
         assert np.array_equal(solution.residuals, expected - problem.targets)
+
+    def test_reduction_divides_by_the_evaluators_factors(self):
+        # The reduction's divisors b_{lam_i}(lam_j) are the floats that
+        # interpolant_eval's _mobius computes at the nodes, bit for bit, so
+        # the norm search and the residual check round each factor alike.
+        sequences = [generate_separated_random(n, 0.1, seed) for n in (8, 33, 64) for seed in (1, 2)]
+        sequences.append(PointSequence((0.0, 0.5, -0.4j, 0.3 + 0.6j)))
+        for seq in sequences:
+            lam = seq.points
+            factors = PickProblem(seq, np.zeros(len(seq)))._factor_values
+            for i, centre in enumerate(lam.tolist()[:-1]):
+                assert np.array_equal(factors[i], _mobius(centre, lam)), (len(seq), i)
 
     def test_residual_guard_names_node(self, monkeypatch):
         construct = pick.construct_interpolant
