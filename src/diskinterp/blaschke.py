@@ -265,7 +265,9 @@ def weak_interpolation_family(seq: PointSequence) -> list[WeakFamilyMember]:
     Each member carries its sup-norm 1/|B_n(lam_n)| (attained on the
     boundary, where |B_n| = 1) and a callable evaluating phi_n at scalar or
     array arguments.  Raises DegenerateSequenceError when some |B_n(lam_n)|
-    is below 1e-12.
+    is below 1e-12.  Nothing in the package calls it yet: it stays as the
+    paper's one-point family, from which an exact zero/one interpolant can
+    be corrected, and the tests and demos check it.
     """
     pts = seq.points
     members: list[WeakFamilyMember] = []

@@ -63,6 +63,10 @@ def mobius_transform(lam: complex, z):
     factor degenerates to the identity as lam -> 0.  For lam = 0 the
     convention b_0(z) = z applies.
 
+    Nothing in the package calls it, since the package evaluates the
+    unchecked ``_mobius`` on points it has already validated; it stays as
+    the checked public form of the paper's factor for demos and tests.
+
     Parameters
     ----------
     lam : complex

@@ -309,6 +309,9 @@ def remark_two_functions_check(dec: Decomposition) -> tuple[float, float]:
 
     These are the two constants that must be simultaneously positive for a
     splitting to certify interpolation without solving for any function.
+    Nothing in the package calls it, since the chain solves for the
+    interpolant instead; it stays as the paper's two-function remark in
+    code, which the tests check on their splits.
     """
     mod0, mod1 = _part_moduli(dec)
     return float(np.min(mod0[list(dec.part1)])), float(np.min(mod1[list(dec.part0)]))

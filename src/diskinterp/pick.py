@@ -160,7 +160,12 @@ class PickSolution:
 
 
 def pick_matrix(problem: PickProblem, M: float) -> np.ndarray:
-    """Hermitian feasibility matrix for the norm-M interpolation problem."""
+    """Hermitian feasibility matrix for the norm-M interpolation problem.
+
+    Nothing in the package calls it, since the reduction tests the same
+    condition without forming the matrix; it stays as the statement of
+    Pick's theorem that the tests and demos check the reduction against.
+    """
     lam = problem.nodes.points
     w = problem.targets
     num = M * M - np.outer(w, np.conj(w))
@@ -199,7 +204,10 @@ def is_feasible(problem: PickProblem, M: float) -> bool:
 
     That is the case exactly when the reduction of
     :func:`construct_interpolant` at M keeps every parameter in the closed
-    disk; this is the same test :func:`min_norm` searches on.
+    disk; this is the same test :func:`min_norm` searches on.  Nothing in
+    the package calls it, since the search and the construction run
+    :func:`_schur_parameters` directly: tests, demos and the benchmark
+    tracer are its only callers.
     """
     if M <= 0.0:
         return M == 0.0 and not np.any(problem.targets)
@@ -455,8 +463,9 @@ def sup_norm_boundary(f: RationalInterpolant, grid: int = 4096) -> float:
     by golden-section search around the discrete argmax until the bracket
     is below 2*pi/(grid*64).  The estimate is a lower bound on the true
     sup-norm, so it cannot certify a norm: the bound chain uses ``scale``
-    instead.  It stays as a public diagnostic, which the tests and demos
-    use to check that the sampled sup sits at or below ``scale``.
+    instead.  Nothing in the package calls it: it stays as a public
+    diagnostic, and the tests and demos, its only callers, use it to check
+    that the sampled sup sits at or below ``scale``.
     """
     if grid < 256:
         raise ValueError(f"boundary grid must be at least 256, got {grid}")
