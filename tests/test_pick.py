@@ -331,26 +331,24 @@ class TestGuidedSearch:
             verdicts.update(zip(Ms, pick._inside(rows).all(axis=1)))
             return rows
 
+        monkeypatch.setattr(pick, "_schur_parameters", recorded)
         problems = [(n, stress_problem(nodes, targets, n, seed=1))
                     for nodes in NODE_KINDS for targets in TARGET_KINDS
                     for n in (2, 3, 5, 8, 12, 17, 24, 33, 48, 64)]
         problems += list(benchmark_problems((1, 2)))
         for n, problem in problems:
-            threshold = min_norm(problem, 1e-11)
+            threshold = ksection_min_norm(problem, 1e-11)
             lo = float(np.max(np.abs(problem.targets)))
             for miss in (1.0 - 1e-3, 1.0 + 1e-3, 10.0, 0.1):
-                monkeypatch.setattr(pick, "_schur_parameters", recorded)
                 monkeypatch.setattr(pick, "_norm_estimate", lambda p: threshold * miss)
                 verdicts.clear()
                 M = min_norm(problem, rel_tol)
-                monkeypatch.undo()
                 if M > lo:
                     below = [L for L in verdicts if L < M]
                     assert verdicts[M] and not any(verdicts[L] for L in below), (n, miss)
                     assert M - max(below) < rel_tol * M, (n, miss)
-                assert is_feasible(problem, M)
-                if M > lo:
                     assert not is_feasible(problem, max(lo, M * (1.0 - rel_tol))), (n, miss)
+                assert is_feasible(problem, M)
 
     def test_one_reduction_up_to_32_nodes(self, reduction_calls):
         # The first reduction's ladder around the norm estimate holds the
