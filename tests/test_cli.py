@@ -725,6 +725,12 @@ class TestPinnedOutput:
          "8a17c2febbf9e1751541eccbe10268a6b0deac6078631837402cb2f07a763b70"),
         ("decompose", 20, 0.1, 7, (),  # local search
          "abb5867a9a7f05ef2f116d00290faf7a46734f44cf2c9e0b9ff95b65020719d3"),
+        ("decompose", 14, 0.1, 5, (),  # exhaustive search, 224 masks evaluated
+         "6b326f273d75a0cd6449bbc7c855da1c3ade170816d6d12fa1e11b446518fda3"),
+        ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
+         "5938dbdf9504c70e521ece20bf28d48e8589c5ccbfc5f3d9b28e03c7eb935a6a"),
+        ("verify-theorem", 32, 0.1, 5, (),
+         "3ff54ce23d26eb539e326ee10d93d8f50fea915f2b2655fb048148540cbf25e9"),
     ])
     def test_stdout_digest(self, tmp_path, capsys, command, count, sep, seed, extra, digest):
         doc = write_document(tmp_path / "in.json",
