@@ -55,6 +55,23 @@ def _mobius(lam: complex, z):
     return (np.conj(lam) / abs(lam)) * (z - lam) / (1.0 - np.conj(lam) * z)
 
 
+def _mobius_rows(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """b_lam(z) at [i, j] for every centre lam[i] and point z[j], in one broadcast.
+
+    The floats of ``_mobius(lam[i], z)``, row by row, with its convention
+    b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  |lam| is ``np.hypot``,
+    the scalar ``abs()`` that ``_mobius`` takes; numpy's complex abs
+    differs from it in the last bit or two on about a third of points.
+    """
+    centre = np.asarray(lam, dtype=complex)[:, None]
+    modulus = np.hypot(centre.real, centre.imag)
+    zero = modulus < _ZERO_POINT_TOL
+    centre = np.where(zero, 0.0, centre)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.where(zero, 1.0, np.conj(centre) / modulus)
+    return unit * (z - centre) / (1.0 - np.conj(centre) * z)
+
+
 def mobius_transform(lam: complex, z):
     """Normalized Mobius transform b_lam(z) = (|lam|/lam)(z - lam)/(1 - conj(lam) z).
 
@@ -114,6 +131,37 @@ class PseudoDisk:
         return np.abs(np.asarray(z) - self.euclid_center) < self.euclid_radius
 
 
+def _euclidean_disks(lam, delta: float):
+    """Euclidean centers and radii of D(lam, delta) for an array of centres.
+
+    The closed forms of :func:`pseudo_disk_euclidean`, on the floats that
+    CPython computes for one complex centre: |lam| is ``np.hypot``, the
+    scalar ``abs()``, its square is C ``pow()``, and the center's parts are
+    divided separately, as CPython's complex / float does; numpy's
+    complex division multiplies by the reciprocal, which moves the
+    center by an ulp.  Every centre is
+    checked as :func:`check_interior` checks one, and delta must lie in
+    (0, 1), or ValueError is raised.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    modulus = np.hypot(lam.real, lam.imag)
+    bad = ~(modulus < 1.0 - INTERIOR_GUARD)  # also catches nan and inf
+    if bad.any():
+        check_interior(lam[bad].flat[0])
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    # CPython's abs(lam) ** 2 is C pow(), which differs from modulus *
+    # modulus in the last bit on about 1 in 1000 moduli; float_power calls
+    # pow() too, where power(modulus, 2) squares.
+    modulus_sq = np.float_power(modulus, 2)
+    denom = 1.0 - delta * delta * modulus_sq
+    center = np.empty_like(lam)
+    center.real = lam.real * (1.0 - delta * delta) / denom
+    center.imag = lam.imag * (1.0 - delta * delta) / denom
+    radius = delta * (1.0 - modulus_sq) / denom
+    return center, radius
+
+
 def pseudo_disk_euclidean(lam: complex, delta: float) -> PseudoDisk:
     """Euclidean center and radius of D(lam, delta) = {z : |b_lam(z)| < delta}.
 
@@ -124,24 +172,21 @@ def pseudo_disk_euclidean(lam: complex, delta: float) -> PseudoDisk:
     contract; the closed forms are checked against it in the test suite
     rather than trusted.
     """
-    lam = check_interior(lam)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    denom = 1.0 - delta * delta * abs(lam) ** 2
-    center = lam * (1.0 - delta * delta) / denom
-    radius = delta * (1.0 - abs(lam) ** 2) / denom
-    return PseudoDisk(euclid_center=center, euclid_radius=float(radius))
+    center, radius = _euclidean_disks(check_interior(lam), delta)
+    return PseudoDisk(euclid_center=complex(center), euclid_radius=float(radius))
 
 
-def sample_pseudo_circle(lam: complex, delta: float, m: int) -> np.ndarray:
+def sample_pseudo_circle(lam, delta: float, m: int) -> np.ndarray:
     """m points on the boundary circle of D(lam, delta), equally spaced in angle.
 
     Each sample z satisfies |b_lam(z)| = delta to about 1e-10; the first
     sample sits at Euclidean angle 0 from the Euclidean center and the rest
-    follow counterclockwise.
+    follow counterclockwise.  An array of centres gives one row of m
+    samples per centre, in one broadcast, bit for bit the samples of each
+    centre on its own.
     """
     if m < 1:
         raise ValueError(f"need at least one sample point, got m = {m}")
-    disk = pseudo_disk_euclidean(lam, delta)
-    angles = 2.0 * np.pi * np.arange(m) / m
-    return disk.euclid_center + disk.euclid_radius * np.exp(1j * angles)
+    center, radius = _euclidean_disks(lam, delta)
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    return center[..., None] + radius[..., None] * circle

@@ -141,14 +141,16 @@ def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:
     further.  ValueError is raised when delta is outside (0, 1).
     """
     n, m = len(seq), _RIM_SAMPLES
-    pts = np.concatenate([sample_pseudo_circle(lam, delta, m) for lam in seq.points])
+    pts = sample_pseudo_circle(seq.points, delta, m).ravel()
     LM = log_factors(seq.points, pts)
     inside = LM < np.log(delta)
     inside.reshape(n, n, m)[np.arange(n), np.arange(n)] = False
     keep = ~inside.any(axis=0)
-    pts, LM = pts[keep], LM.compress(keep, axis=1)  # C order, as the search reads rows
-    rim = np.repeat(np.arange(n), m)[keep]
-    theta = np.tile(2.0 * np.pi * np.arange(m) / m, n)[keep]
+    rim = np.repeat(np.arange(n), m)
+    theta = np.tile(2.0 * np.pi * np.arange(m) / m, n)
+    if not keep.all():
+        pts, rim, theta = pts[keep], rim[keep], theta[keep]
+        LM = LM.compress(keep, axis=1)  # C order, as the search reads rows
     for array in (pts, LM, rim, theta):
         array.flags.writeable = False
     return ExclusionGrid(points=pts, delta=float(delta), factors=LM, rim=rim, theta=theta)
@@ -235,27 +237,48 @@ def _search_exhaustive(LM, L_total):
     L0 = masks[probes].astype(float) @ LM
     witnesses = np.unique(_fit_b(L0, L_total - L0)[1])
     L0 = masks.astype(float) @ LM[:, witnesses]
-    bound = _fit_b(L0, L_total[witnesses] - L0)[0]
+    bound = np.ones(len(masks))
+    for l0, l1 in zip(L0.T, L_total[witnesses, None] - L0.T):
+        np.maximum(bound, np.maximum(l1 / l0, l0 / l1), out=bound)
     order = np.argsort(bound, kind="stable")
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
     best = None
     evaluated = 0
     for start in range(0, order.size, _EVAL_CHUNK):
+        rows = order[start:start + _EVAL_CHUNK]
         if best is not None:
             best_b = best[0][0]
-            if bound[order[start]] > best_b * (1.0 + 1e-12 + rounding * (1.0 + best_b)):
+            if bound[rows[0]] > best_b * (1.0 + 1e-12 + rounding * (1.0 + best_b)):
                 break
-        chunk = masks[order[start:start + _EVAL_CHUNK]]
-        L0 = chunk.astype(float) @ LM
-        b = _fit_b(L0, L_total - L0)[0]
-        a = _fit_a(b, L0, L_total - L0)
-        evaluated += len(chunk)
-        for row in range(len(chunk)):
-            key = (float(b[row]), -float(a[row]),
-                   tuple(np.flatnonzero(chunk[row]).tolist()))
+        L0 = masks[rows].astype(float) @ LM
+        L1 = L_total - L0
+        b = _fit_b(L0, L1)[0]
+        evaluated += len(rows)
+        if best is not None:  # a row with a larger b cannot win
+            contenders = b <= best_b
+            rows, L0, L1, b = rows[contenders], L0[contenders], L1[contenders], b[contenders]
+        for row, b_row, a_row in zip(rows, b.tolist(), _fit_a(b, L0, L1).tolist()):
+            key = (b_row, -a_row, tuple(np.flatnonzero(masks[row]).tolist()))
             if best is None or key < best[0]:
-                best = (key, chunk[row])
+                best = (key, masks[row])
     return best[1], len(masks), evaluated
+
+
+def _screen(L0, L_total, sign, LM, cols):
+    """Witness b and degeneracy of the moves L0 + sign[i] LM[i], one per row.
+
+    The rows are scored on the columns ``cols`` only: the b of each move
+    there, clamped below at 1 as ``_fit_b`` clamps it, and whether a part's
+    log-modulus is numerically zero there, where ``_fit_b`` would raise.
+    A move that empties a part reads nonsense, so the division runs under
+    ``np.errstate``; the caller skips those rows.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l0 = L0[cols] + sign[:, None] * LM[:, cols]
+        l1 = L_total[cols] - l0
+        bound = np.maximum(np.maximum(l1 / l0, l0 / l1).max(axis=1), 1.0)
+        degenerate = (np.maximum(l0, l1) > -_FIT_DEGENERACY_TOL).any(axis=1)
+    return bound, degenerate
 
 
 def _search_local(LM, L_total, points):
@@ -287,31 +310,44 @@ def _search_local(LM, L_total, points):
         return L0, (b, -_fit_a(b, L0, L_total - L0)), worst
 
     L0, current, worst = exact()
-    witnesses = np.array([worst])
+    witnesses = [worst]
     tried = evaluated = 1
     improved = True
     while improved:
         improved = False
-        for i in range(n):
-            mask[i] = not mask[i]
-            size0 = int(mask.sum())
-            if 0 < size0 < n:
-                tried += 1
-                move = np.add if mask[i] else np.subtract
-                L0w = move(L0[witnesses], LM[i, witnesses])
-                if _fit_b(L0w, L_total[witnesses] - L0w)[0] <= current[0]:
-                    evaluated += 1
-                    cand = move(L0, LM[i])
-                    b, worst = _fit_b(cand, L_total - cand)
-                    if worst not in witnesses:
-                        witnesses = np.append(witnesses, worst)
-                    if b <= current[0] and (b, -_fit_a(b, cand, L_total - cand)) < current:
-                        L0_exact, score, _ = exact()
-                        if score < current:
-                            L0, current = L0_exact, score
-                            improved = True
-                            continue
-            mask[i] = not mask[i]
+        start = 0
+        while start < n:
+            # Screen the moves start, ..., n - 1 of the current mask in one batch.
+            sign = np.where(mask[start:], -1.0, 1.0)  # a move adds sign * LM[i] to L0
+            size0 = np.count_nonzero(mask) + sign
+            legal = (size0 > 0) & (size0 < n)  # no move may empty a part
+            bound, degenerate = _screen(L0, L_total, sign, LM[start:], witnesses)
+            k, end = -1, n
+            while end == n:
+                # A degenerate move is fully fitted, where _fit_b raises.
+                hits = np.flatnonzero(legal[k + 1:] & (degenerate[k + 1:]
+                                                       | (bound[k + 1:] <= current[0])))
+                if not hits.size:
+                    break
+                k += 1 + int(hits[0])
+                i = start + k
+                evaluated += 1
+                mask[i] = not mask[i]
+                cand = L0 + sign[k] * LM[i]
+                b, worst = _fit_b(cand, L_total - cand)
+                if worst not in witnesses:  # fold the new column into the batch's bounds
+                    witnesses.append(worst)
+                    column = _screen(L0, L_total, sign, LM[start:], [worst])
+                    np.maximum(bound, column[0], out=bound)
+                    degenerate |= column[1]
+                if b <= current[0] and (b, -_fit_a(b, cand, L_total - cand)) < current:
+                    L0_exact, score, _ = exact()
+                    if score < current:  # accepted: screen again from the next move
+                        L0, current, improved, end = L0_exact, score, True, i + 1
+                        continue
+                mask[i] = not mask[i]
+            tried += int(np.count_nonzero(legal[:end - start]))
+            start = end
     if not mask[0]:
         mask = ~mask
     return mask, tried, evaluated
@@ -329,18 +365,20 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: floa
     ``b`` and the best ratio found, with the point attaining it.
     """
     points = seq.points
+    conj = np.conj(points)
     rim = int(grid.rim[worst])
     disk = pseudo_disk_euclidean(points[rim], grid.delta)
-    others = np.arange(len(points)) != rim
+    others = np.flatnonzero(np.arange(len(points)) != rim)
+    part0, part1 = np.flatnonzero(mask), np.flatnonzero(~mask)
     log_delta = np.log(grid.delta)
     best = [b, complex(grid.points[worst])]
 
     def ratio(t: float) -> float:
         z = disk.euclid_center + disk.euclid_radius * np.exp(1j * t)
-        logs = np.log(np.abs((z - points) / (1.0 - np.conj(points) * z)))
+        logs = np.log(np.abs((z - points) / (1.0 - conj * z)))
         if logs[others].min() < log_delta:
             return -np.inf
-        L0, L1 = logs[mask].sum(), logs[~mask].sum()
+        L0, L1 = logs[part0].sum(), logs[part1].sum()
         r = float(max(L1 / L0, L0 / L1))
         if r > best[0]:
             best[:] = r, complex(z)

@@ -43,13 +43,18 @@ from .errors import (
     PointSetError,
     RecursionBreakdownError,
 )
-from .geometry import _ZERO_POINT_TOL, _check_closed_disk, _mobius
+from .geometry import _check_closed_disk, _mobius_rows
 
 # Relative bracket width at which the norm search stops.
 BISECT_REL_TOL = 1e-8
 
 # Recursion parameters may exceed the closed disk by at most this much.
 _PARAM_TOL = 1e-9
+
+# Entries (steps x points) of the factor table per block of steps in
+# interpolant_eval: one block at the nodes, a few steps per block on a
+# 4096-point boundary grid.
+_EVAL_BLOCK = 16384
 
 # Rungs of a ladder on each side of its estimate (:func:`_ladder`).
 _RUNGS = 3
@@ -109,16 +114,7 @@ class PickProblem:
         norm search divides by the same factors.
         """
         lam = self.nodes.points
-        centre = lam[:-1, None]
-        # np.hypot is the scalar abs() that _mobius takes; numpy's complex
-        # abs differs from it in the last bit or two on about a third of
-        # points.
-        modulus = np.hypot(centre.real, centre.imag)
-        zero = modulus < _ZERO_POINT_TOL
-        centre = np.where(zero, 0.0, centre)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = np.where(zero, 1.0, np.conj(centre) / modulus)
-        return unit * (lam - centre) / (1.0 - np.conj(centre) * lam)
+        return _mobius_rows(lam[:-1], lam)
 
     @cached_property
     def _moduli(self) -> np.ndarray:
@@ -402,17 +398,28 @@ def interpolant_eval(f: RationalInterpolant, z):
     """Evaluate the interpolant at scalar or array z with |z| <= 1.
 
     Unwinds the recorded steps from the innermost constant outward; the
-    composition of disk automorphisms keeps |result| <= scale.
+    composition of disk automorphisms keeps |result| <= scale.  The
+    factors b_lam(z) come from one broadcast per block of steps, each
+    block's table capped at _EVAL_BLOCK entries so that it stays in
+    cache, and only the unwinding loops over the steps.  A scalar is
+    evaluated as an array of one point.
     """
     _check_closed_disk(z)
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     z = np.asarray(z, dtype=complex)
-    s = np.full(z.shape, f.schur_steps[-1][1], dtype=complex)
-    for lam, p in reversed(f.schur_steps[:-1]):
-        u = _mobius(lam, z) * s
-        s = (u + p) / (1.0 + np.conjugate(p) * u)
+    flat = z.reshape(-1)
+    nodes = np.array([lam for lam, _ in f.schur_steps[:-1]], dtype=complex)
+    params = [p for _, p in f.schur_steps[:-1]]
+    rows = max(1, _EVAL_BLOCK // max(1, flat.size))
+    s = np.full(flat.size, f.schur_steps[-1][1], dtype=complex)
+    for stop in range(nodes.size, 0, -rows):
+        start = max(0, stop - rows)
+        factors = _mobius_rows(nodes[start:stop], flat)
+        for factor, p in zip(factors[::-1], reversed(params[start:stop])):
+            u = factor * s
+            s = (u + p) / (1.0 + np.conjugate(p) * u)
     out = f.scale * s
-    return complex(out) if scalar else out
+    return complex(out[0]) if scalar else out.reshape(z.shape)
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -299,6 +299,20 @@ def _package_mobius(lam: complex, z):
     return (np.conj(lam) / abs(lam)) * (z - lam) / (1.0 - np.conj(lam) * z)
 
 
+def package_unwinding(f, z) -> np.ndarray:
+    """An interpolant unwound at the array z as the package once did it.
+
+    One ``_package_mobius`` call per recorded step, the constant first, in
+    the package's operation order, for bit-level comparisons.
+    """
+    z = np.asarray(z, dtype=complex)
+    s = np.full(z.shape, f.schur_steps[-1][1], dtype=complex)
+    for lam, p in reversed(f.schur_steps[:-1]):
+        u = _package_mobius(lam, z) * s
+        s = (u + p) / (1.0 + np.conjugate(p) * u)
+    return f.scale * s
+
+
 def sequential_log_modulus(points, z) -> np.ndarray:
     """log |B(z)| summed factor by factor, as the package once accumulated it.
 

@@ -159,3 +159,42 @@ class TestSamplePseudoCircle:
         assert len(pts) == m
         dist = pseudohyperbolic_distance(pts, lam)
         assert np.max(np.abs(dist - delta)) < 1e-10
+
+
+# Centres at the origin, below the zero tolerance, generic, and just inside
+# the guard band, where 1 - |lam|^2 cancels most.
+CENTRES = np.array([0.0, 1e-15, 0.3 + 0.4j, -0.7j, -0.2 + 0.05j,
+                    (1.0 - 2e-9) * np.exp(0.3j), -(1.0 - 1.5e-9)])
+
+
+class TestSamplePseudoCircleOverCentres:
+    @pytest.mark.parametrize("delta", [1e-6, 0.01, 0.5, 0.999])
+    @pytest.mark.parametrize("m", [1, 7, 128])
+    def test_rows_are_the_per_centre_samples_bit_for_bit(self, delta, m):
+        rows = sample_pseudo_circle(CENTRES, delta, m)
+        assert rows.shape == (CENTRES.size, m)
+        for lam, row in zip(CENTRES.tolist(), rows):
+            assert np.array_equal(row.view(float), sample_pseudo_circle(lam, delta, m).view(float))
+
+    def test_closed_forms_are_the_scalar_python_arithmetic(self):
+        # |lam|^2 is C pow() and the center's parts are divided separately,
+        # as CPython computes lam * (1 - d^2) / denom; a square by
+        # multiplication differs in the last bit on about 1 in 1000 moduli.
+        rng = np.random.default_rng(7)
+        centres = np.sqrt(rng.random(4000)) * 0.999 * np.exp(2j * np.pi * rng.random(4000))
+        for delta in (0.05, 0.5, 0.95):
+            for lam in centres.tolist():
+                denom = 1.0 - delta * delta * abs(lam) ** 2
+                disk = pseudo_disk_euclidean(lam, delta)
+                assert disk.euclid_center == lam * (1.0 - delta * delta) / denom
+                assert disk.euclid_radius == delta * (1.0 - abs(lam) ** 2) / denom
+
+    @pytest.mark.parametrize("bad", [1.0, 0.6 + 0.8j, complex("nan"), complex("inf")])
+    def test_rejects_a_bad_centre(self, bad):
+        with pytest.raises(PointSetError):
+            sample_pseudo_circle(np.array([0.1, bad, 0.2j]), 0.5, 4)
+
+    @pytest.mark.parametrize("delta, m", [(0.0, 4), (1.0, 4), (1.5, 4), (-0.1, 4), (0.5, 0)])
+    def test_rejects_bad_delta_or_count(self, delta, m):
+        with pytest.raises(ValueError):
+            sample_pseudo_circle(CENTRES, delta, m)

@@ -1,6 +1,7 @@
 """Unit tests for exclusion-disk rims, sandwich fits, and decompositions."""
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import make_sequence
 from diskinterp import (
     CounterexampleSpec,
     Decomposition,
+    DegenerateFitError,
     PointSequence,
     PointSetError,
     blaschke_log_modulus,
@@ -97,6 +99,30 @@ class TestExclusionGrid:
         g2 = exclusion_grid(seq, 0.15)
         assert np.array_equal(g1.points, g2.points)
         assert np.array_equal(g1.factors, g2.factors)
+
+
+    @pytest.mark.parametrize("count, delta", [(6, 0.05), (10, 0.3), (3, 0.95)])
+    def test_points_are_the_per_centre_samples(self, count, delta):
+        # Kept and dropped samples alike: sample j of rim i sits at angle
+        # 2 pi j / m and is the j-th sample of that centre on its own.
+        seq = generate_separated_random(count, 0.1, 2)
+        grid = exclusion_grid(seq, delta)
+        m = hoffman._RIM_SAMPLES
+        samples = np.concatenate([sample_pseudo_circle(lam, delta, m)
+                                  for lam in seq.points.tolist()])
+        j = np.rint(grid.theta * m / (2.0 * np.pi)).astype(int)
+        assert np.array_equal(grid.points, samples[grid.rim * m + j])
+
+    def test_samples_every_rim_in_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(lam, delta, m):
+            calls.append(np.shape(lam))
+            return sample_pseudo_circle(lam, delta, m)
+
+        monkeypatch.setattr(hoffman, "sample_pseudo_circle", counted)
+        exclusion_grid(generate_separated_random(12, 0.1, 1), 0.05)
+        assert calls == [(12,)]
 
 
 def assert_grid_matches_oracle(seq: PointSequence, delta: float):
@@ -456,6 +482,78 @@ class TestLocalSearchAgainstOracle:
         assert tuple(np.flatnonzero(mask).tolist()) == part0
         assert tried == plain_tried
         assert 0 < evaluated < tried
+
+
+def fit_b_calls(monkeypatch) -> list:
+    """Rows of every ``_fit_b`` call, recorded: 0 for 1-D input."""
+    rows = []
+
+    def counted(L0, L1):
+        rows.append(0 if L0.ndim == 1 else L0.shape[0])
+        return _fit_b(L0, L1)
+
+    monkeypatch.setattr(hoffman, "_fit_b", counted)
+    return rows
+
+
+class TestSearchStructure:
+    def test_exhaustive_bound_has_no_row_wise_fit(self, monkeypatch):
+        # The witness bound over all 2^(n-1) - 1 masks is a column-wise max;
+        # _fit_b sees only the probes and the chunks of fully scored masks.
+        rows = fit_b_calls(monkeypatch)
+        seq = generate_separated_random(14, 0.1, 5)
+        dec = decompose(seq, separation_constant(seq) / 2)
+        assert dec.search == "exhaustive" and dec.masks_enumerated == 8191
+        assert max(rows) <= max(hoffman._WITNESS_PROBES, hoffman._EVAL_CHUNK)
+
+    @pytest.mark.parametrize("count, seed", [(20, 7), (32, 5)])
+    def test_local_search_fits_only_fully_scored_moves(self, monkeypatch, count, seed):
+        # One fit per fully scored move, the seed's and at most one exact
+        # rescoring per move that wins; the screening does not call _fit_b.
+        seq = generate_separated_random(count, 0.1, seed)
+        LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
+        rows = fit_b_calls(monkeypatch)
+        _, tried, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
+        assert set(rows) == {0}
+        assert evaluated <= len(rows) <= 2 * evaluated - 1 < tried
+
+
+class TestLocalSearchDegeneracy:
+    # Points in increasing |lam|, so the seed puts the even indices in part0.
+    POINTS = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("rows", [
+        # Seed: part0 {0, 2}, witness column 0 (ratio 10).  Moving point 0
+        # out leaves row 2 alone in part0, at -1e-15 on the witness.
+        [[-1.0, -1.0], [-0.1, -1.0], [-1e-15, -1.0]],
+        # Seed: part0 {0, 2}, part1 {1, 3}, witness column 0.  Moving point
+        # 0 out does not pass the screening; moving point 1 in leaves row 3
+        # alone in part1, at -1e-15 on the witness.
+        [[-1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0], [-1e-15, -1.0]],
+    ], ids=["part0", "part1"])
+    def test_move_with_zero_witness_log_modulus_raises(self, rows):
+        rows = np.array(rows)
+        points = self.POINTS[:rows.shape[0]]
+        with pytest.raises(DegenerateFitError, match="numerically zero"):
+            _search_local(rows, rows.sum(axis=0), points)
+
+    @pytest.mark.parametrize("rows, part0, tried, evaluated", [
+        # Both moves empty a part.
+        ([[-1.0, -2.0], [-2.0, -1.0]], (0,), 1, 1),
+        # Moving point 1, part1's only point, empties it; the other two
+        # moves are legal and lose.
+        ([[-1.0, -2.0], [-1.5, -1.5], [-2.0, -1.0]], (0, 2), 3, 2),
+    ], ids=["two", "three"])
+    def test_move_that_empties_a_part_is_skipped_quietly(self, rows, part0, tried, evaluated):
+        # The batch divides by zero on the rows of such moves, under
+        # errstate: the search neither raises nor warns, nor counts them.
+        rows = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask, n_tried, n_evaluated = _search_local(rows, rows.sum(axis=0),
+                                                       self.POINTS[:rows.shape[0]])
+        assert tuple(np.flatnonzero(mask).tolist()) == part0
+        assert (n_tried, n_evaluated) == (tried, evaluated)
 
 
 class TestCorrespondingDecomposition:

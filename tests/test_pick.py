@@ -26,7 +26,7 @@ from diskinterp import (
     sup_norm_boundary,
 )
 from diskinterp.geometry import _mobius
-from oracles import _trace_scale, ksection_min_norm, sarason_min_norm
+from oracles import _trace_scale, ksection_min_norm, package_unwinding, sarason_min_norm
 
 
 def zero_one(r: float) -> PickProblem:
@@ -586,6 +586,48 @@ class TestConstructInterpolant:
             problem = random_problem(rng, 5)
             f = construct_interpolant(problem, min_norm(problem) * 1.01)
             assert all(abs(p) <= 1 + 1e-9 for _, p in f.schur_steps)
+
+
+def random_interpolant(n: int, seed: int) -> RationalInterpolant:
+    """Steps on separated nodes, two of them at 0 and 1e-15, parameters in the closed disk."""
+    rng = np.random.default_rng(seed)
+    nodes = generate_separated_random(n, 0.1, seed).points.copy()
+    if n > 2:
+        nodes[rng.choice(n, 2, replace=False)] = 0.0, 1e-15
+    params = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return RationalInterpolant(tuple(zip(nodes.tolist(), params.tolist())),
+                               float(10.0 * rng.random()))
+
+
+class TestInterpolantEval:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_bit_equal_to_the_stepwise_unwinding(self, n):
+        # The broadcast factors equal _mobius's, step by step, at the nodes,
+        # on a boundary grid split into several blocks of steps, and at
+        # random points in a 2-D array.
+        circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        if n == 64:  # the full grid takes several blocks of steps
+            assert n - 1 > pick._EVAL_BLOCK // circle.size
+        for seed in range(1, 21):
+            f = random_interpolant(n, seed)
+            rng = np.random.default_rng(seed)
+            inside = np.sqrt(rng.random((3, 7))) * np.exp(2j * np.pi * rng.random((3, 7)))
+            nodes = np.array([lam for lam, _ in f.schur_steps])
+            for z in (nodes, circle[::1 if n == 64 else 64], inside):
+                got = interpolant_eval(f, z)
+                assert got.shape == z.shape
+                assert np.array_equal(got.view(float), package_unwinding(f, z).view(float))
+
+    def test_scalar_is_the_one_point_array(self):
+        # A scalar runs the array path, so it agrees with the array value
+        # bit for bit, as a Python complex, a numpy scalar or a 0-d array.
+        for seed in range(1, 11):
+            f = random_interpolant(8, seed)
+            z = 0.3 - 0.45j
+            want = interpolant_eval(f, np.array([z]))[0]
+            for scalar in (z, np.complex128(z), np.array(z)):
+                got = interpolant_eval(f, scalar)
+                assert type(got) is complex and got == want
 
 
 class TestSupNormBoundary:
