@@ -136,12 +136,11 @@ def _euclidean_disks(lam, delta: float):
 
     The closed forms of :func:`pseudo_disk_euclidean`, on the floats that
     CPython computes for one complex centre: |lam| is ``np.hypot``, the
-    scalar ``abs()``, its square is C ``pow()``, and the center's parts are
-    divided separately, as CPython's complex / float does; numpy's
-    complex division multiplies by the reciprocal, which moves the
-    center by an ulp.  Every centre is
-    checked as :func:`check_interior` checks one, and delta must lie in
-    (0, 1), or ValueError is raised.
+    scalar ``abs()``, its square is C ``pow()``, and the center's parts
+    are divided separately, as CPython's complex / float does; numpy's
+    complex division multiplies by the reciprocal, which moves the center
+    by an ulp.  Every centre is checked as :func:`check_interior` checks
+    one, and delta must lie in (0, 1), or ValueError is raised.
     """
     lam = np.asarray(lam, dtype=complex)
     modulus = np.hypot(lam.real, lam.imag)

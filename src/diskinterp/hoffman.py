@@ -26,6 +26,13 @@ witness samples too; a declared split skips the search.  One
 search scores partitions on it and ``decompose`` fits the split's (a, b)
 from it.  b comes from ``_fit_b`` and a from ``_fit_a``, which runs only
 where a is read: to break ties in b and for the reported fit.
+
+No step loops in Python over points or moves where numpy can broadcast:
+all rims are sampled in one call, the exhaustive search bounds every
+mask with one column-wise max over the witness samples, and the local
+search screens all remaining moves of a sweep in one batch.  Each of
+these computes the floats the per-point and per-move loops computed, so
+the splits, counts and fits are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -130,15 +137,17 @@ class Decomposition:
 def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:
     """Rim samples of the disks D(lam, delta) that no other disk contains.
 
-    Each rim is sampled at _RIM_SAMPLES points by ``sample_pseudo_circle``.
-    One ``log_factors`` matrix over all samples places them: a sample is
+    Every rim is sampled at _RIM_SAMPLES points by one call of
+    ``sample_pseudo_circle`` over all centres, rim after rim.  One
+    ``log_factors`` matrix over all samples places them: a sample is
     dropped when another point's row reads below log delta there.  Its own
     row reads log delta to about 1e-10 and is left out of that test.  The
     grid keeps the retained columns of that matrix for the search and the
-    fit.  Some sample always survives, whatever delta: the first sample of
-    each rim is its point of largest real part, and no other open disk
-    contains the one that lies furthest right, since that disk would reach
-    further.  ValueError is raised when delta is outside (0, 1).
+    fit, and copies nothing when no sample is dropped.  Some sample always
+    survives, whatever delta: the first sample of each rim is its point of
+    largest real part, and no other open disk contains the one that lies
+    furthest right, since that disk would reach further.  ValueError is
+    raised when delta is outside (0, 1).
     """
     n, m = len(seq), _RIM_SAMPLES
     pts = sample_pseudo_circle(seq.points, delta, m).ravel()
@@ -217,14 +226,18 @@ def _search_exhaustive(LM, L_total):
 
     Exact, with lower-bound pruning.  The argmax columns of a few
     evenly spaced masks form a witness set S, and b restricted to S is a
-    lower bound on a mask's b.  Masks are fully evaluated in increasing
+    lower bound on a mask's b, taken for all masks at once as a max over
+    the columns of S (a max is exact, so the order does not matter).
+    Masks are fully evaluated, _EVAL_CHUNK at a time, in increasing
     order of that bound until it exceeds the best b found, with a slack
     for rounding: each L0 entry sums at most n log-moduli of one sign, so
     the witness and full products agree to 2(n - 1) eps relative, which
     moves a ratio r >= 1 by at most 2(n + 1) eps (1 + r) relative; the
     stopping test allows twice that plus 1e-12.  Masks whose bound ties
     the best b are therefore always evaluated, and the (b, -a, part0)
-    tie-break is the one full enumeration would apply.
+    tie-break is the one full enumeration would apply; a and part0 are
+    computed only for the rows of a chunk whose b does not exceed the best
+    b, since the others lose on b alone.
     Returns (mask, masks enumerated, masks fully evaluated).
     """
     n = LM.shape[0]
@@ -296,6 +309,19 @@ def _search_local(LM, L_total, points):
     its exact row sum, and it is accepted only if it still beats the
     current mask, so the current score is always that of an exact row sum
     and strictly decreases, which ends the descent.
+
+    The moves are tried in index order, sweep after sweep, but screened
+    in batches: the moves from the current index to n - 1 are bounded
+    together on the witness columns (``_screen``), with L0 +- LM[i]
+    written exactly as L0 + s LM[i], s = +-1.  The first move that passes
+    is fully scored.  A new witness column is folded into the remaining
+    bounds with one max, and an accepted move starts a new batch at the
+    next index, so every move is screened against the state and
+    witnesses that a move-by-move loop would use.  A move with a
+    log-modulus numerically zero on a witness column is fully scored,
+    where ``_fit_b`` raises DegenerateFitError, at the same move as such a
+    loop would; moves that would empty a part are neither tried nor
+    counted.
     Returns (mask, masks tried, masks fully scored), the seed counting in
     both.
     """
