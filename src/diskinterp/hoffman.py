@@ -172,7 +172,7 @@ def _fit_a(b, L0: np.ndarray, L1: np.ndarray):
     the exponent's value 0 on the unit circle, where both logs vanish; an
     array over the rows of 2-D input and a scalar for 1-D input.
     """
-    b = np.expand_dims(b, -1)
+    b = np.asarray(b)[..., None]
     return np.exp(np.minimum(np.minimum(b * L0 - L1, b * L1 - L0).min(axis=-1), 0.0))
 
 
