@@ -236,8 +236,8 @@ def _search_exhaustive(LM, L_total):
     stopping test allows twice that plus 1e-12.  Masks whose bound ties
     the best b are therefore always evaluated, and the (b, -a, part0)
     tie-break is the one full enumeration would apply; a and part0 are
-    computed only for the rows of a chunk whose b does not exceed the best
-    b, since the others lose on b alone.
+    computed only for the rows of a chunk whose b does not exceed the
+    least b found so far, since the others lose on b alone.
     Returns (mask, masks enumerated, masks fully evaluated).
     """
     n = LM.shape[0]
@@ -267,9 +267,9 @@ def _search_exhaustive(LM, L_total):
         L1 = L_total - L0
         b = _fit_b(L0, L1)[0]
         evaluated += len(rows)
-        if best is not None:  # a row with a larger b cannot win
-            contenders = b <= best_b
-            rows, L0, L1, b = rows[contenders], L0[contenders], L1[contenders], b[contenders]
+        least = float(b.min()) if best is None else min(best_b, float(b.min()))
+        contenders = ~(b > least)  # a larger b loses on b alone; a nan b never wins
+        rows, L0, L1, b = rows[contenders], L0[contenders], L1[contenders], b[contenders]
         for row, b_row, a_row in zip(rows, b.tolist(), _fit_a(b, L0, L1).tolist()):
             key = (b_row, -a_row, tuple(np.flatnonzero(masks[row]).tolist()))
             if best is None or key < best[0]:
