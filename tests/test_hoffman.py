@@ -100,7 +100,6 @@ class TestExclusionGrid:
         assert np.array_equal(g1.points, g2.points)
         assert np.array_equal(g1.factors, g2.factors)
 
-
     @pytest.mark.parametrize("count, delta", [(6, 0.05), (10, 0.3), (3, 0.95)])
     def test_points_are_the_per_centre_samples(self, count, delta):
         # Kept and dropped samples alike: sample j of rim i sits at angle
