@@ -67,8 +67,9 @@ def _mobius_rows(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     modulus = np.hypot(centre.real, centre.imag)
     zero = modulus < _ZERO_POINT_TOL
     centre = np.where(zero, 0.0, centre)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = np.where(zero, 1.0, np.conj(centre) / modulus)
+    # numpy divides by a complex, through its reciprocal, which overflows
+    # for a subnormal modulus; the zero rows divide by 1 instead.
+    unit = np.where(zero, 1.0, np.conj(centre) / np.where(zero, 1.0, modulus))
     return unit * (z - centre) / (1.0 - np.conj(centre) * z)
 
 

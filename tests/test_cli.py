@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,19 @@ class TestInterpolate:
         assert sol["min_norm"] == pytest.approx(2.0, rel=1e-6)
         assert sol["max_abs_residual"] <= 1e-8
         assert len(sol["schur_parameters"]) == 2
+
+    def test_subnormal_centre_runs_silently(self, tmp_path, capsys):
+        # A node of subnormal modulus takes the factor b_lam(z) = z of a
+        # zero centre; dividing by that modulus once overflowed and warned
+        # on stderr.  The report's bytes are those the warning came with.
+        doc = write_document(tmp_path / "sub.json", (2.2250738585072014e-309, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["interpolate", doc, "--targets", "0,1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6308509d9448b34afeb7f05c92bd60a146dae5301003ce9c11476adaaba56d90")
 
     def test_reports_solver_residuals_at_24_nodes(self, tmp_path):
         seq = generate_separated_random(24, 0.1, seed=1)

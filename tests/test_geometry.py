@@ -1,5 +1,7 @@
 """Unit tests for disk geometry: Mobius transforms, metric, pseudo-disks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from diskinterp import (
     pseudohyperbolic_distance,
     sample_pseudo_circle,
 )
+from diskinterp import geometry
 
 interior = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, allow_nan=False)
@@ -198,3 +201,22 @@ class TestSamplePseudoCircleOverCentres:
     def test_rejects_bad_delta_or_count(self, delta, m):
         with pytest.raises(ValueError):
             sample_pseudo_circle(CENTRES, delta, m)
+
+
+class TestMobiusRows:
+    def test_rows_are_the_package_formula_bit_for_bit(self, rng):
+        centres = np.concatenate((CENTRES, 0.9 * rng.random(20) * np.exp(2j * np.pi * rng.random(20))))
+        zs = 0.99 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
+        rows = geometry._mobius_rows(centres, zs)
+        for lam, row in zip(centres.tolist(), rows):
+            assert np.array_equal(row, oracles._package_mobius(lam, zs))
+
+    @pytest.mark.parametrize("centre", [2.2250738585072014e-309, 5e-324j, -1e-310 + 1e-310j])
+    def test_subnormal_centre_is_the_identity_without_a_warning(self, centre):
+        # Dividing by a subnormal |lam| overflowed, and numpy warned on stderr.
+        zs = np.array([0.0, 0.5, -0.3 + 0.2j, 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = geometry._mobius_rows(np.array([centre, 0.5]), zs)
+        assert np.array_equal(rows[0], zs)
+        assert np.array_equal(rows[1], oracles._package_mobius(0.5, zs))
