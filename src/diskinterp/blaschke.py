@@ -6,8 +6,9 @@ private row kernel, which writes a factor's row into reused buffers.
 split search sums, and :func:`blaschke_log_modulus` adds them into its
 output one factor at a time, so it never holds the whole matrix.  Sums
 over pairs of sequence points take the logs of the distance matrix the
-sequence holds instead.  :func:`blaschke_eval` keeps its own loop, since
-it adds up factor phases too, so products of hundreds of factors with
+sequence holds instead.  :func:`blaschke_eval` adds up factor phases
+too, so it reads the factors themselves, one table of the Mobius kernel
+``geometry._mobius_rows``, and products of hundreds of factors with
 moduli near 0 or 1 neither underflow nor lose the phase.  On
 top of the product sit the classical invariants of a point sequence: the
 separation constant (worst pairwise pseudohyperbolic distance), the
@@ -30,7 +31,7 @@ from .geometry import (
     INTERIOR_GUARD,
     _ZERO_POINT_TOL,
     _check_closed_disk,
-    _mobius,
+    _mobius_rows,
     check_interior,
     pseudohyperbolic_distance,
 )
@@ -136,7 +137,7 @@ class AnalysisReport:
 
 def _log_factor_row(lam: complex, z: np.ndarray, num: np.ndarray, den: np.ndarray,
                     out: np.ndarray) -> None:
-    """out = log |b_lam(z)|, -inf at a zero, with the ufuncs of ``_mobius`` in its order.
+    """out = log |b_lam(z)|, -inf at a zero, with the ufuncs of ``_mobius_rows`` in its order.
 
     ``num`` and ``den`` are complex scratch of z's size; the caller holds
     np.errstate(divide="ignore").
@@ -165,17 +166,19 @@ def log_factors(points: np.ndarray, z) -> np.ndarray:
 
 
 def _eval_product(points: np.ndarray, z):
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    """prod_i b_{points[i]}(z) from the factors' log-moduli and phases, summed in order.
+
+    One ``_mobius_rows`` table; its axis-0 sums add the rows in factor
+    order onto 0.0, as a loop over the factors would.  A scalar z is
+    evaluated as an array of one point.
+    """
     z = np.asarray(z, dtype=complex)
-    log_mod = np.zeros(z.shape)
-    phase = np.zeros(z.shape)
-    for lam in points:
-        w = np.asarray(_mobius(lam, z))
-        with np.errstate(divide="ignore"):
-            log_mod += np.log(np.abs(w))  # -inf exactly at a zero
-        phase += np.angle(w)
+    w = _mobius_rows(points, z.reshape(-1))
+    with np.errstate(divide="ignore"):
+        log_mod = np.log(np.abs(w)).sum(axis=0, initial=0.0)  # -inf exactly at a zero
+    phase = np.angle(w).sum(axis=0, initial=0.0)
     out = np.where(log_mod == -np.inf, 0.0, np.exp(log_mod) * np.exp(1j * phase))
-    return complex(out) if scalar else out
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def blaschke_eval(seq: PointSequence, z):

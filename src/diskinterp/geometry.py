@@ -48,20 +48,14 @@ def _check_closed_disk(z):
         raise PointSetError(f"evaluation point outside closed disk: |z| = {worst:.17g}")
 
 
-def _mobius(lam: complex, z):
-    """Unchecked normalized Mobius transform; lam scalar, z scalar or array."""
-    if abs(lam) < _ZERO_POINT_TOL:
-        return z
-    return (np.conj(lam) / abs(lam)) * (z - lam) / (1.0 - np.conj(lam) * z)
-
-
 def _mobius_rows(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     """b_lam(z) at [i, j] for every centre lam[i] and point z[j], in one broadcast.
 
-    The floats of ``_mobius(lam[i], z)``, row by row, with its convention
-    b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  |lam| is ``np.hypot``,
-    the scalar ``abs()`` that ``_mobius`` takes; numpy's complex abs
-    differs from it in the last bit or two on about a third of points.
+    The package's one Mobius kernel: (conj(lam) / |lam|) (z - lam) /
+    (1 - conj(lam) z), in that order, with the convention b_lam(z) = z for
+    |lam| below _ZERO_POINT_TOL.  |lam| is ``np.hypot``, the scalar
+    ``abs()``; numpy's complex abs differs from it in the last bit or two
+    on about a third of points.  Unchecked: callers pass validated points.
     """
     centre = np.asarray(lam, dtype=complex)[:, None]
     modulus = np.hypot(centre.real, centre.imag)
@@ -82,8 +76,9 @@ def mobius_transform(lam: complex, z):
     convention b_0(z) = z applies.
 
     Nothing in the package calls it, since the package evaluates the
-    unchecked ``_mobius`` on points it has already validated; it stays as
-    the checked public form of the paper's factor for demos and tests.
+    unchecked ``_mobius_rows`` on points it has already validated; it stays
+    as the checked public form of the paper's factor for demos and tests.
+    A scalar z is evaluated as an array of one point.
 
     Parameters
     ----------
@@ -98,7 +93,9 @@ def mobius_transform(lam: complex, z):
     """
     lam = check_interior(lam)
     _check_closed_disk(z)
-    return _mobius(lam, z)
+    z = np.asarray(z, dtype=complex)
+    w = _mobius_rows([lam], z.reshape(-1))[0]
+    return complex(w[0]) if z.ndim == 0 else w.reshape(z.shape)
 
 
 def pseudohyperbolic_distance(z, w):

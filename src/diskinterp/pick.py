@@ -107,8 +107,8 @@ class PickProblem:
     def _factor_values(self) -> np.ndarray:
         """b_{lam_i}(lam_j) at [i, j], for i < n - 1 and every node j.
 
-        One broadcast of :func:`_mobius`'s formula, with its convention
-        b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  The reduction
+        One broadcast of the Mobius kernel :func:`_mobius_rows`, with its
+        convention b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  The reduction
         divides by the entries right of the diagonal, and the norm
         estimate multiplies along the columns.  Cached: every pass of the
         norm search divides by the same factors.

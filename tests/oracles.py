@@ -328,6 +328,23 @@ def sequential_log_modulus(points, z) -> np.ndarray:
     return log_mod
 
 
+def package_product(points, z) -> np.ndarray:
+    """B(z) as the package once evaluated it, one factor at a time.
+
+    The log-moduli and the phases of ``_package_mobius`` are added into
+    zeros in factor order, for bit-level comparisons of array results.
+    """
+    z = np.asarray(z, dtype=complex)
+    log_mod = np.zeros(z.shape)
+    phase = np.zeros(z.shape)
+    for lam in points:
+        w = np.asarray(_package_mobius(lam, z))
+        with np.errstate(divide="ignore"):
+            log_mod += np.log(np.abs(w))
+        phase += np.angle(w)
+    return np.where(log_mod == -np.inf, 0.0, np.exp(log_mod) * np.exp(1j * phase))
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         return "null"

@@ -102,6 +102,20 @@ class TestBlaschkeEval:
                 oracles.blaschke(seq.points, z), rel=1e-12, abs=1e-13
             )
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_arrays_bit_equal_to_the_factor_by_factor_loop(self, n):
+        # One table of the Mobius kernel, summed along its factor axis,
+        # gives the floats of a loop over the factors, zero centres and
+        # exact zeros of the product included.
+        rng = np.random.default_rng(n)
+        pts = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        pts[:2] = (0.0, 1e-15)[:n]
+        zs = np.sqrt(rng.random((6, 9))) * np.exp(2j * np.pi * rng.random((6, 9)))
+        zs.flat[:n] = pts[:zs.size]
+        got = blaschke._eval_product(pts, zs)
+        assert got.shape == zs.shape
+        assert np.array_equal(got.view(float), oracles.package_product(pts, zs).view(float))
+
     @settings(max_examples=40)
     @given(seq=sequences(), data=st.data())
     def test_factorization_identity(self, seq, data):

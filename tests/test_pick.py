@@ -25,7 +25,7 @@ from diskinterp import (
     solve_pick,
     sup_norm_boundary,
 )
-from diskinterp.geometry import _mobius
+from oracles import _package_mobius as _mobius
 from oracles import _trace_scale, ksection_min_norm, package_unwinding, sarason_min_norm
 
 
