@@ -24,6 +24,10 @@ _ZERO_POINT_TOL = 1e-14
 # Slack allowed on |z| <= 1 checks; exp(1j*theta) lands within one ulp.
 _BOUNDARY_SLACK = 1e-12
 
+# A refinement arc (:func:`_refinement_arc`) splits one sample spacing
+# into this many steps.
+_ARC_STEPS = 64
+
 
 def check_interior(value: complex) -> complex:
     """Validate a prospective disk point, returning it as a complex scalar.
@@ -65,6 +69,16 @@ def _mobius_rows(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     # for a subnormal modulus; the zero rows divide by 1 instead.
     unit = np.where(zero, 1.0, np.conj(centre) / np.where(zero, 1.0, modulus))
     return unit * (z - centre) / (1.0 - np.conj(centre) * z)
+
+
+def _refinement_arc(theta: float, step: float) -> np.ndarray:
+    """Angles theta + step j / _ARC_STEPS for j = -_ARC_STEPS, ..., _ARC_STEPS.
+
+    The arc of one sample spacing ``step`` either side of the sample at
+    angle theta, at a resolution of step / _ARC_STEPS; j = 0 is theta
+    exactly.  A sampled maximum is refined by evaluating its arc at once.
+    """
+    return theta + step * np.arange(-_ARC_STEPS, _ARC_STEPS + 1) / _ARC_STEPS
 
 
 def mobius_transform(lam: complex, z):

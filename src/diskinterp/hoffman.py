@@ -16,8 +16,9 @@ a max over n circles; likewise a, the inf over Omega of
 exp(min(b L0 - L1, b L1 - L0)), is a min over the rims and the unit
 circle, where the exponent is 0.  This module samples every rim at
 128 points, keeps the samples outside every other disk, fits (a, b) on
-them and refines b by golden-section search on the arc around the sample
-that attains it.  ``decompose`` searches the partitions of a sequence for
+them and refines b on the arc around the sample that attains it: 129
+points a 64th of a sample spacing apart, every factor evaluated at once
+by the Mobius kernel ``geometry._mobius_rows``.  ``decompose`` searches the partitions of a sequence for
 the split with the smallest sampled b: exactly up to 16 points, by
 enumerating every partition and pruning with lower bounds on b from a few
 witness samples, and by deterministic local search beyond, pruned on
@@ -43,8 +44,7 @@ import numpy as np
 
 from .blaschke import PointSequence, blaschke_log_modulus, log_factors, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
-from .geometry import pseudo_disk_euclidean, sample_pseudo_circle
-from .pick import _golden_max
+from .geometry import _mobius_rows, _refinement_arc, pseudo_disk_euclidean, sample_pseudo_circle
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
 # are bounded on a few witness samples, and only those whose bound does
@@ -90,8 +90,9 @@ class ExclusionGrid:
 class Decomposition:
     """A two-part splitting of a sequence with its fitted sandwich constants.
 
-    ``fitted_b`` is the refined b, attained at ``worst_point`` on the rim
-    of point ``worst_rim``; ``b_gap`` is how far refinement raised it above
+    ``fitted_b`` is the refined b, the largest ratio on the dense arc
+    around the worst rim sample, attained at ``worst_point`` on the rim of
+    point ``worst_rim``; ``b_gap`` is how far refinement raised it above
     the largest sampled ratio, so ``fitted_b - b_gap`` is the sampled b the
     search minimized.  ``fit_grid_size`` counts the rim samples kept, of
     ``rim_samples`` per rim.  ``search`` names how the split was found:
@@ -381,39 +382,34 @@ def _search_local(LM, L_total, points):
 
 def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: float,
               worst: int) -> tuple[float, complex]:
-    """Golden-section max of the log-modulus ratio on the rim arc around a sample.
+    """Largest log-modulus ratio on the refinement arc around a rim sample.
 
-    The arc spans one sample spacing either side of sample ``worst``; each
-    trial point evaluates every factor at once, inline, since a
-    ``log_factors`` column per trial made a refinement about 6 times
-    slower at n = 10 and 17 times at n = 32.  Points of the arc inside
-    another disk lie outside Omega and score -inf.  Returns the larger of
-    ``b`` and the best ratio found, with the point attaining it.
+    The arc spans one sample spacing either side of sample ``worst`` on its
+    rim, at 2 _ARC_STEPS + 1 angles (``geometry._refinement_arc``), and one
+    ``_mobius_rows`` table evaluates every factor there.  Its logs are the
+    floats of ``log_factors``, which is not called here: the fit reads one
+    ``log_factors`` matrix per decomposition, and a second call would cost
+    more than this table at these sizes.  Arc points inside another disk
+    lie outside Omega and are dropped, as ``exclusion_grid`` drops
+    samples.  j = 0 is the sample itself.  Returns the larger of ``b`` and
+    the largest ratio on the arc, with the point attaining it.
     """
     points = seq.points
-    conj = np.conj(points)
     rim = int(grid.rim[worst])
     disk = pseudo_disk_euclidean(points[rim], grid.delta)
-    others = np.flatnonzero(np.arange(len(points)) != rim)
-    part0, part1 = np.flatnonzero(mask), np.flatnonzero(~mask)
-    log_delta = np.log(grid.delta)
-    best = [b, complex(grid.points[worst])]
-
-    def ratio(t: float) -> float:
-        z = disk.euclid_center + disk.euclid_radius * np.exp(1j * t)
-        logs = np.log(np.abs((z - points) / (1.0 - conj * z)))
-        if logs[others].min() < log_delta:
-            return -np.inf
-        L0, L1 = logs[part0].sum(), logs[part1].sum()
-        r = float(max(L1 / L0, L0 / L1))
-        if r > best[0]:
-            best[:] = r, complex(z)
-        return r
-
-    step = 2.0 * np.pi / _RIM_SAMPLES
-    theta = float(grid.theta[worst])
-    _golden_max(ratio, theta - step, theta + step, step / 64.0)
-    return best[0], best[1]
+    arc = _refinement_arc(float(grid.theta[worst]), 2.0 * np.pi / _RIM_SAMPLES)
+    z = disk.euclid_center + disk.euclid_radius * np.exp(1j * arc)
+    logs = np.log(np.abs(_mobius_rows(points, z)))
+    inside = logs < np.log(grid.delta)
+    inside[rim] = False
+    outside = ~inside.any(axis=0)
+    z, logs = z[outside], logs[:, outside]
+    L0, L1 = logs[mask].sum(axis=0), logs[~mask].sum(axis=0)
+    ratio = np.maximum(L1 / L0, L0 / L1)
+    k = int(np.argmax(ratio))
+    if ratio[k] > b:
+        return float(ratio[k]), complex(z[k])
+    return b, complex(grid.points[worst])
 
 
 def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
@@ -433,7 +429,8 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
     the fit read the one ``log_factors`` matrix that
     :func:`exclusion_grid` built to place the rim samples; the split's
     sampled b equals that of :func:`comparability_fit` on the two parts.  The
-    winner's b is then refined on the arc around the sample attaining it
+    winner's b is then refined to the largest ratio on 129 points of the
+    arc around the sample attaining it, a 64th of a sample spacing apart,
     and a recomputed at the refined b.  The returned decomposition records
     which search ran ("declared" for a given split), how many partitions
     it enumerated and fully evaluated, the rim attaining b and the

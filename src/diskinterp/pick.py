@@ -43,7 +43,7 @@ from .errors import (
     PointSetError,
     RecursionBreakdownError,
 )
-from .geometry import _check_closed_disk, _mobius_rows
+from .geometry import _check_closed_disk, _mobius_rows, _refinement_arc
 
 # Relative bracket width at which the norm search stops.
 BISECT_REL_TOL = 1e-8
@@ -422,55 +422,29 @@ def interpolant_eval(f: RationalInterpolant, z):
     return complex(out[0]) if scalar else out.reshape(z.shape)
 
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> float:
-    """Golden-section maximum of a scalar function on [a, b]."""
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = max(fc, fd)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        best = max(best, fc, fd)
-    return best
-
-
 def _sup_on_circle(fn, thetas: np.ndarray, vals: np.ndarray) -> float:
     """max |fn| over the unit circle, given |fn| = ``vals`` at the equispaced ``thetas``.
 
-    Golden-section refinement around the discrete argmax; the result is a
-    lower bound on the true sup with one-sided discretization bias.  Its
-    one caller is :func:`sup_norm_boundary`; ``perfbench/trace.py`` times
-    it under this name.
+    One call of ``fn`` on the refinement arc of the discrete argmax
+    (:func:`_refinement_arc`): one sample spacing either side of it, at
+    a 64th of a spacing.  The result is a lower bound on the true sup
+    with one-sided discretization bias.  Its one caller is
+    :func:`sup_norm_boundary`; ``perfbench/trace.py`` times it under this
+    name.
     """
     k = int(np.argmax(vals))
-    step = 2.0 * np.pi / thetas.size
-    refined = _golden_max(
-        lambda t: float(np.abs(fn(np.exp(1j * t)))),
-        thetas[k] - step,
-        thetas[k] + step,
-        step / 64.0,
-    )
-    return max(float(vals[k]), refined)
+    arc = _refinement_arc(thetas[k], 2.0 * np.pi / thetas.size)
+    return max(float(vals[k]), float(np.max(np.abs(fn(np.exp(1j * arc))))))
 
 
 def sup_norm_boundary(f: RationalInterpolant, grid: int = 4096) -> float:
     """Boundary sup-norm estimate of the interpolant.
 
     Maximum modulus over ``grid`` equally spaced boundary points, refined
-    by golden-section search around the discrete argmax until the bracket
-    is below 2*pi/(grid*64).  The estimate is a lower bound on the true
-    sup-norm, so it cannot certify a norm: the bound chain uses ``scale``
-    instead.  Nothing in the package calls it: it stays as a public
+    on the arc of one spacing either side of the discrete argmax, sampled
+    every 2*pi/(grid*64) (:func:`_sup_on_circle`).  The estimate is a
+    lower bound on the true sup-norm, so it cannot certify a norm: the
+    bound chain uses ``scale`` instead.  Nothing in the package calls it: it stays as a public
     diagnostic, and the tests and demos, its only callers, use it to check
     that the sampled sup sits at or below ``scale``.
     """

@@ -212,6 +212,32 @@ def sampled_chain_norms(f, grid: int = 4096) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def arc_ratio_max(points, part0, delta: float, rim: int, theta: float, step: float,
+                  steps: int = 64) -> float:
+    """Largest max(L1/L0, L0/L1) on the arc theta + step j / steps, |j| <= steps.
+
+    The arc lies on the rim dD(points[rim], delta), placed by its closed
+    form.  Arc points closer than delta to another point are dropped.  L0
+    and L1 add the factor log-moduli of each part term by term.
+    """
+    points = [complex(p) for p in points]
+    lam = points[rim]
+    denom = 1.0 - delta * delta * abs(lam) ** 2
+    center = lam * (1.0 - delta * delta) / denom
+    radius = delta * (1.0 - abs(lam) ** 2) / denom
+    best = -math.inf
+    for j in range(-steps, steps + 1):
+        t = theta + step * j / steps
+        z = center + radius * complex(math.cos(t), math.sin(t))
+        if any(pseudo_distance(z, w) < delta for i, w in enumerate(points) if i != rim):
+            continue
+        logs = [math.log(abs(mobius(w, z))) for w in points]
+        L0 = sum(v for i, v in enumerate(logs) if i in part0)
+        L1 = sum(v for i, v in enumerate(logs) if i not in part0)
+        best = max(best, L1 / L0, L0 / L1)
+    return best
+
+
 def _package_distance(z, w):
     """Pseudohyperbolic distance with the package's real/imaginary split."""
     re = 1.0 - (z.real * w.real + z.imag * w.imag)

@@ -23,11 +23,12 @@ from diskinterp import (
     generate_counterexample,
     generate_radial,
     generate_separated_random,
+    pseudo_disk_euclidean,
     pseudohyperbolic_distance,
     sample_pseudo_circle,
     separation_constant,
 )
-from diskinterp import blaschke, hoffman
+from diskinterp import blaschke, geometry, hoffman
 from diskinterp.hoffman import _fit_a, _fit_b, _search_exhaustive, _search_local
 
 
@@ -431,6 +432,46 @@ def searched_part0(rows: np.ndarray) -> tuple[int, ...]:
     assert enumerated == 2 ** (rows.shape[0] - 1) - 1
     assert 0 < evaluated <= enumerated
     return tuple(np.flatnonzero(mask).tolist())
+
+
+class TestRefinementArc:
+    @pytest.mark.parametrize("points", [
+        pytest.param(generate_separated_random(12, 0.1, 2).points, id="random-12"),
+        pytest.param(np.array([0.0, 0.5, -0.4j, 0.3 + 0.6j, -0.7]), id="zero-centre"),
+    ])
+    def test_arc_logs_are_the_log_factors_floats(self, points):
+        seq = PointSequence(points)
+        delta = separation_constant(seq) / 2
+        grid = exclusion_grid(seq, delta)
+        for k in range(0, len(grid), 17):
+            disk = pseudo_disk_euclidean(seq.points[grid.rim[k]], delta)
+            arc = geometry._refinement_arc(float(grid.theta[k]), 2 * np.pi / hoffman._RIM_SAMPLES)
+            z = disk.euclid_center + disk.euclid_radius * np.exp(1j * arc)
+            assert z[arc.size // 2] == grid.points[k]  # j = 0 is the sample itself
+            logs = np.log(np.abs(geometry._mobius_rows(seq.points, z)))
+            assert np.array_equal(logs, blaschke.log_factors(seq.points, z))
+
+    @pytest.mark.parametrize("seq, delta, part0", [
+        *[pytest.param(generate_separated_random(n, sep, seed), None, None,
+                       id=f"random-{n}-{sep}-{seed}")
+          for n, sep, seed in [(8, 0.1, 1), (10, 0.2, 2), (14, 0.1, 3), (20, 0.1, 1),
+                               (32, 0.1, 5)]],
+        # The arc runs into the disk of point 1 beside the worst sample; 41
+        # of its points are dropped, and the largest ratio among them is
+        # larger than b.
+        pytest.param(PointSequence((0.0, 0.2j, 0.7)), 0.15, (0, 1), id="arc-enters-a-disk"),
+    ])
+    def test_refined_b_is_the_oracle_arc_max(self, seq, delta, part0):
+        dec = decompose(seq, separation_constant(seq) / 2 if delta is None else delta,
+                        part0=part0)
+        grid = exclusion_grid(seq, dec.delta)
+        _, b, worst = comparability_fit(dec.part_sequence(0), dec.part_sequence(1), grid)
+        k = np.flatnonzero(grid.points == worst)[0]
+        assert grid.rim[k] == dec.worst_rim
+        arc_max = oracles.arc_ratio_max(seq.points, dec.part0, dec.delta, int(grid.rim[k]),
+                                        float(grid.theta[k]), 2 * np.pi / hoffman._RIM_SAMPLES)
+        assert dec.fitted_b >= b
+        assert dec.fitted_b == pytest.approx(max(b, arc_max), rel=1e-12, abs=0.0)
 
 
 class TestPrunedSearchAgainstOracle:

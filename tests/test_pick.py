@@ -691,6 +691,21 @@ class TestSolvePick:
         expected = interpolant_eval(solution.interpolant, problem.nodes.points)
         assert np.array_equal(solution.residuals, expected - problem.targets)
 
+    def test_sup_on_circle_refines_on_one_arc(self):
+        # One call on the 2 * 64 + 1 points within a spacing of the argmax.
+        calls = []
+
+        def fn(z):
+            calls.append(z.size)
+            return np.cos(3.0 * np.angle(z) - 0.1)
+
+        thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        vals = np.abs(np.cos(3.0 * thetas - 0.1))
+        got = pick._sup_on_circle(fn, thetas, vals)
+        assert calls == [129]
+        assert vals.max() <= got <= 1.0
+        assert got == pytest.approx(1.0, abs=1e-5)
+
     def test_reduction_divides_by_the_evaluators_factors(self):
         # The reduction's divisors b_{lam_i}(lam_j) are the floats that
         # interpolant_eval's _mobius computes at the nodes, bit for bit, so
