@@ -727,24 +727,24 @@ class TestPinnedOutput:
         ("analyze", 512, 0.01, 3, (),
          "405062c6ccbfa4d3bf4d3474b5ab8c116b4d97f66682f15b03057ac31d2806fd"),
         ("verify-theorem", 10, 0.1, 1, (),
-         "c85acaf825fd90d60249941b2bc2867519e65530e321c6cbc5116a53f858ade7"),
+         "c038e7d3ada0b7abde0b25c9d53b62fe715f568a510fcfb7e6c9480d1d05ef38"),
         ("verify-theorem", 17, 0.1, 3, (),
-         "bd459565b5e79fbbecbe57c0bafbdd6e77f72eee1cbe916328de2a98e6aa4024"),
+         "42608e8383b75620f6cde919e8f3583eef5f5ff935813534fb15cabf324665c0"),
         ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
          "3459b77a59a6cf1e727064b914ad794865e986878c2120c894f2d78e23adc181"),
         ("interpolate", 24, 0.1, 5,
          ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
          "0a07f2ef2f7a1f902a938cc21b861ace126b9209e0ef9ed25c71056083e6061f"),
         ("decompose", 12, 0.1, 6, (),  # exhaustive search
-         "8a17c2febbf9e1751541eccbe10268a6b0deac6078631837402cb2f07a763b70"),
+         "cfb8a9274208d069e0c33e33ea0cf0f0d5f0e146d2d69485b107f4516a2b4fe2"),
         ("decompose", 20, 0.1, 7, (),  # local search
-         "abb5867a9a7f05ef2f116d00290faf7a46734f44cf2c9e0b9ff95b65020719d3"),
+         "975dcfbccc5888dc2648ca5337719c505eb1362e36579f8c0ebc31c10c96fe9f"),
         ("decompose", 14, 0.1, 5, (),  # exhaustive search, 224 masks evaluated
-         "6b326f273d75a0cd6449bbc7c855da1c3ade170816d6d12fa1e11b446518fda3"),
+         "485c225066764654c12d6ea7c4995d2a0c19ca16032781e64014a1978205ae7f"),
         ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
-         "5938dbdf9504c70e521ece20bf28d48e8589c5ccbfc5f3d9b28e03c7eb935a6a"),
+         "825cdab14b20bf6b3128a2979b4efe9bfec6328b481aa1d1bfd4d35e81a76c41"),
         ("verify-theorem", 32, 0.1, 5, (),
-         "3ff54ce23d26eb539e326ee10d93d8f50fea915f2b2655fb048148540cbf25e9"),
+         "0d8a0aeb3c3f354f40e57fad8deb873a7c0bc0177b0471bce7b4053fc2002f4c"),
     ])
     def test_stdout_digest(self, tmp_path, capsys, command, count, sep, seed, extra, digest):
         doc = write_document(tmp_path / "in.json",
