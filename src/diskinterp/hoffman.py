@@ -18,15 +18,16 @@ circle, where the exponent is 0.  This module samples every rim at
 128 points, keeps the samples outside every other disk, fits (a, b) on
 them and refines b on the arc around the sample that attains it: 129
 points a 64th of a sample spacing apart, every factor evaluated at once
-by the Mobius kernel ``geometry._mobius_rows``.  ``decompose`` searches the partitions of a sequence for
-the split with the smallest sampled b: exactly up to 16 points, by
-enumerating every partition and pruning with lower bounds on b from a few
-witness samples, and by deterministic local search beyond, pruned on
-witness samples too; a declared split skips the search.  One
-``blaschke.log_factors`` matrix over the rim samples places them; the
-search scores partitions on it and ``decompose`` fits the split's (a, b)
-from it.  b comes from ``_fit_b`` and a from ``_fit_a``, which runs only
-where a is read: to break ties in b and for the reported fit.
+by the Mobius kernel ``geometry._mobius_rows``.  ``decompose`` searches
+the partitions of a sequence for the split with the smallest sampled b:
+exactly up to 16 points, by enumerating every partition and pruning with
+lower bounds on b from a few witness samples, and by deterministic local
+search beyond, pruned on witness samples too; a declared split skips the
+search.  One ``blaschke.log_factors`` matrix over the rim samples places
+them; the search scores partitions on it and ``decompose`` fits the
+split's (a, b) from it.  b comes from ``_fit_b`` and a from ``_fit_a``,
+which runs only where a is read: to break ties in b and for the reported
+fit.
 
 No step loops in Python over points or moves where numpy can broadcast:
 all rims are sampled in one call, the exhaustive search bounds every

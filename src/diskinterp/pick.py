@@ -108,8 +108,8 @@ class PickProblem:
         """b_{lam_i}(lam_j) at [i, j], for i < n - 1 and every node j.
 
         One broadcast of the Mobius kernel :func:`_mobius_rows`, with its
-        convention b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  The reduction
-        divides by the entries right of the diagonal, and the norm
+        convention b_lam(z) = z for |lam| below _ZERO_POINT_TOL.  The
+        reduction divides by the entries right of the diagonal, and the norm
         estimate multiplies along the columns.  Cached: every pass of the
         norm search divides by the same factors.
         """
@@ -444,9 +444,10 @@ def sup_norm_boundary(f: RationalInterpolant, grid: int = 4096) -> float:
     on the arc of one spacing either side of the discrete argmax, sampled
     every 2*pi/(grid*64) (:func:`_sup_on_circle`).  The estimate is a
     lower bound on the true sup-norm, so it cannot certify a norm: the
-    bound chain uses ``scale`` instead.  Nothing in the package calls it: it stays as a public
-    diagnostic, and the tests and demos, its only callers, use it to check
-    that the sampled sup sits at or below ``scale``.
+    bound chain uses ``scale`` instead.  Nothing in the package calls it:
+    it stays as a public diagnostic, and the tests and demos, its only
+    callers, use it to check that the sampled sup sits at or below
+    ``scale``.
     """
     if grid < 256:
         raise ValueError(f"boundary grid must be at least 256, got {grid}")
