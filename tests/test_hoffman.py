@@ -457,8 +457,8 @@ class TestRefinementArc:
           for n, sep, seed in [(8, 0.1, 1), (10, 0.2, 2), (14, 0.1, 3), (20, 0.1, 1),
                                (32, 0.1, 5)]],
         # The arc runs into the disk of point 1 beside the worst sample; 41
-        # of its points are dropped, and the largest ratio among them is
-        # larger than b.
+        # of its points are dropped, and some of those read a ratio above
+        # the refined b.
         pytest.param(PointSequence((0.0, 0.2j, 0.7)), 0.15, (0, 1), id="arc-enters-a-disk"),
     ])
     def test_refined_b_is_the_oracle_arc_max(self, seq, delta, part0):
