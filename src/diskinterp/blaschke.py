@@ -1,22 +1,27 @@
 """Finite Blaschke products and the sequence invariants built from them.
 
-Factor log-moduli log |b_lam(z)| at points off the sequence come from one
-private row kernel, which writes a factor's row into reused buffers.
-:func:`log_factors` stacks its rows into the phase-free matrix that the
-split search sums, and :func:`blaschke_log_modulus` adds them into its
-output one factor at a time, so it never holds the whole matrix.  Sums
-over pairs of sequence points take the logs of the distance matrix the
-sequence holds instead.  :func:`blaschke_eval` adds up factor phases
-too, so it reads the factors themselves, one table of the Mobius kernel
-``geometry._mobius_rows``, and products of hundreds of factors with
-moduli near 0 or 1 neither underflow nor lose the phase.  On
-top of the product sit the classical invariants of a point sequence: the
-separation constant (worst pairwise pseudohyperbolic distance), the
-uniform-separation constant inf_n |B_n(lam_n)| taken over the products
-B_n that omit one factor, and the norm-explicit family B_n / B_n(lam_n)
-solving the one-at-a-point interpolation problem.  The first two read the
-pairwise distance matrix that :class:`PointSequence` sweeps once, when it
-checks that its points are distinct.
+Factor log-moduli log |b_lam(z)| come from one kernel,
+-1/2 log1p(A / D) with D = |z - lam|^2 and A = (1 - |lam|^2)(1 - |z|^2)
+(the Schwarz-Pick identity, in ``geometry``), which has no cancellation.
+1 - |lam|^2 is taken once per point set and 1 - |z|^2 once per buffer
+of evaluation points, both by ``geometry._one_minus_abs2``.
+:func:`log_factors` fills the phase-free matrix that the split search
+sums, in one broadcast when it is small and row by row in reused buffers
+when it is not; both layouts give the same floats.
+:func:`blaschke_log_modulus` adds the kernel's rows into its output one
+factor at a time, so it never holds the whole matrix.  Sums over pairs
+of sequence points take the logs of the distance matrix the sequence
+holds instead, which :class:`PointSequence` sweeps once, by the same
+identity, when it checks that its points are distinct.
+:func:`blaschke_eval` adds up factor phases too, so it reads the factors
+themselves, one table of the Mobius kernel ``geometry._mobius_rows``, and
+products of hundreds of factors with moduli near 0 or 1 neither underflow
+nor lose the phase.  On top of the product sit the classical invariants
+of a point sequence: the separation constant (worst pairwise
+pseudohyperbolic distance), the uniform-separation constant
+inf_n |B_n(lam_n)| taken over the products B_n that omit one factor, and
+the norm-explicit family B_n / B_n(lam_n) solving the one-at-a-point
+interpolation problem.  The first two read the distance matrix.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ import numpy as np
 from .errors import DegenerateSequenceError, PointSetError, ZeroCollisionError
 from .geometry import (
     INTERIOR_GUARD,
-    _ZERO_POINT_TOL,
     _check_closed_disk,
     _mobius_rows,
+    _one_minus_abs2,
     check_interior,
     pseudohyperbolic_distance,
 )
@@ -47,8 +52,9 @@ MAX_POINTS = 512
 # |B_n(lam_n)| below this makes the family norms exceed 1e12; refuse.
 DEGENERACY_TOL = 1e-12
 
-# A factor log-modulus under this is a collision with a zero of the product.
-_LOG_COLLISION = np.log(1e-300)
+# log |b| tables of at most this many entries are filled in one broadcast
+# (see log_factors); larger ones row by row, in buffers of one row.
+_TABLE_LIMIT = 32768
 
 # Evaluation points per row buffer in blaschke_log_modulus.  On a 256^2
 # field grid at n = 32 and 64, smaller buffers pay per-row call overhead
@@ -64,14 +70,17 @@ _INTERIOR_SCREEN = 1.0 - INTERIOR_GUARD - 1e-12
 class PointSequence:
     """Finite ordered set of distinct points strictly inside the unit disk.
 
-    Validation sweeps the n x n pseudohyperbolic distance matrix once to
-    check that the points are distinct, and the sequence keeps it, with
-    1.0 on the diagonal, as a read-only array outside repr; the separation
-    and Carleson constants read it instead of sweeping again.
+    Validation takes 1 - |lam|^2 of every point once and sweeps the n x n
+    pseudohyperbolic distance matrix once, from those, to check that the
+    points are distinct.  The sequence keeps both as read-only arrays
+    outside repr, the matrix with 1.0 on its diagonal: the separation and
+    Carleson constants read the matrix instead of sweeping again, and the
+    log-factor kernel reads the gaps instead of recomputing them.
     """
 
     points: np.ndarray
     label: str | None = None
+    _gaps: np.ndarray = field(init=False, repr=False)
     _distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,7 +98,8 @@ class PointSequence:
                 check_interior(pts[i])
             except PointSetError as exc:
                 raise PointSetError(f"point {i}: {exc}") from None
-        dist = pseudohyperbolic_distance(pts[:, None], pts[None, :])
+        gaps = _one_minus_abs2(pts)
+        dist = pseudohyperbolic_distance(pts[:, None], pts[None, :], gaps[:, None], gaps[None, :])
         np.fill_diagonal(dist, 1.0)
         j, k = np.unravel_index(int(np.argmin(dist)), dist.shape)
         if dist[j, k] <= DISTINCT_TOL:
@@ -97,9 +107,10 @@ class PointSequence:
                 f"points {min(j, k)} and {max(j, k)} are not distinct "
                 f"(pseudohyperbolic distance {dist[j, k]:.3e})"
             )
-        pts.flags.writeable = False
-        dist.flags.writeable = False
+        for array in (pts, gaps, dist):
+            array.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_gaps", gaps)
         object.__setattr__(self, "_distances", dist)
 
     def __len__(self) -> int:
@@ -135,34 +146,68 @@ class AnalysisReport:
     per_point: tuple[tuple[int, float], ...]
 
 
-def _log_factor_row(lam: complex, z: np.ndarray, num: np.ndarray, den: np.ndarray,
-                    out: np.ndarray) -> None:
-    """out = log |b_lam(z)|, -inf at a zero, with the ufuncs of ``_mobius_rows`` in its order.
+def _log1p_ratio(lam, lam_gap, zr, zi, z_gap, out, scratch):
+    """out = log1p(A / D) = -2 log |b_lam(z)| at the points zr + i zi; +inf at a zero.
 
-    ``num`` and ``den`` are complex scratch of z's size; the caller holds
-    np.errstate(divide="ignore").
+    One row for a scalar centre lam, or one table for a column of centres
+    (shape (n, 1)); elementwise ufuncs give the same floats either way.
+    lam_gap and z_gap are 1 - |lam|^2 and 1 - |z|^2; ``scratch`` is a float
+    buffer of out's shape.  The caller holds np.errstate(divide="ignore",
+    over="ignore"): at a zero D is 0, and A / D overflows to inf once
+    |b| < about 1e-154.
+
+    Error: A carries at most 3u relative (u = eps / 2) and D at most 4u,
+    so A / D carries 8u, which log1p does not amplify, since
+    r / ((1 + r) log1p(r)) <= 1; with log1p correct to one ulp, each entry
+    of -1/2 log1p(A / D) is within LOG_FACTOR_ERROR_EPS = 5 eps of
+    log |b_lam(z)|, relative, to first order.  The factor -1/2 is a power
+    of two, so the callers apply it after any sum of rows, exactly.
     """
-    if abs(lam) < _ZERO_POINT_TOL:
-        np.abs(z, out=out)
-    else:
-        np.subtract(z, lam, out=num)
-        np.multiply(np.conj(lam) / abs(lam), num, out=num)
-        np.multiply(np.conj(lam), z, out=den)
-        np.subtract(1.0, den, out=den)
-        np.divide(num, den, out=num)
-        np.abs(num, out=out)
-    np.log(out, out=out)
+    np.subtract(zr, np.real(lam), out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(zi, np.imag(lam), out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(out, scratch, out=out)  # D = |z - lam|^2
+    np.multiply(lam_gap, z_gap, out=scratch)  # A
+    np.divide(scratch, out, out=out)
+    return np.log1p(out, out=out)
 
 
-def log_factors(points: np.ndarray, z) -> np.ndarray:
-    """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero."""
+def _log1p_table(lam: np.ndarray, lam_gap: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log1p(A / D) for every centre lam[i] and point z[j] at [i, j], in one broadcast.
+
+    The floats of :func:`_log1p_ratio`'s rows, for tables small enough
+    that a second buffer of their size costs less than a Python loop.
+    """
+    out = np.empty((lam.size, z.size))
+    with np.errstate(divide="ignore", over="ignore"):
+        _log1p_ratio(lam[:, None], lam_gap[:, None], z.real.copy(), z.imag.copy(),
+                     _one_minus_abs2(z), out, np.empty_like(out))
+    return out
+
+
+def log_factors(points: np.ndarray, z, gaps=None) -> np.ndarray:
+    """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero.
+
+    Each entry is -1/2 log1p(A / D) (:func:`_log1p_ratio`), within
+    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative.  ``gaps`` are
+    1 - |lam|^2 of the points when the caller holds them (a sequence's
+    ``_gaps``).  A table of at most _TABLE_LIMIT entries is one broadcast
+    (:func:`_log1p_table`); a larger one is filled row by row into the
+    result, with one row of scratch.
+    """
+    lam = np.asarray(points, dtype=complex).reshape(-1)
+    lam_gap = _one_minus_abs2(lam) if gaps is None else np.asarray(gaps)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    rows = np.empty((len(points), z.size))
-    num, den = np.empty(z.size, dtype=complex), np.empty(z.size, dtype=complex)
-    with np.errstate(divide="ignore"):
-        for i, lam in enumerate(points):
-            _log_factor_row(lam, z, num, den, rows[i])
-    return rows
+    if lam.size * z.size <= _TABLE_LIMIT:
+        rows = _log1p_table(lam, lam_gap, z)
+    else:
+        rows = np.empty((lam.size, z.size))
+        zr, zi, z_gap, scratch = z.real.copy(), z.imag.copy(), _one_minus_abs2(z), np.empty(z.size)
+        with np.errstate(divide="ignore", over="ignore"):
+            for i in range(lam.size):
+                _log1p_ratio(lam[i], lam_gap[i], zr, zi, z_gap, rows[i], scratch)
+    return np.multiply(rows, -0.5, out=rows)
 
 
 def _eval_product(points: np.ndarray, z):
@@ -195,32 +240,36 @@ def blaschke_eval(seq: PointSequence, z):
 def blaschke_log_modulus(seq: PointSequence, z):
     """log |B(z)| as rows of the one kernel, added in order, _LOG_CHUNK points at a time.
 
-    The first factor's row is written into the output and each later row is
-    added to it, which is numpy's axis-0 sum of :func:`log_factors` bit for
-    bit, without the n x _LOG_CHUNK matrix.  Raises ZeroCollisionError if any
-    factor modulus is below 1e-300, i.e. the evaluation point collides with
-    a zero.
+    Each chunk takes 1 - |z|^2 once.  The first factor's row of
+    log1p(A / D) is written into the output and each later row is added
+    to it, and the sum is scaled by -1/2 at the end; a power of two scales
+    exactly, so this is numpy's axis-0 sum of :func:`log_factors` bit for
+    bit, without the n x _LOG_CHUNK matrix.  Raises ZeroCollisionError if
+    an evaluation point collides with a zero: where some factor's A / D
+    overflows, which happens once |b| falls below about 1e-154 (D below
+    about 1e-308 times A), exact zeros included.
     """
     _check_closed_disk(z)
     flat = np.asarray(z, dtype=complex).reshape(-1)
     out = np.empty(flat.size)
     size = min(flat.size, _LOG_CHUNK)
-    num, den = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    row = np.empty(size)
-    with np.errstate(divide="ignore"):
+    row, scratch = np.empty(size), np.empty(size)
+    with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, flat.size, _LOG_CHUNK):
             chunk = flat[start:start + _LOG_CHUNK]
             k = chunk.size
+            zr, zi, z_gap = chunk.real.copy(), chunk.imag.copy(), _one_minus_abs2(chunk)
             total = out[start:start + k]
             for i, lam in enumerate(seq.points):
                 dest = total if i == 0 else row[:k]
-                _log_factor_row(lam, chunk, num[:k], den[:k], dest)
-                if np.min(dest) < _LOG_COLLISION:
+                _log1p_ratio(lam, seq._gaps[i], zr, zi, z_gap, dest, scratch[:k])
+                if np.max(dest) == np.inf:
                     raise ZeroCollisionError(
                         "evaluation point collides with a zero of the product"
                     )
                 if i:
                     np.add(total, dest, out=total)
+    np.multiply(out, -0.5, out=out)
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

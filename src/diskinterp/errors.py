@@ -37,7 +37,11 @@ class EmptyGridError(DomainError):
 
 
 class ZeroCollisionError(NumericalError):
-    """Log-modulus evaluation collided with a zero of the product."""
+    """Log-modulus evaluation collided with a zero of the product.
+
+    Raised where some factor's |b| is below about 1e-154, where the
+    log-factor kernel's A / D overflows, exact zeros included.
+    """
 
 
 class DegenerateSequenceError(NumericalError):

@@ -37,7 +37,7 @@ from .errors import (
     PackingFailureError,
     PointSetError,
 )
-from .geometry import pseudohyperbolic_distance
+from .geometry import _one_minus_abs2, pseudohyperbolic_distance
 from .hoffman import Decomposition, corresponding_decomposition, decompose
 from .pick import BISECT_REL_TOL, PickProblem, solve_pick
 
@@ -77,9 +77,10 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
     of _DRAW_BLOCK from one generator call, the same stream as one call
     per draw; a block is tested against the points accepted before it in
     one matrix and against its own earlier keepers in another, in draw
-    order.  Deterministic for a fixed seed; raises PackingFailureError
-    once the rejection budget is spent, which signals that count points at
-    this separation do not fit.
+    order.  1 - |z|^2 is taken once per draw and kept with the accepted
+    points, for both matrices.  Deterministic for a fixed seed; raises
+    PackingFailureError once the rejection budget is spent, which signals
+    that count points at this separation do not fit.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -87,14 +88,18 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
         raise ValueError(f"min_sep must lie in [0, 1), got {min_sep!r}")
     rng = np.random.default_rng(seed)
     accepted = np.empty(count, dtype=complex)
+    accepted_gaps = np.empty(count)
     kept = 0
     rejections = 0
     while kept < count:
         u, v = rng.random(2 * _DRAW_BLOCK).reshape(-1, 2).T
         block = _RANDOM_DISK_RADIUS * np.sqrt(u) * np.exp(2j * math.pi * v)
-        nearest = np.min(pseudohyperbolic_distance(block[:, None], accepted[None, :kept]),
+        gaps = _one_minus_abs2(block)
+        nearest = np.min(pseudohyperbolic_distance(block[:, None], accepted[None, :kept],
+                                                   gaps[:, None], accepted_gaps[None, :kept]),
                          axis=1, initial=np.inf)
-        within = pseudohyperbolic_distance(block[:, None], block[None, :])
+        within = pseudohyperbolic_distance(block[:, None], block[None, :],
+                                           gaps[:, None], gaps[None, :])
         for k, z in enumerate(block):
             if nearest[k] < min_sep:
                 rejections += 1
@@ -104,7 +109,7 @@ def generate_separated_random(count: int, min_sep: float, seed: int) -> PointSeq
                         f"after {_REJECTION_BUDGET} rejected draws"
                     )
                 continue
-            accepted[kept] = z
+            accepted[kept], accepted_gaps[kept] = z, gaps[k]
             kept += 1
             if kept == count:
                 break

@@ -18,7 +18,7 @@ circle, where the exponent is 0.  This module samples every rim at
 128 points, keeps the samples outside every other disk, fits (a, b) on
 them and refines b on the arc around the sample that attains it: 129
 points a 64th of a sample spacing apart, every factor evaluated at once
-by the Mobius kernel ``geometry._mobius_rows``.  ``decompose`` searches
+by the log-factor kernel of ``blaschke.log_factors``.  ``decompose`` searches
 the partitions of a sequence for the split with the smallest sampled b:
 exactly up to 16 points, by enumerating every partition and pruning with
 lower bounds on b from a few witness samples, and by deterministic local
@@ -43,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import PointSequence, blaschke_log_modulus, log_factors, separation_constant
+from .blaschke import (PointSequence, _log1p_table, blaschke_log_modulus, log_factors,
+                       separation_constant)
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
-from .geometry import _mobius_rows, _refinement_arc, pseudo_disk_euclidean, sample_pseudo_circle
+from .geometry import _refinement_arc, pseudo_disk_euclidean, sample_pseudo_circle
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
 # are bounded on a few witness samples, and only those whose bound does
@@ -153,7 +154,7 @@ def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:
     """
     n, m = len(seq), _RIM_SAMPLES
     pts = sample_pseudo_circle(seq.points, delta, m).ravel()
-    LM = log_factors(seq.points, pts)
+    LM = log_factors(seq.points, pts, seq._gaps)
     inside = LM < np.log(delta)
     inside.reshape(n, n, m)[np.arange(n), np.arange(n)] = False
     keep = ~inside.any(axis=0)
@@ -223,7 +224,30 @@ def comparability_fit(
     return float(_fit_a(b, L0, L1)), float(b), complex(grid.points[worst])
 
 
-def _search_exhaustive(LM, L_total):
+def _sorted_below(bound: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the bounds at or below threshold, in stable increasing order.
+
+    They are the first entries of np.argsort(bound, kind="stable"): every
+    bound at or below the threshold sorts before every bound above it, and
+    the indices come in increasing order, so ties keep the full sort's
+    order.
+    """
+    rows = np.flatnonzero(bound <= threshold)
+    return rows[np.argsort(bound[rows], kind="stable")]
+
+
+def _part_sums(masks: np.ndarray, LM: np.ndarray):
+    """(L0, L1): the rows of LM summed over part 0 and over part 1 of each mask.
+
+    Each part is summed on its own, never as the total minus the other
+    part: near the unit circle one part's logs can lie below the rounding
+    of the total, and the difference then has no correct digit, or is 0.
+    """
+    weights = masks.astype(float)
+    return weights @ LM, (1.0 - weights) @ LM
+
+
+def _search_exhaustive(LM):
     """Best mask over all nontrivial partitions with index 0 pinned to part0.
 
     Exact, with lower-bound pruning.  The argmax columns of a few
@@ -240,6 +264,14 @@ def _search_exhaustive(LM, L_total):
     tie-break is the one full enumeration would apply; a and part0 are
     computed only for the rows of a chunk whose b does not exceed the
     least b found so far, since the others lose on b alone.
+
+    Only a prefix of the masks is sorted (``_sorted_below``): those at or
+    below the k-th smallest bound, found by ``np.partition``, with k the
+    first chunk's end and doubled whenever a chunk runs past the prefix.
+    That is the start of the stable sort of every bound, so the masks
+    evaluated are the ones a full sort gives, while the search stops after
+    a few chunks of the 2^(n-1) - 1.  Off the unit circle every factor log
+    is negative, so no bound is nan.
     Returns (mask, masks enumerated, masks fully evaluated).
     """
     n = LM.shape[0]
@@ -249,24 +281,25 @@ def _search_exhaustive(LM, L_total):
     for j in range(1, n):
         masks[:, j] = (codes >> (j - 1)) & 1
     probes = np.unique(np.linspace(0, len(masks) - 1, _WITNESS_PROBES).astype(np.int64))
-    L0 = masks[probes].astype(float) @ LM
-    witnesses = np.unique(_fit_b(L0, L_total - L0)[1])
-    L0 = masks.astype(float) @ LM[:, witnesses]
+    witnesses = np.unique(_fit_b(*_part_sums(masks[probes], LM))[1])
+    L0, L1 = _part_sums(masks, LM[:, witnesses])
     bound = np.ones(len(masks))
-    for l0, l1 in zip(L0.T, L_total[witnesses, None] - L0.T):
+    for l0, l1 in zip(L0.T, L1.T):
         np.maximum(bound, np.maximum(l1 / l0, l0 / l1), out=bound)
-    order = np.argsort(bound, kind="stable")
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
+    order = np.empty(0, dtype=np.int64)
     best = None
     evaluated = 0
-    for start in range(0, order.size, _EVAL_CHUNK):
+    for start in range(0, bound.size, _EVAL_CHUNK):
+        if order.size < min(start + _EVAL_CHUNK, bound.size):  # extend the sorted prefix
+            k = min(max(start + _EVAL_CHUNK, 2 * order.size), bound.size)
+            order = _sorted_below(bound, np.partition(bound, k - 1)[k - 1])
         rows = order[start:start + _EVAL_CHUNK]
         if best is not None:
             best_b = best[0][0]
             if bound[rows[0]] > best_b * (1.0 + 1e-12 + rounding * (1.0 + best_b)):
                 break
-        L0 = masks[rows].astype(float) @ LM
-        L1 = L_total - L0
+        L0, L1 = _part_sums(masks[rows], LM)
         b = _fit_b(L0, L1)[0]
         evaluated += len(rows)
         least = float(b.min()) if best is None else min(best_b, float(b.min()))
@@ -279,8 +312,8 @@ def _search_exhaustive(LM, L_total):
     return best[1], len(masks), evaluated
 
 
-def _screen(L0, L_total, sign, LM, cols):
-    """Witness b and degeneracy of the moves L0 + sign[i] LM[i], one per row.
+def _screen(L0, L1, sign, LM, cols):
+    """Witness b and degeneracy of the moves (L0 + sign[i] LM[i], L1 - sign[i] LM[i]).
 
     The rows are scored on the columns ``cols`` only: the b of each move
     there, clamped below at 1 as ``_fit_b`` clamps it, and whether a part's
@@ -290,18 +323,19 @@ def _screen(L0, L_total, sign, LM, cols):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         l0 = L0[cols] + sign[:, None] * LM[:, cols]
-        l1 = L_total[cols] - l0
+        l1 = L1[cols] - sign[:, None] * LM[:, cols]
         bound = np.maximum(np.maximum(l1 / l0, l0 / l1).max(axis=1), 1.0)
         degenerate = (np.maximum(l0, l1) > -_FIT_DEGENERACY_TOL).any(axis=1)
     return bound, degenerate
 
 
-def _search_local(LM, L_total, points):
+def _search_local(LM, points):
     """Single-move descent from an alternating seed over increasing |lam|.
 
     A move flips one point between the parts and wins if it lowers
-    (b, -a).  The current mask keeps its part-0 row L0 as the exact row
-    sum of LM, and a move is scored on L0 + LM[i] or L0 - LM[i].  Before
+    (b, -a).  The current mask keeps its part rows L0 and L1 as the exact
+    row sums of LM over each part, and a move is scored on L0 + s LM[i] and
+    L1 - s LM[i], s = +-1.  Before
     that full fit, the move's b is bounded on the witness columns, the
     argmax columns of the masks fully scored so far: the bound is a max
     over a subset of the same elementwise ratios, so a move whose witness
@@ -332,12 +366,12 @@ def _search_local(LM, L_total, points):
     mask = np.zeros(n, dtype=bool)
     mask[order[0::2]] = True
 
-    def exact():  # exact part-0 row, (b, -a) and argmax column of the mask
-        L0 = LM[mask].sum(axis=0)
-        b, worst = _fit_b(L0, L_total - L0)
-        return L0, (b, -_fit_a(b, L0, L_total - L0)), worst
+    def exact():  # exact part rows, (b, -a) and argmax column of the mask
+        L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
+        b, worst = _fit_b(L0, L1)
+        return L0, L1, (b, -_fit_a(b, L0, L1)), worst
 
-    L0, current, worst = exact()
+    L0, L1, current, worst = exact()
     witnesses = [worst]
     tried = evaluated = 1
     improved = True
@@ -349,7 +383,7 @@ def _search_local(LM, L_total, points):
             sign = np.where(mask[start:], -1.0, 1.0)  # a move adds sign * LM[i] to L0
             size0 = np.count_nonzero(mask) + sign
             legal = (size0 > 0) & (size0 < n)  # no move may empty a part
-            bound, degenerate = _screen(L0, L_total, sign, LM[start:], witnesses)
+            bound, degenerate = _screen(L0, L1, sign, LM[start:], witnesses)
             k, end = -1, n
             while end == n:
                 # A degenerate move is fully fitted, where _fit_b raises.
@@ -361,17 +395,17 @@ def _search_local(LM, L_total, points):
                 i = start + k
                 evaluated += 1
                 mask[i] = not mask[i]
-                cand = L0 + sign[k] * LM[i]
-                b, worst = _fit_b(cand, L_total - cand)
+                cand0, cand1 = L0 + sign[k] * LM[i], L1 - sign[k] * LM[i]
+                b, worst = _fit_b(cand0, cand1)
                 if worst not in witnesses:  # fold the new column into the batch's bounds
                     witnesses.append(worst)
-                    column = _screen(L0, L_total, sign, LM[start:], [worst])
+                    column = _screen(L0, L1, sign, LM[start:], [worst])
                     np.maximum(bound, column[0], out=bound)
                     degenerate |= column[1]
-                if b <= current[0] and (b, -_fit_a(b, cand, L_total - cand)) < current:
-                    L0_exact, score, _ = exact()
+                if b <= current[0] and (b, -_fit_a(b, cand0, cand1)) < current:
+                    L0_exact, L1_exact, score, _ = exact()
                     if score < current:  # accepted: screen again from the next move
-                        L0, current, improved, end = L0_exact, score, True, i + 1
+                        L0, L1, current, improved, end = L0_exact, L1_exact, score, True, i + 1
                         continue
                 mask[i] = not mask[i]
             tried += int(np.count_nonzero(legal[:end - start]))
@@ -387,21 +421,21 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: floa
 
     The arc spans one sample spacing either side of sample ``worst`` on its
     rim, at 2 _ARC_STEPS + 1 angles (``geometry._refinement_arc``), and one
-    ``_mobius_rows`` table evaluates every factor there.  Its logs are the
-    floats of ``log_factors``, which is not called here: the fit reads one
-    ``log_factors`` matrix per decomposition, and a second call would cost
-    more than this table at these sizes.  Arc points inside another disk
-    lie outside Omega and are dropped, as ``exclusion_grid`` drops
-    samples.  j = 0 is the sample itself.  Returns the larger of ``b`` and
-    the largest ratio on the arc, with the point attaining it.
+    broadcast of the kernel that built the grid, ``blaschke._log1p_table``,
+    scores every factor there: log1p(A / D) = -2 log |b|, so the ratios,
+    and the test against log delta, are those of ``log_factors``' floats
+    exactly, without the -1/2.  Arc points inside another disk lie outside
+    Omega and are dropped, as ``exclusion_grid`` drops samples.  j = 0 is
+    the sample itself.  Returns the larger of ``b`` and the largest ratio
+    on the arc, with the point attaining it.
     """
     points = seq.points
     rim = int(grid.rim[worst])
     disk = pseudo_disk_euclidean(points[rim], grid.delta)
     arc = _refinement_arc(float(grid.theta[worst]), 2.0 * np.pi / _RIM_SAMPLES)
     z = disk.euclid_center + disk.euclid_radius * np.exp(1j * arc)
-    logs = np.log(np.abs(_mobius_rows(points, z)))
-    inside = logs < np.log(grid.delta)
+    logs = _log1p_table(points, seq._gaps, z)
+    inside = logs > -2.0 * np.log(grid.delta)
     inside[rim] = False
     outside = ~inside.any(axis=0)
     z, logs = z[outside], logs[:, outside]
@@ -453,10 +487,10 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
         method, enumerated, evaluated = "declared", 0, 0
     elif n <= EXHAUSTIVE_LIMIT:
         method = "exhaustive"
-        mask, enumerated, evaluated = _search_exhaustive(LM, LM.sum(axis=0))
+        mask, enumerated, evaluated = _search_exhaustive(LM)
     else:
         method = "local"
-        mask, enumerated, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
+        mask, enumerated, evaluated = _search_local(LM, seq.points)
     L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
     sampled_b, worst = _fit_b(L0, L1)
     b, worst_point = _refine_b(seq, grid, mask, float(sampled_b), int(worst))

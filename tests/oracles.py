@@ -238,11 +238,49 @@ def arc_ratio_max(points, part0, delta: float, rim: int, theta: float, step: flo
     return best
 
 
+def _package_one_minus_abs2(z) -> np.ndarray:
+    """1 - |z|^2 by the package's steps, for bit-level comparisons.
+
+    Dekker's exact squares of x and y, then the five terms added by
+    TwoSums, larger square first, with the TwoSum errors added last.
+    """
+    z = np.asarray(z, dtype=complex)
+    x, y = np.abs(z.real), np.abs(z.imag)
+
+    def square(v):  # v * v = p + e exactly
+        c = 134217729.0 * v
+        hi = c - (c - v)
+        lo = v - hi
+        p = v * v
+        return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+    def two_sum(a, b):
+        s = a + b
+        v = s - a
+        return s, (a - (s - v)) + (b - v)
+
+    (px, ex), (py, ey) = square(x), square(y)
+    swap = py > px
+    big, small = np.where(swap, py, px), np.where(swap, px, py)
+    e_big, e_small = np.where(swap, ey, ex), np.where(swap, ex, ey)
+    s = 1.0 - big
+    t1 = (1.0 - s) - big
+    s, t2 = two_sum(s, -small)
+    s, t3 = two_sum(s, -e_big)
+    s, t4 = two_sum(s, -e_small)
+    return s + ((t1 + t2) + (t3 + t4))
+
+
 def _package_distance(z, w):
-    """Pseudohyperbolic distance with the package's real/imaginary split."""
-    re = 1.0 - (z.real * w.real + z.imag * w.imag)
-    im = z.imag * w.real - z.real * w.imag
-    return np.abs(z - w) / np.hypot(re, im)
+    """Pseudohyperbolic distance as the package computes it: sqrt(D / (D + A)).
+
+    D = |z - w|^2 from the real and imaginary differences, and
+    A = (1 - |z|^2)(1 - |w|^2) from ``_package_one_minus_abs2``.
+    """
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    dx, dy = z.real - w.real, z.imag - w.imag
+    d = dx * dx + dy * dy
+    return np.sqrt(d / (d + _package_one_minus_abs2(z) * _package_one_minus_abs2(w)))
 
 
 def separation_constant(points) -> float:
@@ -340,18 +378,18 @@ def package_unwinding(f, z) -> np.ndarray:
 
 
 def sequential_log_modulus(points, z) -> np.ndarray:
-    """log |B(z)| summed factor by factor, as the package once accumulated it.
+    """log |B(z)| summed factor by factor, as the package accumulates it.
 
-    That accumulation also summed the phases, which never entered the
-    modulus; exact zeros added 0.
+    Each factor adds log1p(A / D), the Schwarz-Pick form of -2 log |b|,
+    and the sum is halved at the end.
     """
     z = np.asarray(z, dtype=complex)
-    log_mod = np.zeros(z.shape)
+    z_gap = _package_one_minus_abs2(z)
+    total = np.zeros(z.shape)
     for lam in points:
-        r = np.abs(np.asarray(_package_mobius(lam, z)))
-        with np.errstate(divide="ignore"):
-            log_mod += np.where(r == 0.0, 0.0, np.log(np.where(r == 0.0, 1.0, r)))
-    return log_mod
+        dx, dy = z.real - lam.real, z.imag - lam.imag
+        total += np.log1p(_package_one_minus_abs2(lam) * z_gap / (dx * dx + dy * dy))
+    return -0.5 * total
 
 
 def package_product(points, z) -> np.ndarray:

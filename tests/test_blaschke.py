@@ -194,21 +194,37 @@ class TestBlaschkeLogModulus:
 
 class TestLogFactors:
     def test_rows_are_factor_log_moduli(self, rng):
+        # Compared as moduli: the log of a Mobius modulus near 1 carries
+        # eps / |log| relative error of its own.
         seq = make_sequence(rng, 5)
         zs = np.array([0.1 + 0.2j, -0.5, 0.0, 0.9j])
         logs = blaschke.log_factors(seq.points, zs)
         assert logs.shape == (5, 4)
         for i, lam in enumerate(seq.points):
-            assert np.allclose(logs[i], np.log(np.abs(mobius_transform(lam, zs))),
+            assert np.allclose(np.exp(logs[i]), np.abs(mobius_transform(lam, zs)),
                                rtol=1e-14, atol=0.0)
 
     def test_rows_bit_equal_to_mobius_formula(self, rng):
+        # The Mobius factor's log-modulus in its Schwarz-Pick form,
+        # -1/2 log1p(A / D), restated with the package's operations.
         pts = np.concatenate(([0.0, 1e-15j], make_sequence(rng, 6).points))
         zs = 0.99 * rng.random(300) * np.exp(2j * np.pi * rng.random(300))
         logs = blaschke.log_factors(pts, zs)
         for i, lam in enumerate(pts):
-            want = np.log(np.abs(oracles._package_mobius(lam, zs)))
-            assert np.array_equal(logs[i], want)
+            assert np.array_equal(logs[i], oracles.sequential_log_modulus([lam], zs))
+
+    @pytest.mark.parametrize("count, size", [(3, 7), (8, 129), (24, 1000)])
+    def test_broadcast_and_row_layouts_agree(self, rng, monkeypatch, count, size):
+        # One broadcast over a column of centres and one row per centre
+        # run the same ufuncs on the same floats.
+        pts = np.concatenate(([0.0], make_sequence(rng, count).points))
+        zs = 0.999 * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+        table = blaschke.log_factors(pts, zs)
+        monkeypatch.setattr(blaschke, "_TABLE_LIMIT", 0)
+        rows = blaschke.log_factors(pts, zs)
+        assert np.array_equal(table, rows)
+        gaps = blaschke._one_minus_abs2(pts)
+        assert np.array_equal(table, -0.5 * blaschke._log1p_table(pts, gaps, zs))
 
     def test_exact_zero_is_minus_inf(self):
         pts = np.array([0.5, -0.25j])

@@ -428,7 +428,7 @@ def oracle_rows(count: int, seed: int) -> np.ndarray:
 
 
 def searched_part0(rows: np.ndarray) -> tuple[int, ...]:
-    mask, enumerated, evaluated = _search_exhaustive(rows, rows.sum(axis=0))
+    mask, enumerated, evaluated = _search_exhaustive(rows)
     assert enumerated == 2 ** (rows.shape[0] - 1) - 1
     assert 0 < evaluated <= enumerated
     return tuple(np.flatnonzero(mask).tolist())
@@ -448,7 +448,8 @@ class TestRefinementArc:
             arc = geometry._refinement_arc(float(grid.theta[k]), 2 * np.pi / hoffman._RIM_SAMPLES)
             z = disk.euclid_center + disk.euclid_radius * np.exp(1j * arc)
             assert z[arc.size // 2] == grid.points[k]  # j = 0 is the sample itself
-            logs = np.log(np.abs(geometry._mobius_rows(seq.points, z)))
+            # The refinement's table holds log1p(A / D) = -2 log |b|.
+            logs = -0.5 * blaschke._log1p_table(seq.points, seq._gaps, z)
             assert np.array_equal(logs, blaschke.log_factors(seq.points, z))
 
     @pytest.mark.parametrize("seq, delta, part0", [
@@ -517,7 +518,7 @@ class TestLocalSearchAgainstOracle:
         # pruned one must find the same split after trying the same moves.
         seq = generate_separated_random(count, 0.1, count % 5 + 1)
         LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
-        mask, tried, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
+        mask, tried, evaluated = _search_local(LM, seq.points)
         part0, plain_tried = oracles.local_search(LM, seq.points)
         assert tuple(np.flatnonzero(mask).tolist()) == part0
         assert tried == plain_tried
@@ -553,7 +554,7 @@ class TestSearchStructure:
         seq = generate_separated_random(count, 0.1, seed)
         LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
         rows = fit_b_calls(monkeypatch)
-        _, tried, evaluated = _search_local(LM, LM.sum(axis=0), seq.points)
+        _, tried, evaluated = _search_local(LM, seq.points)
         assert set(rows) == {0}
         assert evaluated <= len(rows) <= 2 * evaluated - 1 < tried
 
@@ -575,7 +576,7 @@ class TestLocalSearchDegeneracy:
         rows = np.array(rows)
         points = self.POINTS[:rows.shape[0]]
         with pytest.raises(DegenerateFitError, match="numerically zero"):
-            _search_local(rows, rows.sum(axis=0), points)
+            _search_local(rows, points)
 
     @pytest.mark.parametrize("rows, part0, tried, evaluated", [
         # Both moves empty a part.
@@ -590,8 +591,7 @@ class TestLocalSearchDegeneracy:
         rows = np.array(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask, n_tried, n_evaluated = _search_local(rows, rows.sum(axis=0),
-                                                       self.POINTS[:rows.shape[0]])
+            mask, n_tried, n_evaluated = _search_local(rows, self.POINTS[:rows.shape[0]])
         assert tuple(np.flatnonzero(mask).tolist()) == part0
         assert (n_tried, n_evaluated) == (tried, evaluated)
 
