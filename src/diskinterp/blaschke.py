@@ -53,8 +53,11 @@ MAX_POINTS = 512
 DEGENERACY_TOL = 1e-12
 
 # log |b| tables of at most this many entries are filled in one broadcast
-# (see log_factors); larger ones row by row, in buffers of one row.
-_TABLE_LIMIT = 32768
+# (see log_factors), with a scratch table of the same size; larger ones row
+# by row, with one row of scratch.  On exclusion grids (128 n^2 entries)
+# the broadcast took 10-25 % less time than the rows at n = 8 to 32; the
+# limit keeps the scratch within 512 KB.
+_TABLE_LIMIT = 65536
 
 # Evaluation points per row buffer in blaschke_log_modulus.  On a 256^2
 # field grid at n = 32 and 64, smaller buffers pay per-row call overhead
@@ -181,8 +184,8 @@ def _log1p_table(lam: np.ndarray, lam_gap: np.ndarray, z: np.ndarray) -> np.ndar
     """
     out = np.empty((lam.size, z.size))
     with np.errstate(divide="ignore", over="ignore"):
-        _log1p_ratio(lam[:, None], lam_gap[:, None], z.real.copy(), z.imag.copy(),
-                     _one_minus_abs2(z), out, np.empty_like(out))
+        _log1p_ratio(lam[:, None], lam_gap[:, None], z.real, z.imag, _one_minus_abs2(z),
+                     out, np.empty_like(out))
     return out
 
 

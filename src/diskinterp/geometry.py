@@ -39,8 +39,9 @@ _ARC_STEPS = 64
 
 # Per-entry relative error bounds, in units of eps = np.finfo(float).eps,
 # of pseudohyperbolic_distance and of a factor log-modulus
-# -1/2 log1p(A / D) (``blaschke.log_factors``), for points inside the
-# guard band or on the unit circle; derived in the two docstrings.
+# -1/2 log1p(A / D) (``blaschke._log1p_ratio``), derived in their
+# docstrings for points inside the guard band; the 50-digit tests hold
+# them down to 1e-15 from the circle and on it.
 DISTANCE_ERROR_EPS = 3.0
 LOG_FACTOR_ERROR_EPS = 5.0
 
@@ -198,7 +199,7 @@ def pseudohyperbolic_distance(z, w, gap_z=None, gap_w=None):
         gap_z = _one_minus_abs2(z)
     if gap_w is None:
         gap_w = _one_minus_abs2(w)
-    shape = np.broadcast_shapes(z.shape, w.shape)
+    shape = np.broadcast(z, w).shape
     d, a = np.empty(shape), np.empty(shape)
     np.subtract(z.real, w.real, out=d)
     np.multiply(d, d, out=d)

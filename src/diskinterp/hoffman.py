@@ -18,16 +18,16 @@ circle, where the exponent is 0.  This module samples every rim at
 128 points, keeps the samples outside every other disk, fits (a, b) on
 them and refines b on the arc around the sample that attains it: 129
 points a 64th of a sample spacing apart, every factor evaluated at once
-by the log-factor kernel of ``blaschke.log_factors``.  ``decompose`` searches
+by the log-factor kernel of ``blaschke``.  ``decompose`` searches
 the partitions of a sequence for the split with the smallest sampled b:
 exactly up to 16 points, by enumerating every partition and pruning with
 lower bounds on b from a few witness samples, and by deterministic local
 search beyond, pruned on witness samples too; a declared split skips the
 search.  One ``blaschke.log_factors`` matrix over the rim samples places
-them; the search scores partitions on it and ``decompose`` fits the
-split's (a, b) from it.  b comes from ``_fit_b`` and a from ``_fit_a``,
-which runs only where a is read: to break ties in b and for the reported
-fit.
+them; the search scores partitions on it, each part's row sums taken on
+their own, and ``decompose`` fits the split's (a, b) from it.  b comes
+from ``_fit_b`` and a from ``_fit_a``, which runs only where a is read:
+to break ties in b and for the reported fit.
 
 No step loops in Python over points or moves where numpy can broadcast:
 all rims are sampled in one call, the exhaustive search bounds every
@@ -244,7 +244,8 @@ def _part_sums(masks: np.ndarray, LM: np.ndarray):
     of the total, and the difference then has no correct digit, or is 0.
     """
     weights = masks.astype(float)
-    return weights @ LM, (1.0 - weights) @ LM
+    L0 = weights @ LM
+    return L0, np.subtract(1.0, weights, out=weights) @ LM
 
 
 def _search_exhaustive(LM):
@@ -275,11 +276,11 @@ def _search_exhaustive(LM):
     Returns (mask, masks enumerated, masks fully evaluated).
     """
     n = LM.shape[0]
-    codes = np.arange(2 ** (n - 1) - 1, dtype=np.int64)
-    masks = np.zeros((codes.size, n), dtype=bool)
-    masks[:, 0] = True
-    for j in range(1, n):
-        masks[:, j] = (codes >> (j - 1)) & 1
+    codes = np.arange(2 ** (n - 1) - 1, dtype="<u4")
+    # Point 0 is in part 0, and point j when bit j - 1 of the mask's code is set.
+    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=n - 1,
+                         bitorder="little")
+    masks = np.concatenate((np.ones((codes.size, 1), dtype=bool), bits.view(bool)), axis=1)
     probes = np.unique(np.linspace(0, len(masks) - 1, _WITNESS_PROBES).astype(np.int64))
     witnesses = np.unique(_fit_b(*_part_sums(masks[probes], LM))[1])
     L0, L1 = _part_sums(masks, LM[:, witnesses])
@@ -335,8 +336,8 @@ def _search_local(LM, points):
     A move flips one point between the parts and wins if it lowers
     (b, -a).  The current mask keeps its part rows L0 and L1 as the exact
     row sums of LM over each part, and a move is scored on L0 + s LM[i] and
-    L1 - s LM[i], s = +-1.  Before
-    that full fit, the move's b is bounded on the witness columns, the
+    L1 - s LM[i], s = +-1.  Before that full fit, the move's b is bounded
+    on the witness columns, the
     argmax columns of the masks fully scored so far: the bound is a max
     over a subset of the same elementwise ratios, so a move whose witness
     b exceeds the current b cannot win and is not fully scored.  The full
@@ -348,8 +349,7 @@ def _search_local(LM, points):
 
     The moves are tried in index order, sweep after sweep, but screened
     in batches: the moves from the current index to n - 1 are bounded
-    together on the witness columns (``_screen``), with L0 +- LM[i]
-    written exactly as L0 + s LM[i], s = +-1.  The first move that passes
+    together on the witness columns (``_screen``).  The first move that passes
     is fully scored.  A new witness column is folded into the remaining
     bounds with one max, and an accepted move starts a new batch at the
     next index, so every move is screened against the state and
