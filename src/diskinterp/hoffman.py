@@ -267,8 +267,8 @@ def _search_exhaustive(LM):
     least b found so far, since the others lose on b alone.
 
     Only a prefix of the masks is sorted (``_sorted_below``): those at or
-    below the k-th smallest bound, found by ``np.partition``, with k the
-    first chunk's end and doubled whenever a chunk runs past the prefix.
+    below the k-th smallest bound, found by ``np.partition``, with k eight
+    chunks at first and doubled whenever a chunk runs past the prefix.
     That is the start of the stable sort of every bound, so the masks
     evaluated are the ones a full sort gives, while the search stops after
     a few chunks of the 2^(n-1) - 1.  Off the unit circle every factor log
@@ -293,7 +293,7 @@ def _search_exhaustive(LM):
     evaluated = 0
     for start in range(0, bound.size, _EVAL_CHUNK):
         if order.size < min(start + _EVAL_CHUNK, bound.size):  # extend the sorted prefix
-            k = min(max(start + _EVAL_CHUNK, 2 * order.size), bound.size)
+            k = min(max(start + _EVAL_CHUNK, 2 * order.size, 8 * _EVAL_CHUNK), bound.size)
             order = _sorted_below(bound, np.partition(bound, k - 1)[k - 1])
         rows = order[start:start + _EVAL_CHUNK]
         if best is not None:
@@ -323,8 +323,8 @@ def _screen(L0, L1, sign, LM, cols):
     ``np.errstate``; the caller skips those rows.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        l0 = L0[cols] + sign[:, None] * LM[:, cols]
-        l1 = L1[cols] - sign[:, None] * LM[:, cols]
+        step = sign[:, None] * LM[:, cols]
+        l0, l1 = L0[cols] + step, L1[cols] - step
         bound = np.maximum(np.maximum(l1 / l0, l0 / l1).max(axis=1), 1.0)
         degenerate = (np.maximum(l0, l1) > -_FIT_DEGENERACY_TOL).any(axis=1)
     return bound, degenerate
