@@ -85,12 +85,12 @@ def test_one_minus_abs2_is_one_rounding(band):
     got = geometry._one_minus_abs2(z)
     for g, w in zip(got.tolist(), z.tolist()):
         x, y = CTX.mpf(w.real), CTX.mpf(w.imag)
-        exact = 1 - x * x - y * y  # exact: 50 digits hold both squares
+        exact = 1 - x * x - y * y  # the squares are exact, each difference rounds at 50 digits
         assert abs(CTX.mpf(g) - exact) <= EPS / 2 * abs(exact)
 
 
-def test_table_and_rows_meet_the_bound_together():
-    # The matrix kernel on a whole near-circle table, both layouts.
+def test_table_meets_the_bound():
+    # A whole table of near-circle centres and points, in one broadcast.
     rng = np.random.default_rng(11)
     lam, z = near_circle(rng, 12), near_circle(rng, 40)
     table = blaschke.log_factors(lam, z)
