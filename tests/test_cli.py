@@ -297,8 +297,9 @@ class TestNearBoundary:
     """decompose on points out to the guard band, 1e-9 from the circle.
 
     There a factor's log-modulus on a far rim is as small as 1e-10 of its
-    neighbours'; the modulus of (z - lam) / (1 - conj(lam) z) rounded it
-    to 0, which split the search's ratios by zero.
+    neighbours'.  The modulus of (z - lam) / (1 - conj(lam) z) rounded it
+    to 0, and a part's sum taken as the total minus the other part lost
+    it; either split the search's ratios by zero.
     """
 
     @pytest.mark.parametrize("seed", range(30))
@@ -314,7 +315,7 @@ class TestNearBoundary:
     @pytest.mark.xfail(strict=True, reason=(
         "fitted_a is exp of about -b, b ~ 1e8 to 1e12 here, and underflows to 0; "
         "reporting log a is ROADMAP item 15's log-domain step"))
-    def test_fitted_a_is_positive(self, tmp_path, capsys):
+    def test_fitted_a_is_positive(self, tmp_path):
         for seed in range(30):
             out = tmp_path / f"dec{seed}.json"
             doc = write_document(tmp_path / "near.json", near_boundary_points(seed))
