@@ -381,7 +381,7 @@ def sequential_log_modulus(points, z) -> np.ndarray:
     """log |B(z)| summed factor by factor, as the package accumulates it.
 
     Each factor adds log1p(A / D), the Schwarz-Pick form of -2 log |b|,
-    and the sum is halved at the end.
+    and the sum is scaled by -1/2 at the end.
     """
     z = np.asarray(z, dtype=complex)
     z_gap = _package_one_minus_abs2(z)
