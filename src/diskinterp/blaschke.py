@@ -266,12 +266,14 @@ def blaschke_log_modulus(seq: PointSequence, z):
             for i, lam in enumerate(seq.points):
                 dest = total if i == 0 else row[:k]
                 _log1p_ratio(lam, seq._gaps[i], zr, zi, z_gap, dest, scratch[:k])
-                if np.max(dest) == np.inf:
-                    raise ZeroCollisionError(
-                        "evaluation point collides with a zero of the product"
-                    )
                 if i:
                     np.add(total, dest, out=total)
+            # Every row is >= 0, and no 0/0 arises on the closed disk, so the
+            # sum is +inf exactly where some row is.
+            if np.max(total) == np.inf:
+                raise ZeroCollisionError(
+                    "evaluation point collides with a zero of the product"
+                )
     np.multiply(out, -0.5, out=out)
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 

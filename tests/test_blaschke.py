@@ -147,10 +147,11 @@ class TestBlaschkeLogModulus:
         with pytest.raises(ZeroCollisionError):
             blaschke_log_modulus(PointSequence((0.5,)), 0.5)
 
-    @pytest.mark.parametrize("z", [0.3 - 0.2j, 0.3 - 0.2j + 1e-301j])
+    @pytest.mark.parametrize("z", [0.3 - 0.2j, 0.3 - 0.2j + 1e-301j, -0.6j, 0.7 + 1e-301j])
     def test_collision_in_a_later_chunk_raises(self, z):
         # An exact zero, and a point 1e-301 away (factor modulus ~1.6e-301),
-        # placed after more points than one chunk holds.
+        # of the first factor and of later ones, placed after more points
+        # than one chunk holds.
         seq = PointSequence((0.3 - 0.2j, -0.6j, 0.7))
         zs = np.full(blaschke._LOG_CHUNK + 10, 0.1 + 0.1j)
         zs[-1] = z
