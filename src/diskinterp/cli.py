@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import math
@@ -30,6 +29,7 @@ import numpy as np
 
 from .blaschke import PointSequence, analyze, blaschke_log_modulus
 from .errors import DomainError, NumericalError
+from .geometry import _SPLIT
 from .harness import (
     CounterexampleSpec,
     generate_counterexample,
@@ -214,10 +214,168 @@ def _chain_rows_json(rows) -> _Fragment:
     ])
 
 
-def _csv(header: str, row_format: str, columns) -> str:
-    """Header plus one ``row_format`` line per row, in one ``%`` pass; NaN prints nan."""
-    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return header + "\n" + (row_format * len(columns[0])) % cells
+# _format_17g prints 10**-6 <= |x| < 10**16 by its own arithmetic: there
+# x * 10**(16 - k) multiplies by an exact power of ten, 10**22 at most.
+_FORMAT_MIN, _FORMAT_MAX = 1e-6, 1e16
+
+# Bytes per cell of _format_17g, the width of -2.2250738585072014e-308.
+_CELL_WIDTH = 24
+
+_POW10 = np.array([float(10 ** p) for p in range(23)])  # exact doubles
+
+# The four ASCII digits of 0..9999, as one native word each, and the count
+# of their trailing zeros (4 for 0).
+_QUAD_TEXT = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                      axis=-1).reshape(10000, 4)
+_QUADS = _QUAD_TEXT.view(np.uint32)[:, 0]
+_QUAD_ZEROS = np.cumprod(_QUAD_TEXT[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+
+# _format_17g spells N's digits as one row of words: bytes 3..19 hold
+# digits 0..16 and byte 20 the point (_POINT).
+_DIGIT0, _POINT = 3, 20
+
+
+def _layout(k: int) -> tuple[bytes, np.ndarray, bytes]:
+    """How ``%.17g`` lays out 17 digits at decimal exponent k, for -6 <= k <= 15.
+
+    Returns the text before the first digit, the bytes of the digit row
+    that follow (the digits and the point, by position), and the text
+    after them.  Positional from 1e-4 up, ``d.ddde-0X`` below.
+    """
+    digit = _DIGIT0 + np.arange(17)
+    if k < -4:
+        return b"", np.r_[digit[0], _POINT, digit[1:]], f"e-{-k:02d}".encode()
+    if k < 0:
+        return b"0." + b"0" * (-k - 1), digit, b""
+    return b"", np.r_[digit[:k + 1], _POINT, digit[k + 1:]], b""
+
+
+def _blanks() -> np.ndarray:
+    """Byte masks, as words, of the digit row bytes that ``%.17g`` prints.
+
+    Row (k + 6) * 18 + sig is for exponent k, -6 <= k <= 15, and sig
+    significant digits, 0 <= sig <= 17.  A digit is printed when it is
+    significant or left of the point, and the point when a digit follows
+    it.
+    """
+    k = np.arange(-6, 16)[:, None, None]
+    sig = np.arange(18)[:, None]
+    digit = np.arange(17)
+    mask = np.zeros((22, 18, _CELL_WIDTH), dtype=np.uint8)
+    mask[..., _DIGIT0:_DIGIT0 + 17] = (digit < sig) | (digit <= k)
+    mask[..., _POINT] = ((-4 <= k) & (k < 0) | (sig > np.where(k >= 0, k + 1, 1)))[..., 0]
+    return (mask * 0xFF).view(np.uint32).reshape(22 * 18, -1)
+
+
+_LAYOUTS = {k: _layout(k) for k in range(-6, 16)}
+_BLANKS = _blanks()
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - k) exactly, as hi + lo (Dekker's product), for -6 <= k <= 16."""
+    b = _POW10[16 - k]
+    hi = a * b
+    c, d = _SPLIT * a, _SPLIT * b
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2 = a - a1, b - b1
+    return hi, a2 * b2 - (((hi - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _format_17g(values) -> np.ndarray:
+    """``format(x, ".17g")`` for every x of a float array, as one row of bytes each.
+
+    Row r of the (size, _CELL_WIDTH) uint8 result, with its NUL bytes
+    dropped, is the ASCII text of ``format(values[r], ".17g")``.
+
+    For _FORMAT_MIN <= |x| < _FORMAT_MAX, with k = floor(log10 |x|), the
+    product |x| 10**(16 - k) is formed exactly as hi + lo.  hi >= 10**16 >
+    2**53 is an even integer, so N = hi + rint(lo) is the exact product
+    rounded half to even, which is how CPython's dtoa rounds; k moves by
+    one where log10 was off.  N never rounds up to 10**17 here: below each
+    power of ten from 1e-5 to 1e16, the nearest double lies more than half
+    a unit of the 17th digit away.  N's 17 digits then go into the layout
+    of exponent k (:func:`_layout`), with the trailing zeros after the
+    point, and the point itself if nothing follows it, blanked to NUL.
+    Zeros, nan, infinities, subnormals and the values outside the window
+    go through ``format`` one at a time.
+    """
+    x = np.asarray(values, dtype=float).reshape(-1)
+    a = np.abs(x)
+    fast = (a >= _FORMAT_MIN) & (a < _FORMAT_MAX)
+    a[~fast] = 1.0
+    k = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    moved = np.flatnonzero(up | down)
+    if moved.size:
+        k[moved] += up[moved].astype(np.int64) - down[moved]
+        fast[moved[k[moved] < -6]] = False
+        k[moved] = np.maximum(k[moved], -6)
+        hi[moved], lo[moved] = _scaled(a[moved], k[moved])
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # N = d0 10**16 + q1 10**12 + q2 10**8 + q3 10**4 + q4 as a row of ASCII
+    # words: "000" d0, q1 to q4 and the point, less what is not printed.
+    upper, lower = np.divmod(n, 10 ** 8)
+    first, upper = np.divmod(upper, 10 ** 8)
+    quads = (first, *np.divmod(upper, 10 ** 4), *np.divmod(lower, 10 ** 4))
+    words = np.empty((x.size, _CELL_WIDTH // 4), dtype=np.uint32)
+    for w, q in enumerate(quads):
+        np.take(_QUADS, q, out=words[:, w])
+    row = words.view(np.uint8)
+    row[:, _POINT] = ord(".")
+    zeros = _QUAD_ZEROS[quads[4]]
+    for run, q in enumerate(quads[3:0:-1], 1):
+        zeros += np.where(zeros == 4 * run, _QUAD_ZEROS[q], 0)
+    words &= np.take(_BLANKS, (k + 6) * 18 + 17 - zeros, axis=0)
+    # Rows of one exponent share a layout: lay them out by exponent, in
+    # blocks of the rows sorted by it, then put them back in place.
+    rows = np.flatnonzero(fast)
+    rows = rows[np.argsort(k[rows].astype(np.int8), kind="stable")]
+    exponents = k[rows]
+    digits = np.take(words, rows, axis=0).view(np.uint8)
+    cells = np.zeros((rows.size, _CELL_WIDTH), dtype=np.uint8)
+    cells[:, 0] = np.where(x[rows] < 0, ord("-"), 0)
+    edges = np.flatnonzero(np.diff(exponents, prepend=-99, append=99)).tolist()
+    for top, bottom in zip(edges, edges[1:]):
+        before, order, after = _LAYOUTS[int(exponents[top])]
+        block = cells[top:bottom]
+        start, end = 1 + len(before), 1 + len(before) + order.size
+        block[:, 1:start] = np.frombuffer(before, dtype=np.uint8)
+        np.take(digits[top:bottom], order, axis=1, out=block[:, start:end])
+        block[:, end:end + len(after)] = np.frombuffer(after, dtype=np.uint8)
+    out = np.zeros((x.size, _CELL_WIDTH), dtype=np.uint8)
+    out[rows] = cells
+    for r in np.flatnonzero(~fast).tolist():
+        text = format(float(x[r]), ".17g").encode()
+        out[r, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+# Rows per pass of the CSV writer; it bounds the writer's buffers.
+_CSV_CHUNK = 16384
+
+
+def _csv(header: str, size: int, cells) -> str:
+    """The CSV text: a header, then ``size`` lines of comma-separated cells.
+
+    ``cells(rows)`` returns one :func:`_format_17g` matrix per column for a
+    slice of rows.  Each chunk's lines are laid out in one uint8 matrix,
+    NUL-padded cells followed by a comma or the final newline, and read
+    off as its nonzero bytes; the chunks are joined and decoded once.
+    """
+    pieces = [header.encode() + b"\n"]
+    for start in range(0, size, _CSV_CHUNK):
+        columns = cells(slice(start, start + _CSV_CHUNK))
+        lines = np.empty((len(columns[0]), len(columns), _CELL_WIDTH + 1), dtype=np.uint8)
+        for c, column in enumerate(columns):
+            lines[:, c, :-1] = column
+        lines[:, :, -1] = ord(",")
+        lines[:, -1, -1] = ord("\n")
+        pieces.append(lines[lines != 0].tobytes())
+    text = b"".join(pieces)
+    del pieces  # freed before the decoded copy is made
+    return text.decode("ascii")
 
 
 def _cplx(z: complex) -> dict:
@@ -377,9 +535,11 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     if args.boundary_csv:
         thetas = np.linspace(0.0, 2.0 * math.pi, cfg.boundary_grid, endpoint=False)
         vals = interpolant_eval(f, np.exp(1j * thetas))
-        columns = (thetas, vals.real, vals.imag, [abs(v) for v in vals])
+        columns = (thetas, vals.real, vals.imag, np.array([abs(v) for v in vals]))
+        text = _csv("theta,re,im,modulus", thetas.size,
+                    lambda rows: [_format_17g(c[rows]) for c in columns])
         with open(args.boundary_csv, "w", encoding="utf-8") as fh:
-            fh.write(_csv("theta,re,im,modulus", "%.17g,%.17g,%.17g,%.17g\n", columns))
+            fh.write(text)
     return EXIT_OK
 
 
@@ -441,10 +601,12 @@ def _near_zero_cells(xs: np.ndarray, zeros: np.ndarray) -> np.ndarray:
 def cmd_field(args, cfg: RunConfig) -> int:
     """CSV of log|B|, log|B_0| or log|B_1| on the cells |z| < 0.999 of a square grid.
 
-    Cell (j, i) is xs[i] + 1j xs[j], so the axis values are formatted once.
-    Cells within 1e-6 of a zero print ``nan``; they are found from the grid
-    axes, so a zero tests only the few cells whose axis values lie near its
-    own.
+    Cell (j, i) is xs[i] + 1j xs[j], so the axis values are formatted once
+    and gathered by cell index; the log-moduli are formatted by the
+    vectorized ``%.17g`` writer (:func:`_format_17g`) and the rows laid out
+    as bytes, chunk by chunk (:func:`_csv`).  Cells within 1e-6 of a zero
+    print ``nan``; they are found from the grid axes, so a zero tests only
+    the few cells whose axis values lie near its own.
     """
     if args.which == "B" and args.delta is not None:
         raise UsageError("--delta applies only to --which B0 or B1, "
@@ -461,9 +623,9 @@ def cmd_field(args, cfg: RunConfig) -> int:
     near_zero = _near_zero_cells(xs, product.points)[j, i]
     values = np.full(pts.size, math.nan)
     values[~near_zero] = blaschke_log_modulus(product, pts[~near_zero])
-    labels = np.array([format(x, ".17g") for x in xs.tolist()], dtype=object)
-    columns = (labels[i], labels[j], values.tolist())
-    _write_text(cfg, _csv("x,y,log_modulus", "%s,%s,%.17g\n", columns))
+    labels = _format_17g(xs)
+    _write_text(cfg, _csv("x,y,log_modulus", values.size, lambda rows: (
+        labels[i[rows]], labels[j[rows]], _format_17g(values[rows]))))
     return EXIT_OK
 
 

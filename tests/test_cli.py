@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end, run in-process."""
 
+import functools
 import hashlib
 import json
 import math
@@ -590,6 +591,78 @@ class TestCounterexample:
         assert code == 1
 
 
+@functools.cache
+def format_families() -> dict:
+    """Deterministic float64 families for the ``%.17g`` writer, 1.1e6 values in all."""
+    rng = np.random.default_rng(1719)
+    bits = rng.integers(0, 2 ** 64, 250_000, dtype=np.uint64).view(np.float64)
+    # Random mantissas and signs with binary exponents in [-21, 53], which
+    # covers the writer's own window 1e-6 <= |x| < 1e16 and its edges.
+    exponents = rng.integers(1023 - 21, 1023 + 54, 450_000, dtype=np.uint64) << np.uint64(52)
+    mantissas = rng.integers(0, 2 ** 52, 450_000, dtype=np.uint64)
+    signs = rng.integers(0, 2, 450_000, dtype=np.uint64) << np.uint64(63)
+    window = (signs | exponents | mantissas).view(np.float64)
+    log_uniform = 10.0 ** rng.uniform(-60, 60, 300_000) * rng.choice([-1.0, 1.0], 300_000)
+    # Every power of ten as the nearest double, with neighbours: among
+    # them the doubles just below 1e-14, 1e98 and others, which print as
+    # the power itself.
+    powers = np.array([float(f"1e{m}") for m in range(-323, 309)])
+    steps = np.arange(-3, 4)
+    neighbours = np.concatenate([
+        (p.view(np.int64) + steps).view(np.float64) for p in powers[powers > 0]])
+    ties = (rng.integers(10 ** 15, 4 * 10 ** 15, 30_000)[:, None] + [0.25, 0.5, 0.75]).ravel()
+    switches = np.concatenate([
+        (np.float64(b).view(np.int64) + np.arange(-1000, 1001)).view(np.float64)
+        for b in (1e-6, 1e-5, 1e-4, 1e16)])
+    subnormals = rng.integers(1, 2 ** 52, 10_000, dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                         2.2250738585072014e-308, 2.225073858507201e-308])
+    return {
+        "random_bits": bits[np.isfinite(bits)],
+        "window_bits": window,
+        "log_uniform": log_uniform,
+        "powers_of_ten": np.concatenate([neighbours, -neighbours]),
+        "ties": ties,
+        "layout_switches": np.concatenate([switches, -switches]),
+        "zeros_infinities_subnormals": np.concatenate([specials, subnormals, -subnormals]),
+    }
+
+
+class TestFormat17g:
+    """``cli._format_17g`` gives the bytes of ``format(x, ".17g")``, value by value."""
+
+    @staticmethod
+    def texts(values) -> list:
+        """The writer's text for each value: its row with the NUL bytes dropped."""
+        texts = []
+        for start in range(0, values.size, 1 << 17):
+            cells = cli._format_17g(values[start:start + (1 << 17)])
+            lines = np.concatenate(
+                [cells, np.full((len(cells), 1), ord("\n"), dtype=np.uint8)], axis=1)
+            texts += lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+        return texts
+
+    @pytest.mark.parametrize("family", [
+        "layout_switches", "log_uniform", "powers_of_ten", "random_bits", "ties",
+        "window_bits", "zeros_infinities_subnormals",
+    ])
+    def test_bytes_match_format(self, family):
+        values = format_families()[family]
+        got = self.texts(values)
+        expected = [format(x, ".17g") for x in values.tolist()]
+        assert len(got) == len(expected)
+        wrong = [(x, g, e) for x, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert not wrong, f"{len(wrong)} values differ, first {wrong[:5]}"
+
+    def test_families_hold_a_million_values(self):
+        sizes = {name: values.size for name, values in format_families().items()}
+        assert sum(sizes.values()) >= 10 ** 6, sizes
+        # Ties at the 17th digit: n.25 and n.75 are halfway between two
+        # 17-digit decimals, and half-even rounding picks the even one.
+        assert format(1e15 + 0.25, ".17g") == "1000000000000000.2"
+        assert format(1e15 + 0.75, ".17g") == "1000000000000000.8"
+
+
 class TestField:
     def test_singleton_field_is_log_abs(self, tmp_path):
         doc = write_document(tmp_path / "zero.json", [0.0])
@@ -754,36 +827,43 @@ class TestUsageErrors:
         assert [results[0][k][0] for k in calls] == [64, 0, 0, 64]
 
 
+# Pinned runs: command, input size, separation and seed, extra flags, and
+# the sha256 of stdout.  Their test ids leave the digest out, so that a
+# re-pin keeps the names.
+_PINNED = [
+    ("analyze", 17, 0.1, 1, (),
+     "0a54932df7036f903fd6a993e5009cfd12a6cbae397e48d887ee0d48f74510c6"),
+    ("analyze", 128, 0.05, 2, (),
+     "9de358759c9f84b981b2d125f2e4d76525f00dbcc03b003aa342e7abb4f31c8e"),
+    ("analyze", 512, 0.01, 3, (),
+     "c1c615bbe44ee02b3767ccbdc6ff20686541a55b97108310bf33da5c5854e38d"),
+    ("verify-theorem", 10, 0.1, 1, (),
+     "49939814a2d065f6d389a2f1a022e4e0e88ed83658160af5cdd721329f380664"),
+    ("verify-theorem", 17, 0.1, 3, (),
+     "7b621b106e2a72e10518d2309b385482287f95a55c75abedeff5d2acf7cd68ee"),
+    ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
+     "3459b77a59a6cf1e727064b914ad794865e986878c2120c894f2d78e23adc181"),
+    ("interpolate", 24, 0.1, 5,
+     ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
+     "0a07f2ef2f7a1f902a938cc21b861ace126b9209e0ef9ed25c71056083e6061f"),
+    ("decompose", 12, 0.1, 6, (),  # exhaustive search
+     "60f111cf97bfea098d7c511e706dd42150fc6004d86bf9157755382ae327af36"),
+    ("decompose", 20, 0.1, 7, (),  # local search
+     "80b16376e890cd0f71c98f1e8811bd647d79c2d53e6c7f2f32ca3bcce3c3ef4f"),
+    ("decompose", 14, 0.1, 5, (),  # exhaustive search, 224 masks evaluated
+     "2b757202364711a4d133be4f6928fe9fc7138c53be4f40e741a6c4068e3b55b9"),
+    ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
+     "83a1a07429292553df209a557846d3a1ef25a20529cb1cf19309552c8b4e9a54"),
+    ("verify-theorem", 32, 0.1, 5, (),
+     "3f40d2d0ec8836d682999469cdf0b48e799bf5c0e5e1acd64484af85a4b27e22"),
+]
+
+
 class TestPinnedOutput:
     """stdout digests of seeded runs, so that a rewrite keeps the bytes."""
 
-    @pytest.mark.parametrize("command, count, sep, seed, extra, digest", [
-        ("analyze", 17, 0.1, 1, (),
-         "0a54932df7036f903fd6a993e5009cfd12a6cbae397e48d887ee0d48f74510c6"),
-        ("analyze", 128, 0.05, 2, (),
-         "9de358759c9f84b981b2d125f2e4d76525f00dbcc03b003aa342e7abb4f31c8e"),
-        ("analyze", 512, 0.01, 3, (),
-         "c1c615bbe44ee02b3767ccbdc6ff20686541a55b97108310bf33da5c5854e38d"),
-        ("verify-theorem", 10, 0.1, 1, (),
-         "49939814a2d065f6d389a2f1a022e4e0e88ed83658160af5cdd721329f380664"),
-        ("verify-theorem", 17, 0.1, 3, (),
-         "7b621b106e2a72e10518d2309b385482287f95a55c75abedeff5d2acf7cd68ee"),
-        ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
-         "3459b77a59a6cf1e727064b914ad794865e986878c2120c894f2d78e23adc181"),
-        ("interpolate", 24, 0.1, 5,
-         ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
-         "0a07f2ef2f7a1f902a938cc21b861ace126b9209e0ef9ed25c71056083e6061f"),
-        ("decompose", 12, 0.1, 6, (),  # exhaustive search
-         "60f111cf97bfea098d7c511e706dd42150fc6004d86bf9157755382ae327af36"),
-        ("decompose", 20, 0.1, 7, (),  # local search
-         "80b16376e890cd0f71c98f1e8811bd647d79c2d53e6c7f2f32ca3bcce3c3ef4f"),
-        ("decompose", 14, 0.1, 5, (),  # exhaustive search, 224 masks evaluated
-         "2b757202364711a4d133be4f6928fe9fc7138c53be4f40e741a6c4068e3b55b9"),
-        ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
-         "83a1a07429292553df209a557846d3a1ef25a20529cb1cf19309552c8b4e9a54"),
-        ("verify-theorem", 32, 0.1, 5, (),
-         "3f40d2d0ec8836d682999469cdf0b48e799bf5c0e5e1acd64484af85a4b27e22"),
-    ])
+    @pytest.mark.parametrize("command, count, sep, seed, extra, digest", _PINNED,
+                             ids=[f"{c}-{n}-{sep}-{seed}" for c, n, sep, seed, _, _ in _PINNED])
     def test_stdout_digest(self, tmp_path, capsys, command, count, sep, seed, extra, digest):
         doc = write_document(tmp_path / "in.json",
                              generate_separated_random(count, sep, seed).points)
