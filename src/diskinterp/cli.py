@@ -302,7 +302,7 @@ def _format_17g(values) -> np.ndarray:
     x = np.asarray(values, dtype=float).reshape(-1)
     a = np.abs(x)
     fast = (a >= _FORMAT_MIN) & (a < _FORMAT_MAX)
-    a[~fast] = 1.0
+    a[~fast] = 1.0  # a stand-in; format() writes these rows at the end
     k = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
     hi, lo = _scaled(a, k)
     up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
@@ -352,9 +352,10 @@ def _format_17g(values) -> np.ndarray:
     return out
 
 
-# Rows per piece of the CSV writer.  It bounds the writer's buffers; at
-# blaschke's chunk of 8192 points, the peak memory of a `field` run stayed
-# at the old writer's, where 4096 and 16384 rows raised it by 2-5 MB.
+# Rows per piece of the CSV writer; it bounds the writer's buffers.  The
+# peak memory of a `field` run depends on where they fall in the heap:
+# 8192 rows, blaschke's chunk of points, measured lowest, and 4096 or 16384
+# rows 2-5 MB higher.
 _CSV_CHUNK = 8192
 
 
