@@ -228,7 +228,7 @@ _POW10 = np.array([float(10 ** p) for p in range(23)])  # exact doubles
 _QUAD_TEXT = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                       axis=-1).reshape(10000, 4)
 _QUADS = _QUAD_TEXT.view(np.uint32)[:, 0]
-_QUAD_ZEROS = np.cumprod(_QUAD_TEXT[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+_QUAD_ZEROS = np.cumprod(_QUAD_TEXT[:, ::-1] == ord("0"), axis=1, dtype=np.int8).sum(axis=1)
 
 # _format_17g spells N's digits as one row of words: bytes 3..19 hold
 # digits 0..16 and byte 20 the point (_POINT).
