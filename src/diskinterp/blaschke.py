@@ -5,9 +5,9 @@ Factor log-moduli log |b_lam(z)| come from one kernel,
 (the Schwarz-Pick identity, in ``geometry``), which has no cancellation.
 1 - |lam|^2 is taken once per point set and 1 - |z|^2 once per buffer
 of evaluation points, both by ``geometry._one_minus_abs2``.
-:func:`log_factors` fills the phase-free matrix that the split search
-sums, in one broadcast when it is small and row by row in reused buffers
-when it is not; both layouts give the same floats.
+:func:`_log_table` fills phase-free matrices of factor logs, for
+:func:`log_factors` and for the exclusion rims of ``hoffman``, in one
+broadcast when small and in blocks of rows when not, to the same floats.
 :func:`blaschke_log_modulus` adds the kernel's rows into its output one
 factor at a time, so it never holds the whole matrix.  Sums over pairs
 of sequence points take the logs of the distance matrix the sequence
@@ -52,11 +52,9 @@ MAX_POINTS = 512
 # |B_n(lam_n)| below this makes the family norms exceed 1e12; refuse.
 DEGENERACY_TOL = 1e-12
 
-# log |b| tables of at most this many entries are filled in one broadcast
-# (see log_factors), with a scratch table of the same size; larger ones row
-# by row, with one row of scratch.  On exclusion grids (128 n^2 entries)
-# the broadcast took 10-25 % less time than the rows at n = 8 to 32; the
-# limit keeps the scratch within 512 KB.
+# log |b| tables (see _log_table) are filled in blocks of rows of at most
+# this many entries, one block when the table fits, with one block of
+# scratch: within 512 KB.
 _TABLE_LIMIT = 65536
 
 # Evaluation points per row buffer in blaschke_log_modulus.  On a 256^2
@@ -152,8 +150,8 @@ class AnalysisReport:
 def _log1p_ratio(lam, lam_gap, zr, zi, z_gap, out, scratch):
     """out = log1p(A / D) = -2 log |b_lam(z)| at the points zr + i zi; +inf at a zero.
 
-    One row for a scalar centre lam, or one table for a column of centres
-    (shape (n, 1)); elementwise ufuncs give the same floats either way.
+    One row for a scalar centre lam, or one table for centres broadcast
+    against the points; elementwise ufuncs give the same floats either way.
     lam_gap and z_gap are 1 - |lam|^2 and 1 - |z|^2; ``scratch`` is a float
     buffer of out's shape.  The caller holds np.errstate(divide="ignore",
     over="ignore"): at a zero D is 0, and A / D overflows to inf once
@@ -176,41 +174,34 @@ def _log1p_ratio(lam, lam_gap, zr, zi, z_gap, out, scratch):
     return np.log1p(out, out=out)
 
 
-def _log1p_table(lam: np.ndarray, lam_gap: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log1p(A / D) for every centre lam[i] and point z[j] at [i, j], in one broadcast.
+def _log_table(lam, lam_gap, zr, zi, z_gap) -> np.ndarray:
+    """log |b_lam(z)| = -1/2 log1p(A / D) (:func:`_log1p_ratio`), rows along lam's first axis.
 
-    The floats of :func:`_log1p_ratio`'s rows, for tables small enough
-    that a second buffer of their size costs less than a Python loop.
+    lam and its gaps broadcast against the points zr + i zi and theirs.  A
+    table of at most _TABLE_LIMIT entries is one broadcast, a larger one
+    blocks of rows of at most that many entries, with one block of scratch.
     """
-    out = np.empty((lam.size, z.size))
+    out = np.empty(np.broadcast_shapes(lam.shape, zr.shape))
+    step = max(1, _TABLE_LIMIT * len(out) // max(1, out.size))  # rows per block
+    scratch = np.empty_like(out[:step])
     with np.errstate(divide="ignore", over="ignore"):
-        _log1p_ratio(lam[:, None], lam_gap[:, None], z.real, z.imag, _one_minus_abs2(z),
-                     out, np.empty_like(out))
-    return out
+        for start in range(0, len(out), step):
+            rows = slice(start, start + step)
+            block = out[rows]
+            _log1p_ratio(lam[rows], lam_gap[rows], zr, zi, z_gap, block, scratch[:len(block)])
+    return np.multiply(out, -0.5, out=out)
 
 
-def log_factors(points: np.ndarray, z, gaps=None) -> np.ndarray:
+def log_factors(points: np.ndarray, z) -> np.ndarray:
     """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero.
 
-    Each entry is -1/2 log1p(A / D) (:func:`_log1p_ratio`), within
-    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative.  ``gaps`` are
-    1 - |lam|^2 of the points when the caller holds them (a sequence's
-    ``_gaps``).  A table of at most _TABLE_LIMIT entries is one broadcast
-    (:func:`_log1p_table`); a larger one is filled row by row into the
-    result, with one row of scratch.
+    Each entry is -1/2 log1p(A / D) (:func:`_log_table`), within
+    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative.
     """
     lam = np.asarray(points, dtype=complex).reshape(-1)
-    lam_gap = _one_minus_abs2(lam) if gaps is None else np.asarray(gaps)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    if lam.size * z.size <= _TABLE_LIMIT:
-        rows = _log1p_table(lam, lam_gap, z)
-    else:
-        rows = np.empty((lam.size, z.size))
-        zr, zi, z_gap, scratch = z.real.copy(), z.imag.copy(), _one_minus_abs2(z), np.empty(z.size)
-        with np.errstate(divide="ignore", over="ignore"):
-            for i in range(lam.size):
-                _log1p_ratio(lam[i], lam_gap[i], zr, zi, z_gap, rows[i], scratch)
-    return np.multiply(rows, -0.5, out=rows)
+    return _log_table(lam[:, None], _one_minus_abs2(lam)[:, None], z.real, z.imag,
+                      _one_minus_abs2(z))
 
 
 def _eval_product(points: np.ndarray, z):

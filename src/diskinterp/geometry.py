@@ -1,8 +1,9 @@
 """Conformal geometry of the unit disk.
 
-Normalized Mobius transforms, the pseudohyperbolic metric they induce, and
-the Euclidean realization of pseudohyperbolic disks.  Everything here is a
-pure function; evaluation points may be scalars or numpy arrays.
+Normalized Mobius transforms and their inverses, the pseudohyperbolic
+metric they induce, and the Euclidean realization of one pseudohyperbolic
+disk.  Everything here is a pure function; evaluation points may be
+scalars or numpy arrays.
 
 Moduli of Mobius factors go through the Schwarz-Pick identity
 |1 - conj(w) z|^2 = |z - w|^2 + (1 - |w|^2)(1 - |z|^2) (Garnett, Bounded
@@ -83,13 +84,32 @@ def _mobius_rows(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     on about a third of points.  Unchecked: callers pass validated points.
     """
     centre = np.asarray(lam, dtype=complex)[:, None]
-    modulus = np.hypot(centre.real, centre.imag)
+    modulus, rotation = _rotation(centre)
+    centre = np.where(modulus == 0.0, 0.0, centre)
+    return rotation * (z - centre) / (1.0 - np.conj(centre) * z)
+
+
+def _rotation(lam):
+    """(|lam|, conj(lam) / |lam|), b_lam's modulus and rotation; (0, 1) below _ZERO_POINT_TOL.
+
+    Those entries divide by 1: numpy's complex division overflows at a subnormal modulus.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    modulus = np.hypot(lam.real, lam.imag)
     zero = modulus < _ZERO_POINT_TOL
-    centre = np.where(zero, 0.0, centre)
-    # numpy divides by a complex, through its reciprocal, which overflows
-    # for a subnormal modulus; the zero rows divide by 1 instead.
-    unit = np.where(zero, 1.0, np.conj(centre) / np.where(zero, 1.0, modulus))
-    return unit * (z - centre) / (1.0 - np.conj(centre) * z)
+    unit = np.where(zero, 1.0, np.conj(lam) / np.where(zero, 1.0, modulus))
+    return np.where(zero, 0.0, modulus), unit
+
+
+def _mobius_inverse(lam, w):
+    """b_lam^-1(w) = (lam / |lam|) (w + |lam|) / (1 + |lam| w), elementwise, broadcasting.
+
+    The inverse of :func:`_mobius_rows`' factor, with its convention: w
+    itself where |lam| is below _ZERO_POINT_TOL.  It maps the circle
+    |w| = delta onto the rim of D(lam, delta).  Unchecked.
+    """
+    modulus, rotation = _rotation(lam)
+    return np.conj(rotation) * (w + modulus) / (1.0 + modulus * w)
 
 
 def _refinement_arc(theta: float, step: float) -> np.ndarray:
@@ -229,36 +249,6 @@ class PseudoDisk:
         return np.abs(np.asarray(z) - self.euclid_center) < self.euclid_radius
 
 
-def _euclidean_disks(lam, delta: float):
-    """Euclidean centers and radii of D(lam, delta) for an array of centres.
-
-    The closed forms of :func:`pseudo_disk_euclidean`, on the floats that
-    CPython computes for one complex centre: |lam| is ``np.hypot``, the
-    scalar ``abs()``, its square is C ``pow()``, and the center's parts
-    are divided separately, as CPython's complex / float does; numpy's
-    complex division multiplies by the reciprocal, which moves the center
-    by an ulp.  Every centre is checked as :func:`check_interior` checks
-    one, and delta must lie in (0, 1), or ValueError is raised.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    modulus = np.hypot(lam.real, lam.imag)
-    bad = ~(modulus < 1.0 - INTERIOR_GUARD)  # also catches nan and inf
-    if bad.any():
-        check_interior(lam[bad].flat[0])
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    # CPython's abs(lam) ** 2 is C pow(), which differs from modulus *
-    # modulus in the last bit on about 1 in 1000 moduli; float_power calls
-    # pow() too, where power(modulus, 2) squares.
-    modulus_sq = np.float_power(modulus, 2)
-    denom = 1.0 - delta * delta * modulus_sq
-    center = np.empty_like(lam)
-    center.real = lam.real * (1.0 - delta * delta) / denom
-    center.imag = lam.imag * (1.0 - delta * delta) / denom
-    radius = delta * (1.0 - modulus_sq) / denom
-    return center, radius
-
-
 def pseudo_disk_euclidean(lam: complex, delta: float) -> PseudoDisk:
     """Euclidean center and radius of D(lam, delta) = {z : |b_lam(z)| < delta}.
 
@@ -267,23 +257,26 @@ def pseudo_disk_euclidean(lam: complex, delta: float) -> PseudoDisk:
 
     The defining property |b_lam(z)| = delta on the returned circle is the
     contract; the closed forms are checked against it in the test suite
-    rather than trusted.
+    rather than trusted.  A bad lam raises PointSetError and a delta
+    outside (0, 1) ValueError.
     """
-    center, radius = _euclidean_disks(check_interior(lam), delta)
-    return PseudoDisk(euclid_center=complex(center), euclid_radius=float(radius))
+    lam = check_interior(lam)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    denom = 1.0 - delta * delta * abs(lam) ** 2
+    return PseudoDisk(euclid_center=complex(lam * (1.0 - delta * delta) / denom),
+                      euclid_radius=float(delta * (1.0 - abs(lam) ** 2) / denom))
 
 
-def sample_pseudo_circle(lam, delta: float, m: int) -> np.ndarray:
+def sample_pseudo_circle(lam: complex, delta: float, m: int) -> np.ndarray:
     """m points on the boundary circle of D(lam, delta), equally spaced in angle.
 
     Each sample z satisfies |b_lam(z)| = delta to about 1e-10; the first
     sample sits at Euclidean angle 0 from the Euclidean center and the rest
-    follow counterclockwise.  An array of centres gives one row of m
-    samples per centre, in one broadcast, bit for bit the samples of each
-    centre on its own.
+    follow counterclockwise.
     """
     if m < 1:
         raise ValueError(f"need at least one sample point, got m = {m}")
-    center, radius = _euclidean_disks(lam, delta)
+    disk = pseudo_disk_euclidean(lam, delta)
     circle = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-    return center[..., None] + radius[..., None] * circle
+    return disk.euclid_center + disk.euclid_radius * circle

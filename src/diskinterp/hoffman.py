@@ -14,27 +14,27 @@ dD(lam, delta) that bound it (Garnett, Bounded Analytic Functions,
 Ch. VII).  So the smallest b, the sup over Omega of max(L1/L0, L0/L1), is
 a max over n circles; likewise a, the inf over Omega of
 exp(min(b L0 - L1, b L1 - L0)), is a min over the rims and the unit
-circle, where the exponent is 0.  This module samples every rim at
-128 points, keeps the samples outside every other disk, fits (a, b) on
-them and refines b on the arc around the sample that attains it: 129
-points a 64th of a sample spacing apart, every factor evaluated at once
-by the log-factor kernel of ``blaschke``.  ``decompose`` searches
-the partitions of a sequence for the split with the smallest sampled b:
-exactly up to 16 points, by enumerating every partition and pruning with
-lower bounds on b from a few witness samples, and by deterministic local
-search beyond, pruned on witness samples too; a declared split skips the
-search.  One ``blaschke.log_factors`` matrix over the rim samples places
-them; the search scores partitions on it, each part's row sums taken on
-their own, and ``decompose`` fits the split's (a, b) from it.  b comes
-from ``_fit_b`` and a from ``_fit_a``, which runs only where a is read:
-to break ties in b and for the reported fit.
+circle, where the exponent is 0.  Each rim is the image under b_lam^-1
+of one circle |w| = delta, where a factor log is log |b_a(w)|, a =
+b_lam(mu).  This module samples that circle at 128 points for every rim
+at once, keeps the samples outside every other disk, fits (a, b) on them
+and refines b on the arc of 129 points around the sample attaining it, a
+64th of a sample spacing apart.  ``decompose`` searches the partitions
+of a sequence for the split with the smallest sampled b: exactly up to
+16 points, by enumerating every partition and pruning with lower bounds
+on b from a few witness samples, and by deterministic local search
+beyond, pruned on witness samples too; a declared split skips the
+search.  The search scores partitions on the rim table, each part's row
+sums taken on their own, and ``decompose`` fits the split's (a, b) from
+it.  b comes from ``_fit_b`` and a from ``_fit_a``, which runs only
+where a is read: to break ties in b and for the reported fit.
 
 No step loops in Python over points or moves where numpy can broadcast:
-all rims are sampled in one call, the exhaustive search bounds every
+all rims are sampled in one table, the exhaustive search bounds every
 mask with one column-wise max over the witness samples, and the local
 search screens all remaining moves of a sweep in one batch.  Each of
 these computes the floats the per-point and per-move loops computed, so
-the splits, counts and fits are unchanged bit for bit.
+the splits, counts and fits are those of the loops bit for bit.
 """
 
 from __future__ import annotations
@@ -43,17 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import (PointSequence, _log1p_table, blaschke_log_modulus, log_factors,
-                       separation_constant)
+from .blaschke import PointSequence, _log_table, blaschke_log_modulus, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
-from .geometry import _refinement_arc, pseudo_disk_euclidean, sample_pseudo_circle
+from .geometry import _mobius_inverse, _refinement_arc, _rotation
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
 # are bounded on a few witness samples, and only those whose bound does
 # not exceed the best b found get a full sweep of the rim samples.
 EXHAUSTIVE_LIMIT = 16
 
-# Samples per exclusion-disk rim, equally spaced in Euclidean angle.
+# Samples per exclusion-disk rim, equally spaced in the rim's Mobius angle.
 _RIM_SAMPLES = 128
 
 # Log-moduli this close to zero cannot anchor a ratio fit.
@@ -71,11 +70,11 @@ _EVAL_CHUNK = 8
 class ExclusionGrid:
     """Samples of the rims dD(lam, delta) that lie outside every other disk.
 
-    ``rim`` holds the index of the sequence point whose rim each sample
-    lies on and ``theta`` the sample's angle about that rim's Euclidean
-    center.  ``factors`` is the ``log_factors`` matrix of the sequence
-    over ``points`` (one row per sequence point, one column per sample),
-    the matrix the exclusion test read.  All arrays are read-only.
+    ``rim`` holds the index of the sequence point lam whose rim each sample
+    lies on and ``theta`` its Mobius angle there: the sample is
+    b_lam^-1(delta e^(i theta)).  ``factors`` holds the factor logs the
+    exclusion test read, one row per sequence point and one column per
+    sample.  All arrays are read-only.
     """
 
     points: np.ndarray
@@ -137,29 +136,52 @@ class Decomposition:
         return PointSequence(self.base.points[list(idx)], label=self.base.label)
 
 
+def _rim_samples(seq: PointSequence, rims, delta: float, theta: np.ndarray):
+    """Samples z = b_lam^-1(delta e^(i theta[j])) on the rims of lam = seq.points[rims].
+
+    Returns (z, logs, outside), flat over (rim, j) in that order: the
+    samples, log |b_mu(z)| with one row per point mu = seq.points[k], and
+    whether no other disk contains the sample, where no other row reads
+    below log delta.  log |b_mu(z)| = log |b_a(w)| with a = b_lam(mu),
+    w = delta e^(i theta[j]), by Mobius invariance (Garnett, Ch. I): the
+    kernel takes the centres a, their gaps 1 - |a|^2 = A / (D + A)
+    (D = |lam - mu|^2, A the points' gaps' product) and the gap
+    (1 - delta)(1 + delta) of |w| = delta; nothing cancels.  Own factors
+    (a = 0) read log delta exactly; z comes from the closed-form inverse.
+    """
+    points, gaps = seq.points, seq._gaps
+    lam, lam_gap = points[rims][:, None], gaps[rims][:, None]
+    diff = points - lam
+    d = diff.real * diff.real + diff.imag * diff.imag
+    A = lam_gap * gaps
+    # 1 - conj(lam) mu without cancellation: its real part is (D + both gaps) / 2,
+    # its imaginary part Im(lam) dx - Re(lam) dy with dx + i dy = mu - lam.
+    q = 0.5 * (d + lam_gap + gaps) + 1j * (lam.imag * diff.real - lam.real * diff.imag)
+    a, a_gap = (_rotation(lam)[1] * diff / q).T, (A / (d + A)).T
+    w = delta * np.exp(1j * theta)
+    logs = _log_table(a[:, :, None], a_gap[:, :, None], w.real, w.imag,
+                      (1.0 - delta) * (1.0 + delta))
+    logs[rims, np.arange(a.shape[1])] = np.log(delta)
+    logs = logs.reshape(len(points), -1)
+    return _mobius_inverse(lam, w).ravel(), logs, ~(logs < np.log(delta)).any(axis=0)
+
+
 def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:
     """Rim samples of the disks D(lam, delta) that no other disk contains.
 
-    Every rim is sampled at _RIM_SAMPLES points by one call of
-    ``sample_pseudo_circle`` over all centres, rim after rim.  One
-    ``log_factors`` matrix over all samples places them: a sample is
-    dropped when another point's row reads below log delta there.  Its own
-    row reads log delta to about 1e-10 and is left out of that test.  The
-    grid keeps the retained columns of that matrix for the search and the
-    fit, and copies nothing when no sample is dropped.  Some sample always
-    survives, whatever delta: the first sample of each rim is its point of
-    largest real part, and no other open disk contains the one that lies
-    furthest right, since that disk would reach further.  ValueError is
-    raised when delta is outside (0, 1).
+    Sample j of every rim is at Mobius angle 2 pi j / _RIM_SAMPLES
+    (``_rim_samples``, one table for all rims).  Some sample always
+    survives, whatever delta: sample 0, b_lam^-1(+delta), is its rim's
+    point of largest modulus, (|lam| + delta) / (1 + |lam| delta), which
+    grows with |lam|, so no other open disk reaches sample 0 of the rim of
+    the point of largest modulus.  A delta outside (0, 1) raises ValueError.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     n, m = len(seq), _RIM_SAMPLES
-    pts = sample_pseudo_circle(seq.points, delta, m).ravel()
-    LM = log_factors(seq.points, pts, seq._gaps)
-    inside = LM < np.log(delta)
-    inside.reshape(n, n, m)[np.arange(n), np.arange(n)] = False
-    keep = ~inside.any(axis=0)
-    rim = np.repeat(np.arange(n), m)
-    theta = np.tile(2.0 * np.pi * np.arange(m) / m, n)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    pts, LM, keep = _rim_samples(seq, np.arange(n), delta, theta)
+    rim, theta = np.repeat(np.arange(n), m), np.tile(theta, n)
     if not keep.all():
         pts, rim, theta = pts[keep], rim[keep], theta[keep]
         LM = LM.compress(keep, axis=1)  # C order, as the search reads rows
@@ -212,9 +234,9 @@ def comparability_fit(
 
     The independent reference fit, from the parts evaluated afresh and
     without refinement: on the rim samples of ``exclusion_grid`` its b is
-    the sampled b that ``decompose`` minimizes.  Nothing in the package
-    calls it: it stays because acceptance criterion 6 uses it as the
-    independent fit and the benchmark tracer times it by name.
+    the sampled b that ``decompose`` minimizes, to rounding.  Nothing in
+    the package calls it: it stays because acceptance criterion 6 uses it
+    as the independent fit and the benchmark tracer times it by name.
     """
     if len(grid) == 0:
         raise EmptyGridError("cannot fit on an empty grid")
@@ -420,24 +442,16 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: floa
     """Largest log-modulus ratio on the refinement arc around a rim sample.
 
     The arc spans one sample spacing either side of sample ``worst`` on its
-    rim, at 2 _ARC_STEPS + 1 angles (``geometry._refinement_arc``), and one
-    broadcast of the kernel that built the grid, ``blaschke._log1p_table``,
-    scores every factor there: log1p(A / D) = -2 log |b|, so the ratios,
-    and the test against log delta, are those of ``log_factors``' floats
-    exactly, without the -1/2.  Arc points inside another disk lie outside
-    Omega and are dropped, as ``exclusion_grid`` drops samples.  j = 0 is
-    the sample itself.  Returns the larger of ``b`` and the largest ratio
-    on the arc, with the point attaining it.
+    rim's circle |w| = delta, at 2 _ARC_STEPS + 1 Mobius angles
+    (``geometry._refinement_arc``), sampled by ``_rim_samples`` as the grid
+    was; j = 0 is the sample itself.  Arc points inside another disk lie
+    outside Omega and are dropped, as ``exclusion_grid`` drops samples.
+    Returns the larger of ``b`` and the largest ratio on the arc, with the
+    point attaining it.
     """
-    points = seq.points
     rim = int(grid.rim[worst])
-    disk = pseudo_disk_euclidean(points[rim], grid.delta)
     arc = _refinement_arc(float(grid.theta[worst]), 2.0 * np.pi / _RIM_SAMPLES)
-    z = disk.euclid_center + disk.euclid_radius * np.exp(1j * arc)
-    logs = _log1p_table(points, seq._gaps, z)
-    inside = logs > -2.0 * np.log(grid.delta)
-    inside[rim] = False
-    outside = ~inside.any(axis=0)
+    z, logs, outside = _rim_samples(seq, [rim], grid.delta, arc)
     z, logs = z[outside], logs[:, outside]
     L0, L1 = logs[mask].sum(axis=0), logs[~mask].sum(axis=0)
     ratio = np.maximum(L1 / L0, L0 / L1)
@@ -461,10 +475,10 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
     out.  A declared ``part0`` skips the search and keeps its orientation;
     it must be distinct indices in range(n) that leave part1 nonempty, or
     PointSetError is raised before any rim is sampled.  Both searches and
-    the fit read the one ``log_factors`` matrix that
-    :func:`exclusion_grid` built to place the rim samples; the split's
-    sampled b equals that of :func:`comparability_fit` on the two parts.  The
-    winner's b is then refined to the largest ratio on 129 points of the
+    the fit read the one rim table that :func:`exclusion_grid` built to
+    place the rim samples; the split's sampled b is that of
+    :func:`comparability_fit` on the two parts, to rounding.  The winner's
+    b is then refined to the largest ratio on 129 points of the
     arc around the sample attaining it, a 64th of a sample spacing apart,
     and a recomputed at the refined b.  The returned decomposition records
     which search ran ("declared" for a given split), how many partitions

@@ -313,8 +313,9 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     max_j |w_j|, below every interpolant norm and returned if it tests
     feasible, and the explicit bound of :func:`norm_upper_bound`.
     Raises BracketFailureError if the bound overflows or tests
-    infeasible, which indicates numerical degeneracy such as
-    near-coincident nodes, and ValueError unless 0 < rel_tol < 1.
+    infeasible, which is rounding at the threshold (an explicit
+    interpolant attains the bound, the minimal norm itself for one-point
+    targets), and ValueError unless 0 < rel_tol < 1.
 
     The first reduction tests both ends and a ladder (:func:`_ladder`)
     around the estimate of :func:`_norm_estimate`.  Where the estimate is
@@ -354,8 +355,9 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
             return lo
         if not tested[hi]:
             raise BracketFailureError(
-                f"norm bound {hi:.6g} tests infeasible; the problem is "
-                f"numerically degenerate"
+                f"norm bound {hi:.6g} tests infeasible, though an explicit "
+                f"interpolant attains it; the feasibility test's rounding at "
+                f"the threshold decided the verdict"
             )
         b = min(M for M, ok in tested.items() if ok)
         a = max(M for M in tested if M < b)

@@ -18,6 +18,9 @@ def rng():
 def counted_calls(monkeypatch):
     """Counts calls of every function that evaluates factor log-moduli.
 
+    ``exclusion_grid`` counts as one: it fills the rim table of every
+    factor at every rim sample.
+
     Every binding of each function in the package's modules is counted,
     the defining module's and each ``from .x import f`` copy.
     """
@@ -30,7 +33,8 @@ def counted_calls(monkeypatch):
         return wrapper
 
     for module in (blaschke, cli, geometry, harness, hoffman, pick):
-        for name in ("log_factors", "comparability_fit", "blaschke_log_modulus"):
+        for name in ("exclusion_grid", "log_factors", "comparability_fit",
+                     "blaschke_log_modulus"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls

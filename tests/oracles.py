@@ -212,23 +212,51 @@ def sampled_chain_norms(f, grid: int = 4096) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def rim_point(lam: complex, delta: float, theta: float) -> complex:
+    """The point of the rim dD(lam, delta) at Mobius angle theta.
+
+    b_lam^-1(w) for w = delta e^(i theta): with lam = r u, |u| = 1, it is
+    u (w + r) / (1 + r w), and w itself for lam = 0.
+    """
+    w = delta * complex(math.cos(theta), math.sin(theta))
+    r = abs(lam)
+    if r < 1e-14:
+        return w
+    return (lam / r) * (w + r) / (1.0 + r * w)
+
+
+def exclusion_rims(points, delta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rim samples outside every other disk D(lam, delta), by a distance filter.
+
+    Sample j of each rim is its point at Mobius angle 2 pi j / m
+    (``rim_point``).  A sample is kept where its pseudohyperbolic distance
+    to every other point is at least delta.  Returns (kept samples, index
+    of the point whose rim each lies on).
+    """
+    points = [complex(p) for p in points]
+    kept, owner = [], []
+    for i, lam in enumerate(points):
+        for j in range(m):
+            z = rim_point(lam, delta, 2.0 * math.pi * j / m)
+            if all(pseudo_distance(z, w) >= delta for k, w in enumerate(points) if k != i):
+                kept.append(z)
+                owner.append(i)
+    return np.array(kept, dtype=complex), np.array(owner, dtype=int)
+
+
 def arc_ratio_max(points, part0, delta: float, rim: int, theta: float, step: float,
                   steps: int = 64) -> float:
     """Largest max(L1/L0, L0/L1) on the arc theta + step j / steps, |j| <= steps.
 
-    The arc lies on the rim dD(points[rim], delta), placed by its closed
-    form.  Arc points closer than delta to another point are dropped.  L0
-    and L1 add the factor log-moduli of each part term by term.
+    The arc runs over Mobius angles of the rim dD(points[rim], delta),
+    placed by ``rim_point``.  Arc points closer than delta to another
+    point are dropped.  L0 and L1 add the factor log-moduli of each part
+    term by term.
     """
     points = [complex(p) for p in points]
-    lam = points[rim]
-    denom = 1.0 - delta * delta * abs(lam) ** 2
-    center = lam * (1.0 - delta * delta) / denom
-    radius = delta * (1.0 - abs(lam) ** 2) / denom
     best = -math.inf
     for j in range(-steps, steps + 1):
-        t = theta + step * j / steps
-        z = center + radius * complex(math.cos(t), math.sin(t))
+        z = rim_point(points[rim], delta, theta + step * j / steps)
         if any(pseudo_distance(z, w) < delta for i, w in enumerate(points) if i != rim):
             continue
         logs = [math.log(abs(mobius(w, z))) for w in points]
@@ -329,31 +357,6 @@ def exclusion_points(points, delta: float, resolution: int) -> np.ndarray:
         if min(0.999, rim + 0.05) > R:
             pts = square(min(0.999, rim + 0.05))
     return pts
-
-
-def exclusion_rims(points, delta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rim samples outside every other disk D(lam, delta), by a distance filter.
-
-    Each rim is sampled at m angles about its Euclidean center, with the
-    package's closed form and operation order, so the samples match bit for
-    bit.  A sample is kept where the full matrix of pseudohyperbolic
-    distances to the other points has column minimum >= delta.  Returns
-    (kept samples, index of the point whose rim each lies on).
-    """
-    points = np.asarray(points, dtype=complex)
-    angles = 2.0 * np.pi * np.arange(m) / m
-    rims = []
-    for lam in points.tolist():
-        denom = 1.0 - delta * delta * abs(lam) ** 2
-        center = lam * (1.0 - delta * delta) / denom
-        radius = delta * (1.0 - abs(lam) ** 2) / denom
-        rims.append(center + radius * np.exp(1j * angles))
-    samples = np.concatenate(rims)
-    owner = np.repeat(np.arange(points.size), m)
-    dist = _package_distance(samples[None, :], points[:, None])
-    dist[owner, np.arange(samples.size)] = np.inf
-    keep = np.min(dist, axis=0) >= delta
-    return samples[keep], owner[keep]
 
 
 def _package_mobius(lam: complex, z):

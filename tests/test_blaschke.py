@@ -216,16 +216,14 @@ class TestLogFactors:
 
     @pytest.mark.parametrize("count, size", [(3, 7), (8, 129), (24, 1000)])
     def test_broadcast_and_row_layouts_agree(self, rng, monkeypatch, count, size):
-        # One broadcast over a column of centres and one row per centre
-        # run the same ufuncs on the same floats.
+        # One broadcast over a column of centres, blocks of a few rows and
+        # one row per centre run the same ufuncs on the same floats.
         pts = np.concatenate(([0.0], make_sequence(rng, count).points))
         zs = 0.999 * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
         table = blaschke.log_factors(pts, zs)
-        monkeypatch.setattr(blaschke, "_TABLE_LIMIT", 0)
-        rows = blaschke.log_factors(pts, zs)
-        assert np.array_equal(table, rows)
-        gaps = blaschke._one_minus_abs2(pts)
-        assert np.array_equal(table, -0.5 * blaschke._log1p_table(pts, gaps, zs))
+        for limit in (2 * size + 1, 0):  # blocks of two rows, then single rows
+            monkeypatch.setattr(blaschke, "_TABLE_LIMIT", limit)
+            assert np.array_equal(table, blaschke.log_factors(pts, zs))
 
     def test_exact_zero_is_minus_inf(self):
         pts = np.array([0.5, -0.25j])

@@ -838,24 +838,24 @@ _PINNED = [
     ("analyze", 512, 0.01, 3, (),
      "c1c615bbe44ee02b3767ccbdc6ff20686541a55b97108310bf33da5c5854e38d"),
     ("verify-theorem", 10, 0.1, 1, (),
-     "49939814a2d065f6d389a2f1a022e4e0e88ed83658160af5cdd721329f380664"),
+     "54b301bfb4193288b8023ba153035413c81f6a52eb5915501cc5e39c9fa2f7e6"),
     ("verify-theorem", 17, 0.1, 3, (),
-     "7b621b106e2a72e10518d2309b385482287f95a55c75abedeff5d2acf7cd68ee"),
+     "30b5817ea26ae9b83628c9b721c448d60838148457b66cfb838c7ad905dea915"),
     ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
      "3459b77a59a6cf1e727064b914ad794865e986878c2120c894f2d78e23adc181"),
     ("interpolate", 24, 0.1, 5,
      ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
      "0a07f2ef2f7a1f902a938cc21b861ace126b9209e0ef9ed25c71056083e6061f"),
     ("decompose", 12, 0.1, 6, (),  # exhaustive search
-     "60f111cf97bfea098d7c511e706dd42150fc6004d86bf9157755382ae327af36"),
+     "5d83d10c2bcdbbb36ad902759f38a1469490ec3df862030ad7db46f2a77f300a"),
     ("decompose", 20, 0.1, 7, (),  # local search
-     "80b16376e890cd0f71c98f1e8811bd647d79c2d53e6c7f2f32ca3bcce3c3ef4f"),
+     "983236bf12640fe87c2a49de0c40aec7833b7cfb5aa10858ba4b4ee83b327b2d"),
     ("decompose", 14, 0.1, 5, (),  # exhaustive search, 224 masks evaluated
-     "2b757202364711a4d133be4f6928fe9fc7138c53be4f40e741a6c4068e3b55b9"),
+     "52c9f107d4e3f5031a5424f6a3c88943e2072cb9b97c436507487af8eeb702ec"),
     ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
-     "83a1a07429292553df209a557846d3a1ef25a20529cb1cf19309552c8b4e9a54"),
+     "29b5bb889f24994cd22247ed7df96454fd11c728d4008f53e62508c1aea25b3c"),
     ("verify-theorem", 32, 0.1, 5, (),
-     "3f40d2d0ec8836d682999469cdf0b48e799bf5c0e5e1acd64484af85a4b27e22"),
+     "d191ce18b9e0bac889db4842d4f761926631acc1b126ac8114bafd9caa067419"),
 ]
 
 
@@ -876,4 +876,4 @@ class TestPinnedOutput:
         assert run_cli(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "08f824d3255ef8fd357eb5d58aca66d5ff16f01b5499ac8425c7ed32fe7e397b")
+            "7796776c8d145e72a1b26ce2c08d28e165972bedf6ea1cb01ec38df4cbca31ac")

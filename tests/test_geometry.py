@@ -171,13 +171,7 @@ CENTRES = np.array([0.0, 1e-15, 0.3 + 0.4j, -0.7j, -0.2 + 0.05j,
 
 
 class TestSamplePseudoCircleOverCentres:
-    @pytest.mark.parametrize("delta", [1e-6, 0.01, 0.5, 0.999])
-    @pytest.mark.parametrize("m", [1, 7, 128])
-    def test_rows_are_the_per_centre_samples_bit_for_bit(self, delta, m):
-        rows = sample_pseudo_circle(CENTRES, delta, m)
-        assert rows.shape == (CENTRES.size, m)
-        for lam, row in zip(CENTRES.tolist(), rows):
-            assert np.array_equal(row.view(float), sample_pseudo_circle(lam, delta, m).view(float))
+    """The scalar disk helpers over a set of centres, one centre per call."""
 
     def test_closed_forms_are_the_scalar_python_arithmetic(self):
         # |lam|^2 is C pow() and the center's parts are divided separately,
@@ -195,12 +189,43 @@ class TestSamplePseudoCircleOverCentres:
     @pytest.mark.parametrize("bad", [1.0, 0.6 + 0.8j, complex("nan"), complex("inf")])
     def test_rejects_a_bad_centre(self, bad):
         with pytest.raises(PointSetError):
-            sample_pseudo_circle(np.array([0.1, bad, 0.2j]), 0.5, 4)
+            sample_pseudo_circle(bad, 0.5, 4)
+        with pytest.raises(PointSetError):
+            pseudo_disk_euclidean(bad, 0.5)
 
     @pytest.mark.parametrize("delta, m", [(0.0, 4), (1.0, 4), (1.5, 4), (-0.1, 4), (0.5, 0)])
     def test_rejects_bad_delta_or_count(self, delta, m):
-        with pytest.raises(ValueError):
-            sample_pseudo_circle(CENTRES, delta, m)
+        for lam in CENTRES.tolist():
+            with pytest.raises(ValueError):
+                sample_pseudo_circle(lam, delta, m)
+
+
+class TestMobiusInverse:
+    @pytest.mark.parametrize("delta", [1e-6, 0.01, 0.5, 0.999])
+    def test_inverts_the_mobius_kernel(self, delta):
+        # The rim of D(lam, delta) is the image of the circle |w| = delta;
+        # w = +delta lands on the rim's point of largest modulus.  b_lam
+        # stretches a rim point's rounding by |b_lam'(z)| =
+        # (1 - delta^2) / (1 - |z|^2), so the round trip is held to that;
+        # near the circle the forward kernel's 1 - conj(lam) z cancels as
+        # well, so there the scalar restatement alone holds z.
+        w = delta * np.exp(2j * np.pi * np.arange(64) / 64)
+        eps = np.finfo(float).eps
+        for lam in CENTRES.tolist():
+            z = geometry._mobius_inverse(lam, w)
+            if abs(lam) < 0.9:
+                stretch = (1.0 - delta * delta) / (1.0 - np.abs(z) ** 2)
+                back = geometry._mobius_rows([lam], z)[0]
+                assert np.all(np.abs(back - w) <= 8 * eps * stretch)
+            for t, zt in zip(np.arange(64) / 64 * 2 * np.pi, z.tolist()):
+                assert abs(zt - oracles.rim_point(lam, delta, float(t))) <= 1e-15
+            r = 0.0 if abs(lam) < 1e-14 else abs(lam)
+            assert abs(z[0]) == pytest.approx((r + delta) / (1 + r * delta), rel=1e-15)
+
+    def test_zero_centre_is_the_identity(self):
+        w = np.array([0.3, -0.2j, 0.1 + 0.1j])
+        for lam in (0.0, 1e-15, 2.2250738585072014e-309):
+            assert np.array_equal(geometry._mobius_inverse(lam, w), w)
 
 
 class TestMobiusRows:

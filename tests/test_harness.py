@@ -143,7 +143,7 @@ class TestCounterexampleFamily:
         # The declared split goes through decompose, which fits it from the
         # exclusion grid's own factor matrix: no part is evaluated again.
         _, dec = generate_counterexample(CounterexampleSpec(4, 0.01, 0.5))
-        assert counted_calls == {"log_factors": 1}
+        assert counted_calls == {"exclusion_grid": 1}
         assert dec.search == "declared"
         assert (dec.masks_enumerated, dec.masks_evaluated) == (0, 0)
         assert dec.part0 == (2, 3, 6, 7)
@@ -277,10 +277,10 @@ class TestVerifyTheoremChain:
 
     @pytest.mark.parametrize("n, seed", [(10, 2), (17, 1)])
     def test_evaluates_factors_once(self, counted_calls, n, seed):
-        # The exclusion grid is the one log_factors matrix; the step and
-        # final rows read the sequence's distance matrix.
+        # The exclusion grid is the one factor matrix; the step and final
+        # rows read the sequence's distance matrix.
         verify_theorem_chain(generate_separated_random(n, 0.1, seed))
-        assert counted_calls == {"log_factors": 1}
+        assert counted_calls == {"exclusion_grid": 1}
 
     @pytest.mark.parametrize("n, seed", [(8, 1), (10, 2), (14, 3), (17, 1)])
     def test_step_values_match_scalar_products(self, n, seed):

@@ -1,5 +1,6 @@
 """Unit tests for exclusion-disk rims, sandwich fits, and decompositions."""
 
+import collections
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -80,15 +81,24 @@ class TestExclusionGrid:
         dist[grid.rim, columns] = np.inf
         assert np.min(dist) >= 0.2
 
-    def test_large_delta_keeps_the_rightmost_rim_sample(self):
-        # No other open disk contains the first sample (the point of largest
-        # real part) of the rim that reaches furthest right, so no delta
-        # empties the samples, even one that swallows every point.
+    def test_large_delta_keeps_the_outermost_rim_sample(self):
+        # Sample 0 of a rim, at w = +delta, is its point of largest modulus,
+        # (|lam| + delta) / (1 + |lam| delta).  No other open disk reaches
+        # that modulus on the rim of the point of largest modulus, so no
+        # delta empties the samples, even one that swallows every point.
         for points in ((0.0,), (0.0, 0.05), (0.1, -0.1, 0.1j)):
             seq = PointSequence(points)
+            i = int(np.argmax(np.abs(seq.points)))
+            r = abs(seq.points[i])
             for delta in (0.9, 0.999):
-                firsts = [sample_pseudo_circle(lam, delta, 1)[0] for lam in seq.points]
-                assert max(firsts, key=lambda z: z.real) in exclusion_grid(seq, delta).points
+                grid = exclusion_grid(seq, delta)
+                k = np.flatnonzero((grid.rim == i) & (grid.theta == 0.0))
+                assert k.size == 1
+                z = grid.points[k[0]]
+                assert abs(z) == pytest.approx((r + delta) / (1 + r * delta), rel=1e-15)
+                assert abs(z) == pytest.approx(np.max(np.abs(grid.points)), rel=1e-15)
+                rho = pseudohyperbolic_distance(z, seq.points[i])
+                assert rho == pytest.approx(delta, rel=1e-12)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -103,34 +113,53 @@ class TestExclusionGrid:
 
     @pytest.mark.parametrize("count, delta", [(6, 0.05), (10, 0.3), (3, 0.95)])
     def test_points_are_the_per_centre_samples(self, count, delta):
-        # Kept and dropped samples alike: sample j of rim i sits at angle
-        # 2 pi j / m and is the j-th sample of that centre on its own.
+        # Sample j of rim i sits at Mobius angle 2 pi j / m: b_lam maps it
+        # to delta e^(2 pi i j / m), and it is that centre's rim point at
+        # that angle, placed on its own by the scalar inverse.
         seq = generate_separated_random(count, 0.1, 2)
         grid = exclusion_grid(seq, delta)
         m = hoffman._RIM_SAMPLES
-        samples = np.concatenate([sample_pseudo_circle(lam, delta, m)
-                                  for lam in seq.points.tolist()])
         j = np.rint(grid.theta * m / (2.0 * np.pi)).astype(int)
-        assert np.array_equal(grid.points, samples[grid.rim * m + j])
+        assert np.array_equal(grid.theta, 2.0 * np.pi * j / m)
+        for z, i, t in zip(grid.points.tolist(), grid.rim.tolist(), grid.theta.tolist()):
+            assert abs(z - oracles.rim_point(complex(seq.points[i]), delta, t)) <= 1e-15
+            w = geometry.mobius_transform(seq.points[i], z)
+            assert abs(w - delta * np.exp(1j * t)) <= 1e-14
 
     def test_samples_every_rim_in_one_call(self, monkeypatch):
-        calls = []
+        # All rims come from one kernel call, and neither the grid nor the
+        # refinement arc takes 1 - |z|^2 of a rim point.
+        seq = generate_separated_random(12, 0.1, 1)
+        calls = collections.Counter()
 
-        def counted(lam, delta, m):
-            calls.append(np.shape(lam))
-            return sample_pseudo_circle(lam, delta, m)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(hoffman, "sample_pseudo_circle", counted)
-        exclusion_grid(generate_separated_random(12, 0.1, 1), 0.05)
-        assert calls == [(12,)]
+        monkeypatch.setattr(blaschke, "_log1p_ratio",
+                            counted("_log1p_ratio", blaschke._log1p_ratio))
+        for module in (blaschke, geometry, hoffman):
+            if hasattr(module, "_one_minus_abs2"):
+                monkeypatch.setattr(module, "_one_minus_abs2",
+                                    counted("_one_minus_abs2", geometry._one_minus_abs2))
+        exclusion_grid(seq, 0.05)
+        assert calls == {"_log1p_ratio": 1}
+        decompose(seq, 0.05)
+        assert calls == {"_log1p_ratio": 3}  # the grid's and the arc's
 
 
 def assert_grid_matches_oracle(seq: PointSequence, delta: float):
+    # The grid reads each rim in its own coordinates; the factors evaluated
+    # afresh at the rounded rim points agree to rounding (333 eps at most
+    # on these inputs).
     grid = exclusion_grid(seq, delta)
     points, rim = oracles.exclusion_rims(seq.points, delta, hoffman._RIM_SAMPLES)
-    assert np.array_equal(grid.points, points)
     assert np.array_equal(grid.rim, rim)
-    assert np.array_equal(grid.factors, blaschke.log_factors(seq.points, grid.points))
+    assert np.allclose(grid.points, points, rtol=0.0, atol=1e-15)
+    assert np.allclose(grid.factors, blaschke.log_factors(seq.points, grid.points),
+                       rtol=1e-12, atol=0.0)
     return grid
 
 
@@ -314,10 +343,12 @@ class TestDecompose:
             assert (dec.masks_enumerated, dec.masks_evaluated) == (0, 0)
         grid = exclusion_grid(seq, delta)
         a, b, worst = comparability_fit(dec.part_sequence(0), dec.part_sequence(1), grid)
-        # The sampled fit is the reference fit exactly; refinement only
-        # raises b, which lowers a, on the rim of the sample attaining b.
-        assert sampled_b(dec) == b
-        assert dec.b_gap >= 0.0 and dec.fitted_a <= a
+        # The sampled fit is the reference fit to rounding (the grid reads
+        # the rims in their own coordinates, the reference at the rounded
+        # rim points); refinement only raises b, which lowers a, on the rim
+        # of the sample attaining b.
+        assert sampled_b(dec) == pytest.approx(b, rel=1e-12, abs=0.0)
+        assert dec.b_gap >= 0.0 and dec.fitted_a <= a * (1.0 + 1e-9)
         assert grid.rim[np.flatnonzero(grid.points == worst)[0]] == dec.worst_rim
         rho = pseudohyperbolic_distance(dec.worst_point, seq.points[dec.worst_rim])
         assert rho == pytest.approx(delta, abs=1e-10)
@@ -336,11 +367,11 @@ class TestDecompose:
             decompose(seq, 0.05, part0=part0)
 
     def test_fits_from_the_search_matrix(self, counted_calls):
-        # One log_factors matrix over the rim samples serves both the search
-        # and the fit of the winner; nothing evaluates the parts again.
+        # One rim table over the samples serves both the search and the fit
+        # of the winner; nothing evaluates the parts again.
         seq = generate_separated_random(10, 0.1, 1)
         decompose(seq, separation_constant(seq) / 2)
-        assert counted_calls == {"log_factors": 1}
+        assert counted_calls == {"exclusion_grid": 1}
 
     def test_fits_a_only_where_it_is_read(self, monkeypatch):
         # a breaks ties among the fully evaluated masks and is reported for
@@ -444,13 +475,16 @@ class TestRefinementArc:
         delta = separation_constant(seq) / 2
         grid = exclusion_grid(seq, delta)
         for k in range(0, len(grid), 17):
-            disk = pseudo_disk_euclidean(seq.points[grid.rim[k]], delta)
+            # The refinement's table over the arc's Mobius angles: at j = 0,
+            # the sample itself, it is the grid's column bit for bit, and
+            # everywhere the factor logs at the rim points to rounding.
+            rim = int(grid.rim[k])
             arc = geometry._refinement_arc(float(grid.theta[k]), 2 * np.pi / hoffman._RIM_SAMPLES)
-            z = disk.euclid_center + disk.euclid_radius * np.exp(1j * arc)
-            assert z[arc.size // 2] == grid.points[k]  # j = 0 is the sample itself
-            # The refinement's table holds log1p(A / D) = -2 log |b|.
-            logs = -0.5 * blaschke._log1p_table(seq.points, seq._gaps, z)
-            assert np.array_equal(logs, blaschke.log_factors(seq.points, z))
+            z, logs, _ = hoffman._rim_samples(seq, [rim], delta, arc)
+            assert np.array_equal(logs[:, arc.size // 2], grid.factors[:, k])
+            assert z[arc.size // 2] == grid.points[k]
+            assert np.array_equal(logs[rim], np.full(arc.size, np.log(delta)))
+            assert np.allclose(logs, blaschke.log_factors(seq.points, z), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("seq, delta, part0", [
         *[pytest.param(generate_separated_random(n, sep, seed), None, None,

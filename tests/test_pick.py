@@ -114,6 +114,19 @@ class TestMinNorm:
         with pytest.raises(BracketFailureError):
             solve_pick(zero_one(0.5))
 
+    def test_one_point_bound_at_the_threshold_names_rounding(self):
+        # Targets e_1: the explicit bound 1/|B_1(lam_1)| is the minimal norm
+        # itself, and here rounding tests it infeasible.  The problem is not
+        # degenerate, and the message must not say it is.
+        targets = np.zeros(40)
+        targets[1] = 1.0
+        problem = PickProblem(generate_separated_random(40, 0.1, 4), targets)
+        with pytest.raises(BracketFailureError, match="tests infeasible") as info:
+            min_norm(problem)
+        message = str(info.value)
+        assert "degenerate" not in message
+        assert "rounding" in message and "5.10576" in message
+
     def test_overflowing_bound_fails_the_bracket(self, reduction_calls):
         # The minimal norm is about 1.55e308, finite, but the explicit
         # bound's sum overflows, so no bracket can be built.
