@@ -196,7 +196,8 @@ def log_factors(points: np.ndarray, z) -> np.ndarray:
     """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero.
 
     Each entry is -1/2 log1p(A / D) (:func:`_log_table`), within
-    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative.
+    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative.  Nothing in the
+    package calls it: the tests read factor logs at given points with it.
     """
     lam = np.asarray(points, dtype=complex).reshape(-1)
     z = np.asarray(z, dtype=complex).reshape(-1)

@@ -437,17 +437,17 @@ def _search_local(LM, points):
     return mask, tried, evaluated
 
 
-def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: float,
+def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray,
               worst: int) -> tuple[float, complex]:
     """Largest log-modulus ratio on the refinement arc around a rim sample.
 
     The arc spans one sample spacing either side of sample ``worst`` on its
     rim's circle |w| = delta, at 2 _ARC_STEPS + 1 Mobius angles
     (``geometry._refinement_arc``), sampled by ``_rim_samples`` as the grid
-    was; j = 0 is the sample itself.  Arc points inside another disk lie
-    outside Omega and are dropped, as ``exclusion_grid`` drops samples.
-    Returns the larger of ``b`` and the largest ratio on the arc, with the
-    point attaining it.
+    was.  Arc points inside another disk lie outside Omega and are dropped,
+    as ``exclusion_grid`` drops samples.  Returns the largest ratio on the
+    arc, with the point attaining it: at least the sampled b, since j = 0
+    is the sample itself, on the grid's floats.
     """
     rim = int(grid.rim[worst])
     arc = _refinement_arc(float(grid.theta[worst]), 2.0 * np.pi / _RIM_SAMPLES)
@@ -456,9 +456,7 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray, b: floa
     L0, L1 = logs[mask].sum(axis=0), logs[~mask].sum(axis=0)
     ratio = np.maximum(L1 / L0, L0 / L1)
     k = int(np.argmax(ratio))
-    if ratio[k] > b:
-        return float(ratio[k]), complex(z[k])
-    return b, complex(grid.points[worst])
+    return float(ratio[k]), complex(z[k])
 
 
 def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
@@ -507,7 +505,7 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
         mask, enumerated, evaluated = _search_local(LM, seq.points)
     L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
     sampled_b, worst = _fit_b(L0, L1)
-    b, worst_point = _refine_b(seq, grid, mask, float(sampled_b), int(worst))
+    b, worst_point = _refine_b(seq, grid, mask, int(worst))
     return Decomposition(
         base=seq, part0=tuple(np.flatnonzero(mask).tolist()),
         part1=tuple(np.flatnonzero(~mask).tolist()), delta=float(delta),

@@ -24,9 +24,7 @@ from diskinterp import (
     generate_counterexample,
     generate_radial,
     generate_separated_random,
-    pseudo_disk_euclidean,
     pseudohyperbolic_distance,
-    sample_pseudo_circle,
     separation_constant,
 )
 from diskinterp import blaschke, geometry, hoffman
