@@ -84,21 +84,19 @@ def _mobius_rows(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     on about a third of points.  Unchecked: callers pass validated points.
     """
     centre = np.asarray(lam, dtype=complex)[:, None]
-    modulus, rotation = _rotation(centre)
-    centre = np.where(modulus == 0.0, 0.0, centre)
+    zero, _, rotation = _rotation(centre)
+    centre = np.where(zero, 0.0, centre)
     return rotation * (z - centre) / (1.0 - np.conj(centre) * z)
 
 
-def _rotation(lam):
-    """(|lam|, conj(lam) / |lam|), b_lam's modulus and rotation; (0, 1) below _ZERO_POINT_TOL.
+def _rotation(lam: np.ndarray):
+    """(zero, |lam|, conj(lam) / |lam|): where ``zero`` (|lam| < _ZERO_POINT_TOL), b_lam = id.
 
-    Those entries divide by 1: numpy's complex division overflows at a subnormal modulus.
+    Zero entries get rotation 1 and divide by 1: a subnormal modulus overflows the division.
     """
-    lam = np.asarray(lam, dtype=complex)
     modulus = np.hypot(lam.real, lam.imag)
     zero = modulus < _ZERO_POINT_TOL
-    unit = np.where(zero, 1.0, np.conj(lam) / np.where(zero, 1.0, modulus))
-    return np.where(zero, 0.0, modulus), unit
+    return zero, modulus, np.where(zero, 1.0, np.conj(lam) / np.where(zero, 1.0, modulus))
 
 
 def _mobius_inverse(lam, w):
@@ -108,7 +106,8 @@ def _mobius_inverse(lam, w):
     itself where |lam| is below _ZERO_POINT_TOL.  It maps the circle
     |w| = delta onto the rim of D(lam, delta).  Unchecked.
     """
-    modulus, rotation = _rotation(lam)
+    zero, modulus, rotation = _rotation(np.asarray(lam, dtype=complex))
+    modulus = np.where(zero, 0.0, modulus)
     return np.conj(rotation) * (w + modulus) / (1.0 + modulus * w)
 
 

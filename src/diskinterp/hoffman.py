@@ -157,7 +157,7 @@ def _rim_samples(seq: PointSequence, rims, delta: float, theta: np.ndarray):
     # 1 - conj(lam) mu without cancellation: its real part is (D + both gaps) / 2,
     # its imaginary part Im(lam) dx - Re(lam) dy with dx + i dy = mu - lam.
     q = 0.5 * (d + lam_gap + gaps) + 1j * (lam.imag * diff.real - lam.real * diff.imag)
-    a, a_gap = (_rotation(lam)[1] * diff / q).T, (A / (d + A)).T
+    a, a_gap = (_rotation(lam)[2] * diff / q).T, (A / (d + A)).T
     w = delta * np.exp(1j * theta)
     logs = _log_table(a[:, :, None], a_gap[:, :, None], w.real, w.imag,
                       (1.0 - delta) * (1.0 + delta))
