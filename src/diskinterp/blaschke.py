@@ -57,6 +57,13 @@ DEGENERACY_TOL = 1e-12
 # scratch: within 512 KB.
 _TABLE_LIMIT = 65536
 
+# Rows per block of PointSequence's distance sweep.  Fastest of 25 x 20
+# sweeps, glibc malloc keeping freed memory, on a loaded 2-core x86_64
+# virtual machine: 64-row blocks took 1.4-1.8 ms at n = 512 and 0.37-0.47 ms
+# at n = 256, against 2.6 and 0.46-0.56 ms for one broadcast, and tied it at
+# n = 128 (0.12-0.16 ms); 32 and 128 rows were no faster, 16 rows slower.
+_SWEEP_ROWS = 64
+
 # Evaluation points per row buffer in blaschke_log_modulus.  On a 256^2
 # field grid at n = 32 and 64, smaller buffers pay per-row call overhead
 # (512 takes about three times as long), and 8192 to 32768 time alike.
@@ -73,10 +80,14 @@ class PointSequence:
 
     Validation takes 1 - |lam|^2 of every point once and sweeps the n x n
     pseudohyperbolic distance matrix once, from those, to check that the
-    points are distinct.  The sequence keeps both as read-only arrays
-    outside repr, the matrix with 1.0 on its diagonal: the separation and
-    Carleson constants read the matrix instead of sweeping again, and the
-    log-factor kernel reads the gaps instead of recomputing them.
+    points are distinct.  The sweep computes the upper triangle in blocks
+    of _SWEEP_ROWS rows, each against the columns from its first row on,
+    and mirrors each block into the lower triangle; the kernel is exactly
+    symmetric, so this is the one-broadcast matrix bit for bit.  The
+    sequence keeps both as read-only arrays outside repr, the matrix with
+    1.0 on its diagonal: the separation and Carleson constants read the
+    matrix instead of sweeping again, and the log-factor kernel reads the
+    gaps instead of recomputing them.
     """
 
     points: np.ndarray
@@ -100,7 +111,13 @@ class PointSequence:
             except PointSetError as exc:
                 raise PointSetError(f"point {i}: {exc}") from None
         gaps = _one_minus_abs2(pts)
-        dist = pseudohyperbolic_distance(pts[:, None], pts[None, :], gaps[:, None], gaps[None, :])
+        dist = np.empty((pts.size, pts.size))
+        for start in range(0, pts.size, _SWEEP_ROWS):
+            rows = slice(start, start + _SWEEP_ROWS)
+            block = pseudohyperbolic_distance(pts[rows, None], pts[None, start:],
+                                              gaps[rows, None], gaps[None, start:])
+            dist[rows, start:] = block
+            dist[start + len(block):, rows] = block[:, len(block):].T
         np.fill_diagonal(dist, 1.0)
         j, k = np.unravel_index(int(np.argmin(dist)), dist.shape)
         if dist[j, k] <= DISTINCT_TOL:
@@ -342,5 +359,5 @@ def analyze(seq: PointSequence) -> AnalysisReport:
         blaschke_sum=blaschke_sum(seq),
         separation_constant=separation_constant(seq),
         carleson_constant=float(np.min(moduli)),
-        per_point=tuple((i, float(m)) for i, m in enumerate(moduli)),
+        per_point=tuple(enumerate(moduli.tolist())),
     )

@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -391,7 +392,12 @@ def sequence_to_document(seq: PointSequence) -> dict:
 
 
 def parse_point_document(data: dict) -> PointSequence:
-    """Validate a parsed document and build the sequence it describes."""
+    """Validate a parsed document and build the sequence it describes.
+
+    The points are read in bulk (:func:`_bulk_points`) and, when that
+    declines, one by one (:func:`_walk_points`), which names the first bad
+    point; either way a point's value is complex(float(re), float(im)).
+    """
     if not isinstance(data, dict):
         raise DomainError("point document must be a JSON object")
     if data.get("schema_version") != 1:
@@ -401,6 +407,44 @@ def parse_point_document(data: dict) -> PointSequence:
     points = data.get("points")
     if not isinstance(points, list) or not points:
         raise DomainError("point document needs a nonempty 'points' array")
+    values = _bulk_points(points)
+    if values is None:
+        values = _walk_points(points)
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise DomainError("'label' must be a string when present")
+    return PointSequence(values, label=label or "")
+
+
+def _bulk_points(points: list) -> np.ndarray | None:
+    """The points as a complex array, or None for :func:`_walk_points` to decide.
+
+    One pass per list: the records must all be dicts with 're' and 'im',
+    and each coordinate list's types int or float exactly, which is what
+    ``json`` returns for numbers and excludes bool.  The coordinates fill
+    one array each, numpy converting as float() does; an int too large for
+    a float raises OverflowError there, and the walk names its point.
+    """
+    if set(map(type, points)) != {dict}:
+        return None
+    try:
+        re_parts = list(map(itemgetter("re"), points))
+        im_parts = list(map(itemgetter("im"), points))
+    except KeyError:
+        return None
+    if not set(map(type, re_parts)) | set(map(type, im_parts)) <= {int, float}:
+        return None
+    values = np.empty(len(points), dtype=complex)
+    try:
+        values.real = re_parts
+        values.imag = im_parts
+    except OverflowError:
+        return None
+    return values
+
+
+def _walk_points(points: list) -> list[complex]:
+    """The points one at a time, raising DomainError at the first bad one."""
     values = []
     for i, rec in enumerate(points):
         if not isinstance(rec, dict) or "re" not in rec or "im" not in rec:
@@ -410,11 +454,11 @@ def parse_point_document(data: dict) -> PointSequence:
             raise DomainError(f"point {i}: 're' and 'im' must be numbers, not booleans")
         if not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
             raise DomainError(f"point {i}: 're' and 'im' must be numbers")
-        values.append(complex(float(re_part), float(im_part)))
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise DomainError("'label' must be a string when present")
-    return PointSequence(np.asarray(values, dtype=complex), label=label or "")
+        try:
+            values.append(complex(float(re_part), float(im_part)))
+        except OverflowError:
+            raise DomainError(f"point {i}: 're' and 'im' must fit in a float") from None
+    return values
 
 
 def load_point_document(path: str) -> PointSequence:

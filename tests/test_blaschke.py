@@ -384,6 +384,46 @@ class TestDistanceMatrix:
         assert separation_constant(seq) == oracles.separation_constant(seq.points)
         assert np.array_equal(per_point_moduli(seq), oracles.per_point_moduli(seq.points))
 
+    @staticmethod
+    def family(kind: str, count: int) -> np.ndarray:
+        """Uniform, near-boundary (1 - |z| in [1e-9, 1e-2]) or clustered points."""
+        rng = np.random.default_rng(count)
+        angles = np.exp(2j * np.pi * rng.random(count))
+        if kind == "uniform":
+            return 0.95 * np.sqrt(rng.random(count)) * angles
+        if kind == "near":
+            return (1.0 - 10.0 ** rng.uniform(-8.9, -2, count)) * angles
+        centres = 0.9 * np.exp(2j * np.pi * np.arange(4) / 4)
+        return centres[np.arange(count) % 4] + 0.05 * np.sqrt(rng.random(count)) * angles
+
+    @pytest.mark.parametrize("kind", ["uniform", "near", "clustered"])
+    @pytest.mark.parametrize("count", [
+        1, blaschke._SWEEP_ROWS - 1, blaschke._SWEEP_ROWS, blaschke._SWEEP_ROWS + 1,
+        3 * blaschke._SWEEP_ROWS + 7, 512,
+    ])
+    def test_blocked_sweep_is_the_one_broadcast_sweep(self, kind, count):
+        seq = PointSequence(self.family(kind, count))
+        p, g = seq.points, seq._gaps
+        full = pseudohyperbolic_distance(p[:, None], p[None, :], g[:, None], g[None, :])
+        np.fill_diagonal(full, 1.0)
+        assert np.array_equal(seq._distances, full)
+        assert np.array_equal(seq._distances, seq._distances.T)
+
+    @pytest.mark.parametrize("count", [3 * blaschke._SWEEP_ROWS + 7, 512])
+    def test_sweep_computes_the_upper_triangle_only(self, monkeypatch, count):
+        entries = []
+
+        def counted(*args):
+            out = pseudohyperbolic_distance(*args)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(blaschke, "pseudohyperbolic_distance", counted)
+        PointSequence(self.family("uniform", count))
+        block = blaschke._SWEEP_ROWS
+        assert len(entries) == -(-count // block)
+        assert sum(entries) <= (count * count + count * block) // 2
+
     def test_kept_matrix_is_read_only_and_private(self):
         seq = PointSequence((0.0, 0.5, -0.5j), label="t")
         with pytest.raises(ValueError):

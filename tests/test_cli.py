@@ -101,6 +101,54 @@ class TestDocumentLayer:
         assert run_cli(["analyze", str(path)]) == 1
         assert "not booleans" in capsys.readouterr().err
 
+    @staticmethod
+    def long_document(index: int, rec) -> dict:
+        """A valid 400-point document with record ``index`` replaced by ``rec``."""
+        doc = json.loads(json.dumps(cli.sequence_to_document(
+            generate_separated_random(400, 0.01, 5))))
+        doc["points"][index] = rec
+        return doc
+
+    @pytest.mark.parametrize("rec, message", [
+        ([0.1, 0.2], "expected an object with 're' and 'im'"),
+        ({"re": 0.1}, "expected an object with 're' and 'im'"),
+        ({"re": "0.1", "im": 0.2}, "'re' and 'im' must be numbers"),
+        ({"re": 0.1, "im": True}, "'re' and 'im' must be numbers, not booleans"),
+        ({"re": [0.1], "im": 0.2}, "'re' and 'im' must be numbers"),
+        ({"re": 10 ** 400, "im": 0}, "'re' and 'im' must fit in a float"),
+    ])
+    def test_late_bad_point_keeps_its_index_and_message(self, rec, message):
+        doc = self.long_document(350, rec)
+        doc["points"][380] = "x"
+        with pytest.raises(cli.DomainError) as info:
+            cli.parse_point_document(doc)
+        assert str(info.value) == f"point 350: {message}"
+
+    def test_oversized_integer_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.long_document(350, {"re": 10 ** 400, "im": 0})))
+        assert run_cli(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: point 350: ") and "Traceback" not in err
+
+    def test_coordinates_are_read_as_float_reads_them(self, monkeypatch):
+        def walk(points):
+            raise AssertionError("a valid json document is read in bulk")
+
+        monkeypatch.setattr(cli, "_walk_points", walk)
+        recs = [{"re": 0, "im": 0}, {"re": 0, "im": 0.5}, {"re": -0.0, "im": 0.25},
+                {"re": 0.3, "im": -0.0}, {"re": -0.0, "im": -0.6}]
+        values = cli.parse_point_document({"schema_version": 1, "points": recs}).points
+        expected = [complex(float(r["re"]), float(r["im"])) for r in recs]
+        assert values.tolist() == expected
+        assert np.array_equal(np.signbit(values.view(float)),
+                              np.signbit(np.array(expected).view(float)))
+        # Integers that round, past int64 and uint64 too, convert as float() does.
+        ints = [2 ** 53 + 1, -(2 ** 53) - 3, 2 ** 63 + 1, -(2 ** 64) - 1, 3 ** 200, 7]
+        recs = [{"re": v, "im": 0.5 if k % 2 else -3} for k, v in enumerate(ints)]
+        values = cli._bulk_points(recs)
+        assert values.tolist() == [complex(float(r["re"]), float(r["im"])) for r in recs]
+
     def test_non_utf8_document_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"label": "Fran\u00e7ois"}'.encode("latin-1"))
