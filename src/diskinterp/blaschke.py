@@ -111,11 +111,14 @@ class PointSequence:
             except PointSetError as exc:
                 raise PointSetError(f"point {i}: {exc}") from None
         gaps = _one_minus_abs2(pts)
-        dist = np.empty((pts.size, pts.size))
+        dist = np.empty((pts.size, pts.size)) if pts.size > _SWEEP_ROWS else None
         for start in range(0, pts.size, _SWEEP_ROWS):
             rows = slice(start, start + _SWEEP_ROWS)
             block = pseudohyperbolic_distance(pts[rows, None], pts[None, start:],
                                               gaps[rows, None], gaps[None, start:])
+            if dist is None:  # one block, the whole matrix: no copy
+                dist = block
+                break
             dist[rows, start:] = block
             dist[start + len(block):, rows] = block[:, len(block):].T
         np.fill_diagonal(dist, 1.0)

@@ -471,6 +471,8 @@ def load_point_document(path: str) -> PointSequence:
         raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DomainError(f"{path}: {exc}") from None
     return parse_point_document(data)
 
 

@@ -131,6 +131,16 @@ class TestDocumentLayer:
         err = capsys.readouterr().err
         assert err.startswith("error: point 350: ") and "Traceback" not in err
 
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        # Python 3.11's json refuses it with a ValueError; without the limit
+        # it parses, and overflows a float.
+        path = tmp_path / "digits.json"
+        path.write_text('{"schema_version": 1, "points": [{"re": 1' + "0" * 5000
+                        + ', "im": 0}]}')
+        assert run_cli(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_coordinates_are_read_as_float_reads_them(self, monkeypatch):
         def walk(points):
             raise AssertionError("a valid json document is read in bulk")
