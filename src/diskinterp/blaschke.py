@@ -83,11 +83,12 @@ class PointSequence:
     points are distinct.  The sweep computes the upper triangle in blocks
     of _SWEEP_ROWS rows, each against the columns from its first row on,
     and mirrors each block into the lower triangle; the kernel is exactly
-    symmetric, so this is the one-broadcast matrix bit for bit.  The
-    sequence keeps both as read-only arrays outside repr, the matrix with
-    1.0 on its diagonal: the separation and Carleson constants read the
-    matrix instead of sweeping again, and the log-factor kernel reads the
-    gaps instead of recomputing them.
+    symmetric, so this is the one-broadcast matrix bit for bit, and at
+    most _SWEEP_ROWS points are that one broadcast.  The sequence keeps
+    both as read-only arrays outside repr, the matrix with 1.0 on its
+    diagonal: the separation and Carleson constants read the matrix
+    instead of sweeping again, and the log-factor kernel reads the gaps
+    instead of recomputing them.
     """
 
     points: np.ndarray

@@ -392,7 +392,7 @@ class TestDistanceMatrix:
         if kind == "uniform":
             return 0.95 * np.sqrt(rng.random(count)) * angles
         if kind == "near":
-            return (1.0 - 10.0 ** rng.uniform(-8.9, -2, count)) * angles
+            return (1.0 - 10.0 ** rng.uniform(-9, -2, count)) * angles
         centres = 0.9 * np.exp(2j * np.pi * np.arange(4) / 4)
         return centres[np.arange(count) % 4] + 0.05 * np.sqrt(rng.random(count)) * angles
 
