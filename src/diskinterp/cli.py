@@ -585,7 +585,7 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     if args.boundary_csv:
         thetas = np.linspace(0.0, 2.0 * math.pi, cfg.boundary_grid, endpoint=False)
         vals = interpolant_eval(f, np.exp(1j * thetas))
-        columns = (thetas, vals.real, vals.imag, np.array([abs(v) for v in vals]))
+        columns = (thetas, vals.real, vals.imag, np.hypot(vals.real, vals.imag))
         with open(args.boundary_csv, "w", encoding="utf-8") as fh:
             fh.writelines(_csv("theta,re,im,modulus", thetas.size,
                                lambda rows: [_format_17g(c[rows]) for c in columns]))

@@ -29,12 +29,14 @@ sums taken on their own, and ``decompose`` fits the split's (a, b) from
 it.  b comes from ``_fit_b`` and a from ``_fit_a``, which runs only
 where a is read: to break ties in b and for the reported fit.
 
-No step loops in Python over points or moves where numpy can broadcast:
-all rims are sampled in one table, the exhaustive search bounds every
-mask with one column-wise max over the witness samples, and the local
-search screens all remaining moves of a sweep in one batch.  Each of
-these computes the floats the per-point and per-move loops computed, so
-the splits, counts and fits are those of the loops bit for bit.
+The exhaustive search returns the split that a full fit of every
+partition would, ties broken the same way, since its witness bound
+never exceeds a partition's b by more than the rounding its stopping
+test allows for.  The local search returns a split that no single move
+improves as it scores moves, reached from a fixed seed in a fixed move
+order, so its split and counts depend on the rim table alone.  Neither
+loops in Python over points: all rims are sampled in one table, and
+every witness bound is a column-wise max over the witness samples.
 """
 
 from __future__ import annotations
@@ -356,30 +358,20 @@ def _search_local(LM, points):
     """Single-move descent from an alternating seed over increasing |lam|.
 
     A move flips one point between the parts and wins if it lowers
-    (b, -a).  The current mask keeps its part rows L0 and L1 as the exact
-    row sums of LM over each part, and a move is scored on L0 + s LM[i] and
-    L1 - s LM[i], s = +-1.  Before that full fit, the move's b is bounded
-    on the witness columns, the
-    argmax columns of the masks fully scored so far: the bound is a max
-    over a subset of the same elementwise ratios, so a move whose witness
-    b exceeds the current b cannot win and is not fully scored.  The full
-    fit finds b first, and a only when b does not exceed the current b,
-    since a larger b loses on b alone.  A move that wins is rescored on
-    its exact row sum, and it is accepted only if it still beats the
-    current mask, so the current score is always that of an exact row sum
-    and strictly decreases, which ends the descent.
-
-    The moves are tried in index order, sweep after sweep, but screened
-    in batches: the moves from the current index to n - 1 are bounded
-    together on the witness columns (``_screen``).  The first move that passes
-    is fully scored.  A new witness column is folded into the remaining
-    bounds with one max, and an accepted move starts a new batch at the
-    next index, so every move is screened against the state and
-    witnesses that a move-by-move loop would use.  A move with a
-    log-modulus numerically zero on a witness column is fully scored,
-    where ``_fit_b`` raises DegenerateFitError, at the same move as such a
-    loop would; moves that would empty a part are neither tried nor
-    counted.
+    (b, -a), scored on L0 + s LM[i] and L1 - s LM[i], s = +-1, where L0
+    and L1 are the current mask's exact row sums of LM over each part.
+    Moves are tried in index order, sweep after sweep, until a sweep
+    accepts none, so the result is a mask that no single move improves.
+    Each pass screens the moves from the cursor to n - 1 on the witness
+    columns, the argmax columns of the masks fully scored so far
+    (``_screen``): a witness b is a max over some of the same ratios, so a
+    move whose witness b exceeds the current b cannot win.  The first move
+    that can, or that is numerically degenerate on a witness column, where
+    ``_fit_b`` raises DegenerateFitError, is fully scored; its argmax
+    column joins the witnesses and the cursor moves past it.  A move that
+    wins is rescored on its exact row sums and accepted only if it still
+    wins, so the score strictly decreases and the descent ends.  Moves
+    that would empty a part are neither tried nor counted.
     Returns (mask, masks tried, masks fully scored), the seed counting in
     both.
     """
@@ -396,42 +388,36 @@ def _search_local(LM, points):
     L0, L1, current, worst = exact()
     witnesses = [worst]
     tried = evaluated = 1
-    improved = True
-    while improved:
-        improved = False
-        start = 0
-        while start < n:
-            # Screen the moves start, ..., n - 1 of the current mask in one batch.
-            sign = np.where(mask[start:], -1.0, 1.0)  # a move adds sign * LM[i] to L0
-            size0 = np.count_nonzero(mask) + sign
-            legal = (size0 > 0) & (size0 < n)  # no move may empty a part
-            bound, degenerate = _screen(L0, L1, sign, LM[start:], witnesses)
-            k, end = -1, n
-            while end == n:
-                # A degenerate move is fully fitted, where _fit_b raises.
-                hits = np.flatnonzero(legal[k + 1:] & (degenerate[k + 1:]
-                                                       | (bound[k + 1:] <= current[0])))
-                if not hits.size:
-                    break
-                k += 1 + int(hits[0])
-                i = start + k
-                evaluated += 1
-                mask[i] = not mask[i]
-                cand0, cand1 = L0 + sign[k] * LM[i], L1 - sign[k] * LM[i]
-                b, worst = _fit_b(cand0, cand1)
-                if worst not in witnesses:  # fold the new column into the batch's bounds
-                    witnesses.append(worst)
-                    column = _screen(L0, L1, sign, LM[start:], [worst])
-                    np.maximum(bound, column[0], out=bound)
-                    degenerate |= column[1]
-                if b <= current[0] and (b, -_fit_a(b, cand0, cand1)) < current:
-                    L0_exact, L1_exact, score, _ = exact()
-                    if score < current:  # accepted: screen again from the next move
-                        L0, L1, current, improved, end = L0_exact, L1_exact, score, True, i + 1
-                        continue
-                mask[i] = not mask[i]
-            tried += int(np.count_nonzero(legal[:end - start]))
-            start = end
+    start, improved = 0, False
+    while start < n or improved:
+        if start == n:  # a sweep that accepted a move is followed by another
+            start, improved = 0, False
+        sign = np.where(mask[start:], -1.0, 1.0)  # a move adds sign * LM[i] to L0
+        size0 = np.count_nonzero(mask) + sign
+        legal = (size0 > 0) & (size0 < n)  # no move may empty a part
+        bound, degenerate = _screen(L0, L1, sign, LM[start:], witnesses)
+        # A degenerate move is fully fitted, where _fit_b raises.
+        hits = np.flatnonzero(legal & (degenerate | (bound <= current[0])))
+        if not hits.size:  # no move left in this sweep can win
+            tried += int(np.count_nonzero(legal))
+            start = n
+            continue
+        k = int(hits[0])
+        tried += int(np.count_nonzero(legal[:k + 1]))
+        evaluated += 1
+        i = start + k
+        start = i + 1
+        mask[i] = not mask[i]
+        cand0, cand1 = L0 + sign[k] * LM[i], L1 - sign[k] * LM[i]
+        b, worst = _fit_b(cand0, cand1)
+        if worst not in witnesses:
+            witnesses.append(worst)
+        if b <= current[0] and (b, -_fit_a(b, cand0, cand1)) < current:
+            L0_exact, L1_exact, score, _ = exact()
+            if score < current:  # accepted on its exact row sums
+                L0, L1, current, improved = L0_exact, L1_exact, score, True
+                continue
+        mask[i] = not mask[i]
     if not mask[0]:
         mask = ~mask
     return mask, tried, evaluated

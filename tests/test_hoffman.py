@@ -544,10 +544,11 @@ class TestPrunedSearchAgainstOracle:
 
 
 class TestLocalSearchAgainstOracle:
-    @pytest.mark.parametrize("count", range(17, 41))
+    @pytest.mark.parametrize("count", [*range(17, 41), 48, 56, 64])
     def test_same_mask_as_plain_search(self, count):
         # The plain search fully fits every move from its full row sum; the
-        # pruned one must find the same split after trying the same moves.
+        # pruned one must find the same split after trying the same moves,
+        # up to 64 points.
         seq = generate_separated_random(count, 0.1, count % 5 + 1)
         LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
         mask, tried, evaluated = _search_local(LM, seq.points)

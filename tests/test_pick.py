@@ -20,11 +20,13 @@ from diskinterp import (
     is_feasible,
     min_norm,
     norm_upper_bound,
+    per_point_moduli,
     pick,
     pick_matrix,
     solve_pick,
     sup_norm_boundary,
 )
+from diskinterp.pick import BISECT_REL_TOL
 from oracles import _package_mobius as _mobius
 from oracles import _trace_scale, ksection_min_norm, package_unwinding, sarason_min_norm
 
@@ -202,6 +204,39 @@ class TestMinNormAgainstOracle:
             targets = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
         expected = sarason_min_norm(seq.points, targets)
         assert min_norm(PickProblem(seq, targets)) == pytest.approx(expected, rel=1e-8)
+
+
+ONE_POINT_DEFICIT = ("min_norm returns norms below 1/|B_k(lam_k)| by more than its "
+                     "band here; ROADMAP items 18 and 21")
+
+
+class TestMinNormOnePointOracle:
+    """min_norm on the paper's one-point problems, f(lam_k) = 1 and f = 0 elsewhere.
+
+    Their minimal norm is 1/|B_k(lam_k)| exactly, with B_k the Blaschke
+    product of the other points, so ``per_point_moduli`` is the oracle.
+    """
+
+    @pytest.mark.parametrize("n", [
+        8, 16, 24, 32,
+        pytest.param(48, marks=pytest.mark.xfail(strict=True, reason=ONE_POINT_DEFICIT)),
+        pytest.param(64, marks=pytest.mark.xfail(strict=True, reason=ONE_POINT_DEFICIT)),
+    ])
+    def test_norm_lies_in_the_band(self, n):
+        # 1e-11 below the oracle lies inside the band over which min_norm's
+        # docstring says its feasibility verdict is non-monotone; above it,
+        # the search's rel_tol.  Rounding at the threshold may instead raise
+        # a NumericalError.
+        for seed in range(1, 6):
+            seq = generate_separated_random(n, 0.1, seed)
+            oracle = 1.0 / per_point_moduli(seq)
+            for k in range(n):
+                try:
+                    M = min_norm(PickProblem(seq, np.eye(n)[k]))
+                except NumericalError:
+                    continue
+                assert oracle[k] * (1 - 1e-11) <= M <= oracle[k] * (1 + BISECT_REL_TOL), (
+                    seed, k, M / oracle[k] - 1)
 
 
 NODE_KINDS = ("uniform", "near_boundary", "clustered", "regular")
