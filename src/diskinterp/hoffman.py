@@ -21,22 +21,23 @@ at once, keeps the samples outside every other disk, fits (a, b) on them
 and refines b on the arc of 129 points around the sample attaining it, a
 64th of a sample spacing apart.  ``decompose`` searches the partitions
 of a sequence for the split with the smallest sampled b: exactly up to
-16 points, by enumerating every partition and pruning with lower bounds
-on b from a few witness samples, and by deterministic local search
-beyond, pruned on witness samples too; a declared split skips the
-search.  The search scores partitions on the rim table, each part's row
-sums taken on their own, and ``decompose`` fits the split's (a, b) from
-it.  b comes from ``_fit_b`` and a from ``_fit_a``, which runs only
-where a is read: to break ties in b and for the reported fit.
+16 points, and by deterministic local search beyond; a declared split
+skips the search.  Both searches fully score one partition at a time
+and screen the rest on witness samples, the worst samples of the
+partitions scored so far.  They score partitions on the rim table, each
+part's row sums taken on their own, and ``decompose`` fits the split's
+(a, b) from it.  b comes from ``_fit_b`` and a from ``_fit_a``, which
+runs only where a is read: to break ties in b and for the reported fit.
 
 The exhaustive search returns the split that a full fit of every
-partition would, ties broken the same way, since its witness bound
-never exceeds a partition's b by more than the rounding its stopping
-test allows for.  The local search returns a split that no single move
+partition would, ties broken the same way, since a witness bound never
+exceeds a partition's b by more than the rounding its stopping test
+allows for.  The local search returns a split that no single move
 improves as it scores moves, reached from a fixed seed in a fixed move
 order, so its split and counts depend on the rim table alone.  Neither
-loops in Python over points: all rims are sampled in one table, and
-every witness bound is a column-wise max over the witness samples.
+search loops in Python over rim samples or over the partitions it only
+screens: all rims are sampled in one table, and each witness sample
+updates every screened bound in one vectorized step.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .errors import DegenerateFitError, EmptyGridError, PointSetError
 from .geometry import _mobius_inverse, _refinement_arc, _rotation
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
-# are bounded on a few witness samples, and only those whose bound does
-# not exceed the best b found get a full sweep of the rim samples.
+# carry a witness bound, so the search holds two float rows of n weights
+# per partition.
 EXHAUSTIVE_LIMIT = 16
 
 # Samples per exclusion-disk rim, equally spaced in the rim's Mobius angle.
@@ -59,13 +60,6 @@ _RIM_SAMPLES = 128
 
 # Log-moduli this close to zero cannot anchor a ratio fit.
 _FIT_DEGENERACY_TOL = 1e-14
-
-# Evenly spaced partition codes whose argmax rim samples form the
-# witness set of the pruned exhaustive search.
-_WITNESS_PROBES = 10
-
-# Partitions fully evaluated per vectorized batch in the pruned search.
-_EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -99,12 +93,13 @@ class Decomposition:
     the largest sampled ratio, so ``fitted_b - b_gap`` is the sampled b the
     search minimized.  ``fit_grid_size`` counts the rim samples kept, of
     ``rim_samples`` per rim.  ``search`` names how the split was found:
-    "exhaustive" (every partition enumerated, those whose witness bound
-    could win fully evaluated), "local" (single-move descent:
-    masks_enumerated counts the masks tried, masks_evaluated those whose
-    witness bound could win and were fully scored) or "declared" (given,
-    not searched, with both counts zero): ``decompose`` given part0, and
-    the default of one built by hand.
+    "exhaustive" (the best of every partition: masks_enumerated counts
+    them all, masks_evaluated those fully scored before no other could
+    still win), "local" (single-move descent: masks_enumerated counts the
+    masks tried, masks_evaluated those whose witness bound could win and
+    were fully scored) or "declared" (given, not searched, with both
+    counts zero): ``decompose`` given part0, and the default of one built
+    by hand.
     """
 
     base: PointSequence
@@ -248,56 +243,27 @@ def comparability_fit(
     return float(_fit_a(b, L0, L1)), float(b), complex(grid.points[worst])
 
 
-def _sorted_below(bound: np.ndarray, threshold: float) -> np.ndarray:
-    """Indices of the bounds at or below threshold, in stable increasing order.
-
-    They are the first entries of np.argsort(bound, kind="stable"): every
-    bound at or below the threshold sorts before every bound above it, and
-    the indices come in increasing order, so ties keep the full sort's
-    order.
-    """
-    rows = np.flatnonzero(bound <= threshold)
-    return rows[np.argsort(bound[rows], kind="stable")]
-
-
-def _part_sums(masks: np.ndarray, LM: np.ndarray):
-    """(L0, L1): the rows of LM summed over part 0 and over part 1 of each mask.
-
-    Each part is summed on its own, never as the total minus the other
-    part: near the unit circle one part's logs can lie below the rounding
-    of the total, and the difference then has no correct digit, or is 0.
-    """
-    weights = masks.astype(float)
-    L0 = weights @ LM
-    return L0, np.subtract(1.0, weights, out=weights) @ LM
-
-
 def _search_exhaustive(LM):
     """Best mask over all nontrivial partitions with index 0 pinned to part0.
 
-    Exact, with lower-bound pruning.  The argmax columns of a few
-    evenly spaced masks form a witness set S, and b restricted to S is a
-    lower bound on a mask's b, taken for all masks at once as a max over
-    the columns of S (a max is exact, so the order does not matter).
-    Masks are fully evaluated, _EVAL_CHUNK at a time, in increasing
-    order of that bound until it exceeds the best b found, with a slack
-    for rounding: each L0 entry sums at most n log-moduli of one sign, so
-    the witness and full products agree to 2(n - 1) eps relative, which
-    moves a ratio r >= 1 by at most 2(n + 1) eps (1 + r) relative; the
-    stopping test allows twice that plus 1e-12.  Masks whose bound ties
-    the best b are therefore always evaluated, and the (b, -a, part0)
-    tie-break is the one full enumeration would apply; a and part0 are
-    computed only for the rows of a chunk whose b does not exceed the
-    least b found so far, since the others lose on b alone.
-
-    Only a prefix of the masks is sorted (``_sorted_below``): those at or
-    below the k-th smallest bound, found by ``np.partition``, with k eight
-    chunks at first and doubled whenever a chunk runs past the prefix.
-    That is the start of the stable sort of every bound, so the masks
-    evaluated are the ones a full sort gives, while the search stops after
-    a few chunks of the 2^(n-1) - 1.  Off the unit circle every factor log
-    is negative, so no bound is nan.
-    Returns (mask, masks enumerated, masks fully evaluated).
+    Exact: it returns the mask that fully scoring every mask would, ties
+    broken on (b, -a, part0) the same way.  Every mask keeps a witness
+    bound, the largest of 1 and max(L1/L0, L0/L1) over the witness
+    columns, the argmax columns of the masks fully scored so far.  A
+    mask's b is a max over the same ratios on every column, so the bound
+    never exceeds it by more than rounding.  Each pass fully scores one
+    mask, code 0 first, folds its argmax column into every bound and moves
+    to the unscored mask of least bound, the lowest code among equal
+    bounds.  Each part's sum is taken on its own, never as the total minus
+    the other part: near the unit circle one part's logs can lie below the
+    rounding of the total.  The search stops when the least unscored bound
+    exceeds the best b found, with a slack for rounding: each entry of L0
+    sums at most n log-moduli of one sign, so the witness and full sums
+    agree to 2(n - 1) eps relative, which moves a ratio r >= 1 by at most
+    2(n + 1) eps (1 + r) relative; the stopping test allows twice that
+    plus 1e-12.  So every mask that could tie the best b is scored.  Off
+    the unit circle every factor log is negative, so no bound is nan.
+    Returns (mask, masks enumerated, masks fully scored).
     """
     n = LM.shape[0]
     codes = np.arange(2 ** (n - 1) - 1, dtype="<u4")
@@ -305,36 +271,26 @@ def _search_exhaustive(LM):
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=n - 1,
                          bitorder="little")
     masks = np.concatenate((np.ones((codes.size, 1), dtype=bool), bits.view(bool)), axis=1)
-    probes = np.unique(np.linspace(0, len(masks) - 1, _WITNESS_PROBES).astype(np.int64))
-    witnesses = np.unique(_fit_b(*_part_sums(masks[probes], LM))[1])
-    L0, L1 = _part_sums(masks, LM[:, witnesses])
-    bound = np.ones(len(masks))
-    for l0, l1 in zip(L0.T, L1.T):
-        np.maximum(bound, np.maximum(l1 / l0, l0 / l1), out=bound)
+    weights0 = masks.astype(float)
+    weights1 = 1.0 - weights0
+    bound = np.ones(len(masks))  # inf once scored
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
-    order = np.empty(0, dtype=np.int64)
-    best = None
-    evaluated = 0
-    for start in range(0, bound.size, _EVAL_CHUNK):
-        if order.size < min(start + _EVAL_CHUNK, bound.size):  # extend the sorted prefix
-            k = min(max(start + _EVAL_CHUNK, 2 * order.size, 8 * _EVAL_CHUNK), bound.size)
-            order = _sorted_below(bound, np.partition(bound, k - 1)[k - 1])
-        rows = order[start:start + _EVAL_CHUNK]
-        if best is not None:
-            best_b = best[0][0]
-            if bound[rows[0]] > best_b * (1.0 + 1e-12 + rounding * (1.0 + best_b)):
-                break
-        L0, L1 = _part_sums(masks[rows], LM)
-        b = _fit_b(L0, L1)[0]
-        evaluated += len(rows)
-        least = float(b.min()) if best is None else min(best_b, float(b.min()))
-        contenders = ~(b > least)  # a larger b loses on b alone; a nan b never wins
-        rows, L0, L1, b = rows[contenders], L0[contenders], L1[contenders], b[contenders]
-        for row, b_row, a_row in zip(rows, b.tolist(), _fit_a(b, L0, L1).tolist()):
-            key = (b_row, -a_row, tuple(np.flatnonzero(masks[row]).tolist()))
-            if best is None or key < best[0]:
-                best = (key, masks[row])
-    return best[1], len(masks), evaluated
+    best, row = None, 0  # best is the (b, -a, part0) key of the best mask scored
+    for evaluated in range(1, len(masks) + 1):
+        L0, L1 = weights0[row:row + 1] @ LM, weights1[row:row + 1] @ LM
+        b, worst = _fit_b(L0, L1)
+        key = (float(b[0]), -float(_fit_a(b, L0, L1)[0]),
+               tuple(np.flatnonzero(masks[row]).tolist()))
+        if best is None or key < best:
+            best, best_row = key, row
+        bound[row] = np.inf
+        column = LM[:, worst[0]]
+        l0, l1 = weights0 @ column, weights1 @ column
+        np.maximum(bound, np.maximum(l1 / l0, l0 / l1), out=bound)
+        row = int(np.argmin(bound))
+        if bound[row] > best[0] * (1.0 + 1e-12 + rounding * (1.0 + best[0])):
+            break
+    return masks[best_row], len(masks), evaluated
 
 
 def _screen(L0, L1, sign, LM, cols):
@@ -450,21 +406,21 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
 
     The final bound the constants feed degrades with b, so small b is the
     quality measure; ties prefer larger a, then the lexicographically
-    smallest part0.  Up to 16 points the search is exact: every nontrivial
-    partition gets a lower bound on b from a few witness rim samples, and
-    partitions are swept over all samples in increasing bound order until
-    the bound exceeds the best b found.  Beyond 16 points a deterministic
-    first-improvement single-move search runs from an alternating seed,
-    fully scoring only the moves whose witness bound does not rule them
-    out.  A declared ``part0`` skips the search and keeps its orientation;
-    it must be distinct indices in range(n) that leave part1 nonempty, or
-    PointSetError is raised before any rim is sampled.  Both searches and
-    the fit read the one rim table that :func:`exclusion_grid` built to
-    place the rim samples; the split's sampled b is that of
-    :func:`comparability_fit` on the two parts, to rounding.  The winner's
-    b is then refined to the largest ratio on 129 points of the
-    arc around the sample attaining it, a 64th of a sample spacing apart,
-    and a recomputed at the refined b.  The returned decomposition records
+    smallest part0.  Up to 16 points the search is exact: it returns the
+    partition that fully scoring every nontrivial partition would, while
+    fully scoring only those whose witness bound, from the worst rim
+    samples of the partitions scored before, does not rule them out.
+    Beyond 16 points a deterministic first-improvement single-move search
+    runs from an alternating seed, screening moves on the same kind of
+    witness bound.  A declared ``part0`` skips the search and keeps its
+    orientation; it must be distinct indices in range(n) that leave part1
+    nonempty, or PointSetError is raised before any rim is sampled.  Both
+    searches and the fit read the one rim table that
+    :func:`exclusion_grid` built to place the rim samples; the split's
+    sampled b is that of :func:`comparability_fit` on the two parts, to
+    rounding.  The winner's b is then refined to the largest ratio on 129
+    points of the arc around the sample attaining it, a 64th of a sample
+    spacing apart, and a recomputed at the refined b.  The returned decomposition records
     which search ran ("declared" for a given split), how many partitions
     it enumerated and fully evaluated, the rim attaining b and the
     refinement's gap.  A delta outside (0, 1) raises ValueError.

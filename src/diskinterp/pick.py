@@ -371,10 +371,11 @@ def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant
     """Build a rational interpolant with sup-norm at most M.
 
     Records the (node, parameter) pairs of the reduction at M (see
-    :func:`_schur_parameters`).  Each parameter must stay in the closed
-    disk; a parameter outside it means M is below the minimal norm by the
-    test :func:`min_norm` searches on, and raises RecursionBreakdownError
-    naming the node.  Raises ValueError unless M is finite and
+    :func:`_schur_parameters`), one per node; M = 0 admits only zero
+    targets, and every parameter is then 0.  Each parameter must stay in
+    the closed disk; a parameter outside it means M is below the minimal
+    norm by the test :func:`min_norm` searches on, and raises
+    RecursionBreakdownError naming the node.  Raises ValueError unless M is finite and
     nonnegative: at M = inf every parameter is 0, and evaluation would
     return inf * 0.
     """
@@ -384,7 +385,7 @@ def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant
     if M == 0.0:
         if np.any(problem.targets != 0):
             raise RecursionBreakdownError("M = 0 admits only the zero interpolant")
-        return RationalInterpolant(((complex(nodes[0]), 0j),), 0.0)
+        return RationalInterpolant(tuple((lam, 0j) for lam in nodes.tolist()), 0.0)
     params = _schur_parameters(problem, [M])[0]
     inside = _inside(params)
     if not inside.all():

@@ -905,11 +905,11 @@ _PINNED = [
      ("--targets", ",".join(f"{0.5 * (-1) ** i}" for i in range(24))),
      "0a07f2ef2f7a1f902a938cc21b861ace126b9209e0ef9ed25c71056083e6061f"),
     ("decompose", 12, 0.1, 6, (),  # exhaustive search
-     "5d83d10c2bcdbbb36ad902759f38a1469490ec3df862030ad7db46f2a77f300a"),
+     "ec5e203fddbc8791794e67d67d3e829e933e4947ec91517b1e2f54cdcad301e0"),
     ("decompose", 20, 0.1, 7, (),  # local search
      "983236bf12640fe87c2a49de0c40aec7833b7cfb5aa10858ba4b4ee83b327b2d"),
-    ("decompose", 14, 0.1, 5, (),  # exhaustive search, 224 masks evaluated
-     "52c9f107d4e3f5031a5424f6a3c88943e2072cb9b97c436507487af8eeb702ec"),
+    ("decompose", 14, 0.1, 5, (),  # exhaustive search, 7 masks evaluated
+     "2796768078638c2f89788005a388b39d4a2371f3d34e4dfe65da76eda6fffcc8"),
     ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
      "29b5bb889f24994cd22247ed7df96454fd11c728d4008f53e62508c1aea25b3c"),
     ("verify-theorem", 32, 0.1, 5, (),

@@ -535,7 +535,7 @@ class TestPrunedSearchAgainstOracle:
         # Small integer log-moduli sum exactly in any order, so large groups
         # of partitions tie exactly in (b, a).  The lexicographically first
         # part0 of a group is often not the one with the smallest code,
-        # which is the order the bound sort keeps among equal bounds.
+        # which is the order the search takes among equal bounds.
         for seed in range(20):
             rng = np.random.default_rng(seed)
             rows = -rng.integers(1, depth + 1, size=(count, cols)).astype(float)
@@ -572,13 +572,23 @@ def fit_b_calls(monkeypatch) -> list:
 
 class TestSearchStructure:
     def test_exhaustive_bound_has_no_row_wise_fit(self, monkeypatch):
-        # The witness bound over all 2^(n-1) - 1 masks is a column-wise max;
-        # _fit_b sees only the probes and the chunks of fully scored masks.
-        rows = fit_b_calls(monkeypatch)
+        # One fit of one row per fully scored mask; the witness bounds of
+        # all 2^(n-1) - 1 masks are folded a column at a time, never fitted.
         seq = generate_separated_random(14, 0.1, 5)
+        LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
+        rows = fit_b_calls(monkeypatch)
+        _, enumerated, evaluated = _search_exhaustive(LM)
+        assert enumerated == 8191
+        assert rows == [1] * evaluated
+
+    @pytest.mark.parametrize("seed, evaluated", [(1, 8), (2, 8), (3, 11)])
+    def test_exhaustive_scores_few_masks_at_sixteen_points(self, seed, evaluated):
+        # Each scored mask's worst column bounds every other mask, so a few
+        # full scores settle all 32767 partitions.
+        seq = generate_separated_random(16, 0.1, seed)
         dec = decompose(seq, separation_constant(seq) / 2)
-        assert dec.search == "exhaustive" and dec.masks_enumerated == 8191
-        assert max(rows) <= max(hoffman._WITNESS_PROBES, hoffman._EVAL_CHUNK)
+        assert (dec.search, dec.masks_enumerated, dec.masks_evaluated) == (
+            "exhaustive", 32767, evaluated)
 
     @pytest.mark.parametrize("count, seed", [(20, 7), (32, 5)])
     def test_local_search_fits_only_fully_scored_moves(self, monkeypatch, count, seed):

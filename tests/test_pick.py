@@ -717,6 +717,19 @@ class TestSolvePick:
         assert solution.min_norm == 0.0
         assert interpolant_eval(solution.interpolant, 0.3) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_zero_problem_has_a_parameter_per_node(self, n):
+        # The report lists one Schur parameter per node, as for any other
+        # targets; the zero interpolant's are all 0 and it vanishes at every node.
+        seq = generate_separated_random(n, 0.1, 1)
+        solution = solve_pick(PickProblem(seq, np.zeros(n)))
+        steps = solution.interpolant.schur_steps
+        assert [lam for lam, _ in steps] == seq.points.tolist()
+        assert [p for _, p in steps] == [0j] * n
+        assert solution.min_norm == solution.interpolant.scale == 0.0
+        assert solution.residuals.tolist() == [0j] * n
+        assert interpolant_eval(solution.interpolant, seq.points).tolist() == [0j] * n
+
     def test_margin_is_small_at_reported_norm(self, rng):
         problem = random_problem(rng, 5)
         solution = solve_pick(problem)
