@@ -375,9 +375,9 @@ def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant
     targets, and every parameter is then 0.  Each parameter must stay in
     the closed disk; a parameter outside it means M is below the minimal
     norm by the test :func:`min_norm` searches on, and raises
-    RecursionBreakdownError naming the node.  Raises ValueError unless M is finite and
-    nonnegative: at M = inf every parameter is 0, and evaluation would
-    return inf * 0.
+    RecursionBreakdownError naming the node.  Raises ValueError unless M
+    is finite and nonnegative: at M = inf every parameter is 0, and
+    evaluation would return inf * 0.
     """
     nodes = problem.nodes.points
     if not 0.0 <= M < math.inf:  # NaN fails too
