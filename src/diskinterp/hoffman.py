@@ -28,6 +28,7 @@ partitions scored so far.  They score partitions on the rim table, each
 part's row sums taken on their own, and ``decompose`` fits the split's
 (a, b) from it.  b comes from ``_fit_b`` and a from ``_fit_a``, which
 runs only where a is read: to break ties in b and for the reported fit.
+Neither raises; ``decompose`` checks the split it returns.
 
 The exhaustive search returns the split that a full fit of every
 partition would, ties broken the same way, since a witness bound never
@@ -204,16 +205,23 @@ def _fit_b(L0: np.ndarray, L1: np.ndarray):
     b is the worst two-sided ratio max(L1/L0, L0/L1) of the log-moduli over
     the columns, clamped below at 1, so that swapping the parts leaves it
     unchanged.  Returns (b, index of the column attaining it), each an
-    array over the rows of 2-D input and a scalar for 1-D input.  One
-    partition (1-D input) with a log-modulus numerically zero raises
-    DegenerateFitError; batches are not checked, since the search's winner
-    is refitted on its own.
+    array over the rows of 2-D input and a scalar for 1-D input.  It never
+    raises: a numerically zero log-modulus only makes b huge.
     """
-    if L0.ndim == 1 and (np.max(L0) > -_FIT_DEGENERACY_TOL
-                         or np.max(L1) > -_FIT_DEGENERACY_TOL):
-        raise DegenerateFitError("a log-modulus is numerically zero")
     ratio = np.maximum(L1 / L0, L0 / L1)
     return np.maximum(ratio.max(axis=-1), 1.0), ratio.argmax(axis=-1)
+
+
+def _check_fit(L0: np.ndarray, L1: np.ndarray, where) -> None:
+    """Raise DegenerateFitError if a part's log-modulus is numerically zero.
+
+    The message names the part, the value and ``where(column)``.
+    """
+    for part, L in enumerate((L0, L1)):
+        k = int(np.argmax(L))
+        if L[k] > -_FIT_DEGENERACY_TOL:
+            raise DegenerateFitError(f"a log-modulus is numerically zero: part {part} "
+                                     f"reads {L[k]:.4g} {where(k)}")
 
 
 def comparability_fit(
@@ -227,7 +235,8 @@ def comparability_fit(
     part-symmetric constant below exp(L1 - L0/b) and exp(b L0 - L1)
     everywhere; the sandwich then holds at every point with these
     constants by construction.  Returns (a, b, worst_point), the last
-    being the point attaining b.
+    being the point attaining b.  A numerically zero part raises
+    DegenerateFitError.
 
     The independent reference fit, from the parts evaluated afresh and
     without refinement: on the rim samples of ``exclusion_grid`` its b is
@@ -239,6 +248,7 @@ def comparability_fit(
         raise EmptyGridError("cannot fit on an empty grid")
     L0 = blaschke_log_modulus(part0, grid.points)
     L1 = blaschke_log_modulus(part1, grid.points)
+    _check_fit(L0, L1, lambda k: f"at {complex(grid.points[k])}")
     b, worst = _fit_b(L0, L1)
     return float(_fit_a(b, L0, L1)), float(b), complex(grid.points[worst])
 
@@ -293,23 +303,6 @@ def _search_exhaustive(LM):
     return masks[best_row], len(masks), evaluated
 
 
-def _screen(L0, L1, sign, LM, cols):
-    """Witness b and degeneracy of the moves (L0 + sign[i] LM[i], L1 - sign[i] LM[i]).
-
-    The rows are scored on the columns ``cols`` only: the b of each move
-    there, clamped below at 1 as ``_fit_b`` clamps it, and whether a part's
-    log-modulus is numerically zero there, where ``_fit_b`` would raise.
-    A move that empties a part reads nonsense, so the division runs under
-    ``np.errstate``; the caller skips those rows.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = sign[:, None] * LM[:, cols]
-        l0, l1 = L0[cols] + step, L1[cols] - step
-        bound = np.maximum(np.maximum(l1 / l0, l0 / l1).max(axis=1), 1.0)
-        degenerate = (np.maximum(l0, l1) > -_FIT_DEGENERACY_TOL).any(axis=1)
-    return bound, degenerate
-
-
 def _search_local(LM, points):
     """Single-move descent from an alternating seed over increasing |lam|.
 
@@ -318,16 +311,16 @@ def _search_local(LM, points):
     and L1 are the current mask's exact row sums of LM over each part.
     Moves are tried in index order, sweep after sweep, until a sweep
     accepts none, so the result is a mask that no single move improves.
-    Each pass screens the moves from the cursor to n - 1 on the witness
-    columns, the argmax columns of the masks fully scored so far
-    (``_screen``): a witness b is a max over some of the same ratios, so a
-    move whose witness b exceeds the current b cannot win.  The first move
-    that can, or that is numerically degenerate on a witness column, where
-    ``_fit_b`` raises DegenerateFitError, is fully scored; its argmax
+    Each pass screens the moves from the cursor to n - 1 on their witness
+    b alone, the b of the move on the witness columns, the argmax columns
+    of the masks fully scored so far: a witness b is a max over some of
+    the same ratios, so a move whose witness b exceeds the current b
+    cannot win.  The first move that can is fully scored; its argmax
     column joins the witnesses and the cursor moves past it.  A move that
     wins is rescored on its exact row sums and accepted only if it still
     wins, so the score strictly decreases and the descent ends.  Moves
-    that would empty a part are neither tried nor counted.
+    that would empty a part are neither tried nor counted.  It never
+    raises: ``decompose`` checks the split it returns.
     Returns (mask, masks tried, masks fully scored), the seed counting in
     both.
     """
@@ -351,9 +344,11 @@ def _search_local(LM, points):
         sign = np.where(mask[start:], -1.0, 1.0)  # a move adds sign * LM[i] to L0
         size0 = np.count_nonzero(mask) + sign
         legal = (size0 > 0) & (size0 < n)  # no move may empty a part
-        bound, degenerate = _screen(L0, L1, sign, LM[start:], witnesses)
-        # A degenerate move is fully fitted, where _fit_b raises.
-        hits = np.flatnonzero(legal & (degenerate | (bound <= current[0])))
+        with np.errstate(divide="ignore", invalid="ignore"):  # moves that empty a part divide by 0
+            step = sign[:, None] * LM[start:, witnesses]
+            l0, l1 = L0[witnesses] + step, L1[witnesses] - step
+            bound = np.maximum(np.maximum(l1 / l0, l0 / l1).max(axis=1), 1.0)
+        hits = np.flatnonzero(legal & (bound <= current[0]))
         if not hits.size:  # no move left in this sweep can win
             tried += int(np.count_nonzero(legal))
             start = n
@@ -387,18 +382,16 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray,
     rim's circle |w| = delta, at 2 _ARC_STEPS + 1 Mobius angles
     (``geometry._refinement_arc``), sampled by ``_rim_samples`` as the grid
     was.  Arc points inside another disk lie outside Omega and are dropped,
-    as ``exclusion_grid`` drops samples.  Returns the largest ratio on the
-    arc, with the point attaining it: at least the sampled b, since j = 0
-    is the sample itself, on the grid's floats.
+    as ``exclusion_grid`` drops samples.  Returns the arc's b from
+    ``_fit_b``, its largest ratio, with the point attaining it: at least
+    the sampled b, since j = 0 is the sample itself, on the grid's floats.
     """
     rim = int(grid.rim[worst])
     arc = _refinement_arc(float(grid.theta[worst]), 2.0 * np.pi / _RIM_SAMPLES)
     z, logs, outside = _rim_samples(seq, [rim], grid.delta, arc)
     z, logs = z[outside], logs[:, outside]
-    L0, L1 = logs[mask].sum(axis=0), logs[~mask].sum(axis=0)
-    ratio = np.maximum(L1 / L0, L0 / L1)
-    k = int(np.argmax(ratio))
-    return float(ratio[k]), complex(z[k])
+    b, k = _fit_b(logs[mask].sum(axis=0), logs[~mask].sum(axis=0))
+    return float(b), complex(z[k])
 
 
 def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
@@ -423,7 +416,9 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
     spacing apart, and a recomputed at the refined b.  The returned decomposition records
     which search ran ("declared" for a given split), how many partitions
     it enumerated and fully evaluated, the rim attaining b and the
-    refinement's gap.  A delta outside (0, 1) raises ValueError.
+    refinement's gap.  A delta outside (0, 1) raises ValueError.  Neither
+    search raises; one check on the split returned, searched or declared,
+    raises DegenerateFitError if a part reads numerically zero on a rim.
     """
     n = len(seq)
     if n < 2:
@@ -446,6 +441,7 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
         method = "local"
         mask, enumerated, evaluated = _search_local(LM, seq.points)
     L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
+    _check_fit(L0, L1, lambda k: f"on the rim of point {grid.rim[k]}")
     sampled_b, worst = _fit_b(L0, L1)
     b, worst_point = _refine_b(seq, grid, mask, int(worst))
     return Decomposition(

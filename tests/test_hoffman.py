@@ -615,11 +615,16 @@ class TestLocalSearchDegeneracy:
         # alone in part1, at -1e-15 on the witness.
         [[-1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0], [-1e-15, -1.0]],
     ], ids=["part0", "part1"])
-    def test_move_with_zero_witness_log_modulus_raises(self, rows):
+    def test_move_with_zero_witness_log_modulus_matches_oracle(self, rows):
+        # Such a move only reads a huge b: the search screens it on its
+        # witness b like any other move, never raises, and returns the
+        # split and count of the plain search, which fully fits every move.
         rows = np.array(rows)
         points = self.POINTS[:rows.shape[0]]
-        with pytest.raises(DegenerateFitError, match="numerically zero"):
-            _search_local(rows, points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask, tried, _ = _search_local(rows, points)
+        assert (tuple(np.flatnonzero(mask).tolist()), tried) == oracles.local_search(rows, points)
 
     @pytest.mark.parametrize("rows, part0, tried, evaluated", [
         # Both moves empty a part.
@@ -637,6 +642,42 @@ class TestLocalSearchDegeneracy:
             mask, n_tried, n_evaluated = _search_local(rows, self.POINTS[:rows.shape[0]])
         assert tuple(np.flatnonzero(mask).tolist()) == part0
         assert (n_tried, n_evaluated) == (tried, evaluated)
+
+
+def near_boundary(count: int, seed: int) -> PointSequence:
+    """Points with 1 - |lam| log-uniform in [1e-9, 1e-2], uniform in angle."""
+    rng = np.random.default_rng(seed)
+    return PointSequence((1.0 - 10.0 ** rng.uniform(-9, -2, count))
+                         * np.exp(2j * np.pi * rng.random(count)))
+
+
+class TestDegeneracyCheck:
+    # Six near-boundary points: point 0 alone reads -8.493e-15 on the rim
+    # of point 3, inside the degeneracy tolerance.
+    SEQ = near_boundary(6, 0)
+
+    def test_error_names_part_value_and_rim(self):
+        seq = self.SEQ
+        with pytest.raises(DegenerateFitError,
+                           match=r"part 0 reads -8\.493e-15 on the rim of point 3$"):
+            decompose(seq, separation_constant(seq) / 2, part0=[0])
+
+    def test_comparability_fit_raises_on_the_same_split(self):
+        seq = self.SEQ
+        grid = exclusion_grid(seq, separation_constant(seq) / 2)
+        with pytest.raises(DegenerateFitError, match="numerically zero"):
+            comparability_fit(PointSequence(seq.points[:1]), PointSequence(seq.points[1:]), grid)
+
+    @pytest.mark.parametrize("count", [17, 20, 24, 32])
+    def test_local_search_returns_near_the_boundary(self, count):
+        # The search screens moves on their witness b alone, so a move that
+        # is numerically zero on a witness column, which it would never
+        # pick, does not stop it; the split it returns passes the check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(30):
+                seq = near_boundary(count, seed)
+                assert decompose(seq, separation_constant(seq) / 2).search == "local"
 
 
 class TestCorrespondingDecomposition:
