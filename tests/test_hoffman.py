@@ -615,7 +615,7 @@ class TestLocalSearchDegeneracy:
         # alone in part1, at -1e-15 on the witness.
         [[-1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0], [-1e-15, -1.0]],
     ], ids=["part0", "part1"])
-    def test_move_with_zero_witness_log_modulus_matches_oracle(self, rows):
+    def test_zero_witness_log_modulus_matches_oracle(self, rows):
         # Such a move only reads a huge b: the search screens it on its
         # witness b like any other move, never raises, and returns the
         # split and count of the plain search, which fully fits every move.
