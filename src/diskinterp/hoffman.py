@@ -52,8 +52,8 @@ from .errors import DegenerateFitError, EmptyGridError, PointSetError
 from .geometry import _mobius_inverse, _refinement_arc, _rotation
 
 # Largest sequence searched exactly: all 2^(n-1) - 1 nontrivial partitions
-# carry a witness bound, so the search holds two float rows of n weights
-# per partition.
+# carry a witness bound, so the search holds one float bound per split plus
+# one pass's sums.
 EXHAUSTIVE_LIMIT = 16
 
 # Samples per exclusion-disk rim, equally spaced in the rim's Mobius angle.
@@ -257,50 +257,65 @@ def _search_exhaustive(LM):
     """Best mask over all nontrivial partitions with index 0 pinned to part0.
 
     Exact: it returns the mask that fully scoring every mask would, ties
-    broken on (b, -a, part0) the same way.  Every mask keeps a witness
-    bound, the largest of 1 and max(L1/L0, L0/L1) over the witness
-    columns, the argmax columns of the masks fully scored so far.  A
-    mask's b is a max over the same ratios on every column, so the bound
-    never exceeds it by more than rounding.  Each pass fully scores one
-    mask, code 0 first, folds its argmax column into every bound and moves
-    to the unscored mask of least bound, the lowest code among equal
-    bounds.  Each part's sum is taken on its own, never as the total minus
-    the other part: near the unit circle one part's logs can lie below the
-    rounding of the total.  The search stops when the least unscored bound
-    exceeds the best b found, with a slack for rounding: each entry of L0
-    sums at most n log-moduli of one sign, so the witness and full sums
-    agree to 2(n - 1) eps relative, which moves a ratio r >= 1 by at most
-    2(n + 1) eps (1 + r) relative; the stopping test allows twice that
-    plus 1e-12.  So every mask that could tie the best b is scored.  Off
-    the unit circle every factor log is negative, so no bound is nan.
-    Returns (mask, masks enumerated, masks fully scored).
+    broken on (b, -a, part0) the same way.  A mask's code c puts point 0
+    in part 0, and point j there when bit j - 1 of c is set; c runs over
+    0 .. 2^(n-1) - 2, so part 1 is never empty.  Every mask keeps a
+    witness bound, the largest of 1 and max(L1/L0, L0/L1) over the
+    witness columns, the argmax columns of the masks fully scored so far.
+    A mask's b is a max over the same ratios on every column, so the
+    bound never exceeds it by more than rounding.  Each pass fully scores
+    one mask, code 0 first, folds its argmax column into every bound and
+    moves to the unscored mask of least bound, the lowest code among equal
+    bounds.  A pass takes the column's sum over the points of every code's
+    bits as subset sums: each half of the n - 1 free points gets its sums
+    from one product with that half's 0/1 table, one row per subset, and
+    one broadcast add combines the halves.  L0 of code c is column[0]
+    plus its entry, and L1 is the entry of the complementary code,
+    2^(n-1) - 1 - c, so each part's sum is taken on its own, never as the
+    total minus the other part: near the unit circle one part's logs can
+    lie below the rounding of the total.  The search stops when the least
+    unscored bound exceeds the best b found, with a slack for rounding:
+    each entry of L0 sums at most n log-moduli of one sign, in whatever
+    order, and any such sum is within (n - 1) eps relative of the exact
+    one, so the witness and full sums agree to 2(n - 1) eps relative,
+    which moves a ratio r >= 1 by at most 2(n + 1) eps (1 + r) relative;
+    the stopping test allows twice that plus 1e-12.  So every mask that
+    could tie the best b is scored.  Off the unit circle every factor log
+    is negative, so no bound is nan.  a is fitted only for a scored mask
+    whose b does not exceed the best b, the only masks where it can
+    decide.  Returns (mask, masks enumerated, masks fully scored).
     """
     n = LM.shape[0]
-    codes = np.arange(2 ** (n - 1) - 1, dtype="<u4")
-    # Point 0 is in part 0, and point j when bit j - 1 of the mask's code is set.
-    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=n - 1,
-                         bitorder="little")
-    masks = np.concatenate((np.ones((codes.size, 1), dtype=bool), bits.view(bool)), axis=1)
-    weights0 = masks.astype(float)
-    weights1 = 1.0 - weights0
-    bound = np.ones(len(masks))  # inf once scored
+    count = 2 ** (n - 1) - 1
+    low, high = (n - 1) // 2, n // 2  # bits of a code in each half
+    # Row s holds the bits of s: the high half's table, whose leading rows
+    # and columns are the low half's.
+    table = ((np.arange(2 ** high)[:, None] >> np.arange(high)) & 1).astype(float)
+    shifts = np.arange(n)
+    bound = np.ones(count)  # inf once scored
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
-    best, row = None, 0  # best is the (b, -a, part0) key of the best mask scored
-    for evaluated in range(1, len(masks) + 1):
-        L0, L1 = weights0[row:row + 1] @ LM, weights1[row:row + 1] @ LM
+    best, code = None, 0  # best is the (b, -a, part0) key of the best mask scored
+    for evaluated in range(1, count + 1):
+        weights0 = ((((code << 1) | 1) >> shifts) & 1).astype(float)[None]
+        L0, L1 = weights0 @ LM, (1.0 - weights0) @ LM
         b, worst = _fit_b(L0, L1)
-        key = (float(b[0]), -float(_fit_a(b, L0, L1)[0]),
-               tuple(np.flatnonzero(masks[row]).tolist()))
-        if best is None or key < best:
-            best, best_row = key, row
-        bound[row] = np.inf
+        if best is None or b[0] <= best[0]:
+            key = (float(b[0]), -float(_fit_a(b, L0, L1)[0]),
+                   tuple(np.flatnonzero(weights0).tolist()))
+            if best is None or key < best:
+                best, best_code = key, code
+        bound[code] = np.inf
         column = LM[:, worst[0]]
-        l0, l1 = weights0 @ column, weights1 @ column
-        np.maximum(bound, np.maximum(l1 / l0, l0 / l1), out=bound)
-        row = int(np.argmin(bound))
-        if bound[row] > best[0] * (1.0 + 1e-12 + rounding * (1.0 + best[0])):
+        sums = (table @ column[low + 1:])[:, None] + table[:2 ** low, :low] @ column[1:low + 1]
+        sums = sums.ravel()  # sums[c]: the column over the free points of code c's bits
+        l0, l1 = sums[:count] + column[0], sums[:0:-1]
+        ratio = l1 / l0
+        np.maximum(ratio, np.divide(l0, l1, out=l0), out=ratio)
+        np.maximum(bound, ratio, out=bound)
+        code = int(np.argmin(bound))
+        if bound[code] > best[0] * (1.0 + 1e-12 + rounding * (1.0 + best[0])):
             break
-    return masks[best_row], len(masks), evaluated
+    return ((((best_code << 1) | 1) >> shifts) & 1).astype(bool), count, evaluated
 
 
 def _search_local(LM, points):

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -438,7 +439,8 @@ class TestRimFit:
         assert dec.fitted_a <= a <= 1.0
         assert dec.b_gap <= 1e-3 * dec.fitted_b
 
-    @pytest.mark.parametrize("count, seed", [(4, 1), (6, 2), (8, 3), (10, 4), (10, 5)])
+    @pytest.mark.parametrize("count, seed", [(4, 1), (6, 2), (8, 3), (10, 4), (10, 5),
+                                             (12, 6), (14, 5), (16, 1)])
     def test_exhaustive_rim_search_matches_oracle(self, count, seed):
         seq = generate_separated_random(count, 0.1, seed)
         dec = corresponding_decomposition(seq)
@@ -580,6 +582,20 @@ class TestSearchStructure:
         _, enumerated, evaluated = _search_exhaustive(LM)
         assert enumerated == 8191
         assert rows == [1] * evaluated
+
+    def test_exhaustive_search_memory_at_sixteen_points(self):
+        # The witness sums come from two half tables of at most 2^8 rows, so
+        # one call holds a float bound per split and one pass's sums, not a
+        # weight row per split (about 10.6 MB at 16 points).
+        seq = generate_separated_random(16, 0.1, 1)
+        LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
+        tracemalloc.start()
+        try:
+            _search_exhaustive(LM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     @pytest.mark.parametrize("seed, evaluated", [(1, 8), (2, 8), (3, 11)])
     def test_exhaustive_scores_few_masks_at_sixteen_points(self, seed, evaluated):
