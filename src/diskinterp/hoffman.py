@@ -257,33 +257,30 @@ def _search_exhaustive(LM):
     """Best mask over all nontrivial partitions with index 0 pinned to part0.
 
     Exact: it returns the mask that fully scoring every mask would, ties
-    broken on (b, -a, part0) the same way.  A mask's code c puts point 0
-    in part 0, and point j there when bit j - 1 of c is set; c runs over
-    0 .. 2^(n-1) - 2, so part 1 is never empty.  Every mask keeps a
-    witness bound, the largest of 1 and max(L1/L0, L0/L1) over the
-    witness columns, the argmax columns of the masks fully scored so far.
-    A mask's b is a max over the same ratios on every column, so the
-    bound never exceeds it by more than rounding.  Each pass fully scores
-    one mask, code 0 first, folds its argmax column into every bound and
-    moves to the unscored mask of least bound, the lowest code among equal
-    bounds.  A pass takes the column's sum over the points of every code's
-    bits as subset sums: each half of the n - 1 free points gets its sums
-    from one product with that half's 0/1 table, one row per subset, and
-    one broadcast add combines the halves.  L0 of code c is column[0]
-    plus its entry, and L1 is the entry of the complementary code,
-    2^(n-1) - 1 - c, so each part's sum is taken on its own, never as the
+    broken on (b, -a, part0) the same way.  Code c's mask holds point 0
+    and each point j with bit j - 1 of c set.  Every mask keeps a witness
+    bound, the largest of 1 and max(L1/L0, L0/L1) over the witness
+    columns, the argmax columns of the masks fully scored so far.  A
+    mask's b is a max over the same ratios on every column, so the bound
+    never exceeds it by more than rounding.  Each pass fully scores one
+    mask, code 0 first, fitting a only if its b can tie the best, folds
+    its argmax column into every bound and moves to the unscored mask of
+    least bound, the lowest code among equal bounds.  The column's sums
+    over every code's points are subset sums: one product with a 0/1
+    table per half of the points 1 .. n - 1, and one broadcast add.  L0
+    is column[0] plus code c's sum and L1 the sum of its complement,
+    2^(n-1) - 1 - c, so each part is summed on its own, never as the
     total minus the other part: near the unit circle one part's logs can
     lie below the rounding of the total.  The search stops when the least
     unscored bound exceeds the best b found, with a slack for rounding:
-    each entry of L0 sums at most n log-moduli of one sign, in whatever
-    order, and any such sum is within (n - 1) eps relative of the exact
-    one, so the witness and full sums agree to 2(n - 1) eps relative,
-    which moves a ratio r >= 1 by at most 2(n + 1) eps (1 + r) relative;
-    the stopping test allows twice that plus 1e-12.  So every mask that
-    could tie the best b is scored.  Off the unit circle every factor log
-    is negative, so no bound is nan.  a is fitted only for a scored mask
-    whose b does not exceed the best b, the only masks where it can
-    decide.  Returns (mask, masks enumerated, masks fully scored).
+    each entry of L0 sums at most n log-moduli of one sign, and in any
+    order such a sum is within (n - 1) eps of the exact one, relative, so
+    the witness and full sums agree to 2(n - 1) eps relative, which moves
+    a ratio r >= 1 by at most 2(n + 1) eps (1 + r) relative; the stopping
+    test allows twice that plus 1e-12.  So every mask that could tie the
+    best b is scored.  Off the unit circle every factor log is negative,
+    so no bound is nan.  Returns (mask, masks enumerated, masks fully
+    scored).
     """
     n = LM.shape[0]
     count = 2 ** (n - 1) - 1
@@ -293,6 +290,10 @@ def _search_exhaustive(LM):
     table = ((np.arange(2 ** high)[:, None] >> np.arange(high)) & 1).astype(float)
     shifts = np.arange(n)
     bound = np.ones(count)  # inf once scored
+    sums = np.empty((2 ** high, 2 ** low))  # each pass's; code (h << low) | l at [h, l]
+    flat = sums.reshape(-1)
+    l1 = flat[:0:-1]  # L1 of code c: the sum of its complement, 2^(n-1) - 1 - c
+    l0, ratio = np.empty(count), np.empty(count)
     rounding = 4.0 * (n + 1) * np.finfo(float).eps
     best, code = None, 0  # best is the (b, -a, part0) key of the best mask scored
     for evaluated in range(1, count + 1):
@@ -306,10 +307,10 @@ def _search_exhaustive(LM):
                 best, best_code = key, code
         bound[code] = np.inf
         column = LM[:, worst[0]]
-        sums = (table @ column[low + 1:])[:, None] + table[:2 ** low, :low] @ column[1:low + 1]
-        sums = sums.ravel()  # sums[c]: the column over the free points of code c's bits
-        l0, l1 = sums[:count] + column[0], sums[:0:-1]
-        ratio = l1 / l0
+        np.add((table @ column[low + 1:])[:, None], table[:2 ** low, :low] @ column[1:low + 1],
+               out=sums)
+        np.add(flat[:count], column[0], out=l0)
+        np.divide(l1, l0, out=ratio)
         np.maximum(ratio, np.divide(l0, l1, out=l0), out=ratio)
         np.maximum(bound, ratio, out=bound)
         code = int(np.argmin(bound))
