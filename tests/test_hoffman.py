@@ -585,8 +585,8 @@ class TestSearchStructure:
 
     def test_exhaustive_search_memory_at_sixteen_points(self):
         # The witness sums come from two half tables of at most 2^8 rows, so
-        # one call holds a float bound per split and one pass's sums, not a
-        # weight row per split (about 10.6 MB at 16 points).
+        # one call holds a float bound per split and three pass buffers of
+        # that size, not two weight rows per split (10.6 MB at 16 points).
         seq = generate_separated_random(16, 0.1, 1)
         LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
         tracemalloc.start()
