@@ -54,8 +54,8 @@ DEGENERACY_TOL = 1e-12
 
 # log |b| tables (see _log_table) are filled in blocks of rows of at most
 # this many entries, one block when the table fits, with one block of
-# scratch: within 512 KB.
-_TABLE_LIMIT = 65536
+# scratch: two buffers of 256 KB.
+_TABLE_LIMIT = 32768
 
 # Rows per block of PointSequence's distance sweep.  Fastest of 25 x 20
 # sweeps, glibc malloc keeping freed memory, on a loaded 2-core x86_64

@@ -253,6 +253,22 @@ def comparability_fit(
     return float(_fit_a(b, L0, L1)), float(b), complex(grid.points[worst])
 
 
+def _part_sums(table, mask):
+    """table[mask].sum(axis=0) and table[~mask].sum(axis=0), bit for bit.
+
+    Each nonempty part's rows are added into one buffer in index order, as
+    numpy's axis-0 sum of a C-ordered copy adds them, without the copy.
+    """
+    sums = []
+    for rows in (mask, ~mask):
+        first, *rest = np.flatnonzero(rows)
+        total = table[first].copy()
+        for i in rest:
+            total += table[i]
+        sums.append(total)
+    return sums
+
+
 def _search_exhaustive(LM):
     """Best mask over all nontrivial partitions with index 0 pinned to part0.
 
@@ -324,7 +340,8 @@ def _search_local(LM, points):
 
     A move flips one point between the parts and wins if it lowers
     (b, -a), scored on L0 + s LM[i] and L1 - s LM[i], s = +-1, where L0
-    and L1 are the current mask's exact row sums of LM over each part.
+    and L1 are the current mask's exact row sums of LM over each part,
+    added row by row in index order.
     Moves are tried in index order, sweep after sweep, until a sweep
     accepts none, so the result is a mask that no single move improves.
     Each pass screens the moves from the cursor to n - 1 on their witness
@@ -346,7 +363,7 @@ def _search_local(LM, points):
     mask[order[0::2]] = True
 
     def exact():  # exact part rows, (b, -a) and argmax column of the mask
-        L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
+        L0, L1 = _part_sums(LM, mask)
         b, worst = _fit_b(L0, L1)
         return L0, L1, (b, -_fit_a(b, L0, L1)), worst
 
@@ -406,7 +423,7 @@ def _refine_b(seq: PointSequence, grid: ExclusionGrid, mask: np.ndarray,
     arc = _refinement_arc(float(grid.theta[worst]), 2.0 * np.pi / _RIM_SAMPLES)
     z, logs, outside = _rim_samples(seq, [rim], grid.delta, arc)
     z, logs = z[outside], logs[:, outside]
-    b, k = _fit_b(logs[mask].sum(axis=0), logs[~mask].sum(axis=0))
+    b, k = _fit_b(*_part_sums(logs, mask))
     return float(b), complex(z[k])
 
 
@@ -425,7 +442,8 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
     orientation; it must be distinct indices in range(n) that leave part1
     nonempty, or PointSetError is raised before any rim is sampled.  Both
     searches and the fit read the one rim table that
-    :func:`exclusion_grid` built to place the rim samples; the split's
+    :func:`exclusion_grid` built to place the rim samples, summing each
+    part row by row, in index order; the split's
     sampled b is that of :func:`comparability_fit` on the two parts, to
     rounding.  The winner's b is then refined to the largest ratio on 129
     points of the arc around the sample attaining it, a 64th of a sample
@@ -456,7 +474,7 @@ def decompose(seq: PointSequence, delta: float, *, part0=None) -> Decomposition:
     else:
         method = "local"
         mask, enumerated, evaluated = _search_local(LM, seq.points)
-    L0, L1 = LM[mask].sum(axis=0), LM[~mask].sum(axis=0)
+    L0, L1 = _part_sums(LM, mask)
     _check_fit(L0, L1, lambda k: f"on the rim of point {grid.rim[k]}")
     sampled_b, worst = _fit_b(L0, L1)
     b, worst_point = _refine_b(seq, grid, mask, int(worst))

@@ -559,6 +559,35 @@ class TestLocalSearchAgainstOracle:
         assert tried == plain_tried
         assert 0 < evaluated < tried
 
+    @pytest.mark.parametrize("count", [17, 18, 20, 24])
+    def test_ties_in_b_match_plain_search(self, count):
+        # Entries in {-1, -2, -3} sum exactly in any order, so a scored move's
+        # b can equal the current b exactly (17 times over these 24 tables),
+        # and then the (b, -a) order decides.
+        for seed in range(6):
+            rows = np.random.default_rng(seed).integers(-3, 0, size=(count, 40)).astype(float)
+            points = np.arange(count) / count
+            mask, tried, _ = _search_local(rows, points)
+            assert (tuple(np.flatnonzero(mask).tolist()), tried) == oracles.local_search(
+                rows, points)
+
+
+class TestPartSums:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("count", [2, 17, 32])
+    def test_bit_equal_to_sums_of_copied_parts(self, count, seed):
+        seq = generate_separated_random(count, 0.1, seed)
+        LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
+        rng = np.random.default_rng(seed)
+        one = np.eye(count, dtype=bool)
+        masks = [*one, *~one]  # parts of one row and of n - 1 rows
+        for size in rng.integers(1, count, size=8):
+            masks.append(np.isin(np.arange(count), rng.choice(count, size, replace=False)))
+        for mask in masks:
+            L0, L1 = hoffman._part_sums(LM, mask)
+            assert np.array_equal(L0, LM[mask].sum(axis=0))
+            assert np.array_equal(L1, LM[~mask].sum(axis=0))
+
 
 def fit_b_calls(monkeypatch) -> list:
     """Rows of every ``_fit_b`` call, recorded: 0 for 1-D input."""
@@ -596,6 +625,20 @@ class TestSearchStructure:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
+
+    def test_decompose_memory_at_thirty_two_points(self):
+        # Parts are summed row by row into row buffers, not copied, and the
+        # rim table's kernel works in 256 KB blocks, so one call holds about
+        # 1.45 MB beside its input; with part copies and 512 KB blocks, 1.85.
+        seq = generate_separated_random(32, 0.1, 1)
+        delta = separation_constant(seq) / 2
+        tracemalloc.start()
+        try:
+            decompose(seq, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 2**20
 
     @pytest.mark.parametrize("seed, evaluated", [(1, 8), (2, 8), (3, 11)])
     def test_exhaustive_scores_few_masks_at_sixteen_points(self, seed, evaluated):
