@@ -564,9 +564,9 @@ class TestLocalSearchAgainstOracle:
         # Entries in {-1, -2, -3} sum exactly in any order, so a scored move's
         # b can equal the current b exactly (17 times over these 24 tables),
         # and then the (b, -a) order decides.
+        points = np.arange(count) / count
         for seed in range(6):
             rows = np.random.default_rng(seed).integers(-3, 0, size=(count, 40)).astype(float)
-            points = np.arange(count) / count
             mask, tried, _ = _search_local(rows, points)
             assert (tuple(np.flatnonzero(mask).tolist()), tried) == oracles.local_search(
                 rows, points)
@@ -628,8 +628,8 @@ class TestSearchStructure:
 
     def test_decompose_memory_at_thirty_two_points(self):
         # Parts are summed row by row into row buffers, not copied, and the
-        # rim table's kernel works in 256 KB blocks, so one call holds about
-        # 1.45 MB beside its input; with part copies and 512 KB blocks, 1.85.
+        # rim table's kernel works in 256 KB blocks, so the call peaks while
+        # it builds the 1 MB rim table: about 1.45 MB with the scratch block.
         seq = generate_separated_random(32, 0.1, 1)
         delta = separation_constant(seq) / 2
         tracemalloc.start()
