@@ -35,6 +35,7 @@ from .errors import DegenerateSequenceError, PointSetError, ZeroCollisionError
 from .geometry import (
     INTERIOR_GUARD,
     _check_closed_disk,
+    _d_and_a,
     _mobius_rows,
     _one_minus_abs2,
     check_interior,
@@ -82,13 +83,12 @@ class PointSequence:
     pseudohyperbolic distance matrix once, from those, to check that the
     points are distinct.  The sweep computes the upper triangle in blocks
     of _SWEEP_ROWS rows, each against the columns from its first row on,
-    and mirrors each block into the lower triangle; the kernel is exactly
-    symmetric, so this is the one-broadcast matrix bit for bit, and at
-    most _SWEEP_ROWS points are that one broadcast.  The sequence keeps
-    both as read-only arrays outside repr, the matrix with 1.0 on its
-    diagonal: the separation and Carleson constants read the matrix
-    instead of sweeping again, and the log-factor kernel reads the gaps
-    instead of recomputing them.
+    and mirrors each block into the lower triangle of one n x n matrix;
+    the kernel is exactly symmetric, so this is the one-broadcast matrix
+    bit for bit.  The sequence keeps both as read-only arrays outside
+    repr, the matrix with 1.0 on its diagonal: the separation and Carleson
+    constants read the matrix instead of sweeping again, and the
+    log-factor kernel reads the gaps instead of recomputing them.
     """
 
     points: np.ndarray
@@ -112,14 +112,11 @@ class PointSequence:
             except PointSetError as exc:
                 raise PointSetError(f"point {i}: {exc}") from None
         gaps = _one_minus_abs2(pts)
-        dist = np.empty((pts.size, pts.size)) if pts.size > _SWEEP_ROWS else None
+        dist = np.empty((pts.size, pts.size))
         for start in range(0, pts.size, _SWEEP_ROWS):
             rows = slice(start, start + _SWEEP_ROWS)
             block = pseudohyperbolic_distance(pts[rows, None], pts[None, start:],
                                               gaps[rows, None], gaps[None, start:])
-            if dist is None:  # one block, the whole matrix: no copy
-                dist = block
-                break
             dist[rows, start:] = block
             dist[start + len(block):, rows] = block[:, len(block):].T
         np.fill_diagonal(dist, 1.0)
@@ -178,19 +175,14 @@ def _log1p_ratio(lam, lam_gap, zr, zi, z_gap, out, scratch):
     over="ignore"): at a zero D is 0, and A / D overflows to inf once
     |b| < about 1e-154.
 
-    Error: A carries at most 3u relative (u = eps / 2) and D at most 4u,
-    so A / D carries 8u, which log1p does not amplify, since
+    Error: with D and A as ``geometry._d_and_a`` bounds them (u = eps / 2),
+    A / D carries 8u, which log1p does not amplify, since
     r / ((1 + r) log1p(r)) <= 1; with log1p correct to one ulp, each entry
     of -1/2 log1p(A / D) is within LOG_FACTOR_ERROR_EPS = 5 eps of
     log |b_lam(z)|, relative, to first order.  The factor -1/2 is a power
     of two, so the callers apply it after any sum of rows, exactly.
     """
-    np.subtract(zr, np.real(lam), out=out)
-    np.multiply(out, out, out=out)
-    np.subtract(zi, np.imag(lam), out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
-    np.add(out, scratch, out=out)  # D = |z - lam|^2
-    np.multiply(lam_gap, z_gap, out=scratch)  # A
+    _d_and_a(zr, zi, np.real(lam), np.imag(lam), z_gap, lam_gap, out, scratch)
     np.divide(scratch, out, out=out)
     return np.log1p(out, out=out)
 
@@ -256,18 +248,19 @@ def blaschke_eval(seq: PointSequence, z):
 def blaschke_log_modulus(seq: PointSequence, z):
     """log |B(z)| as rows of the one kernel, added in order, _LOG_CHUNK points at a time.
 
-    Each chunk takes 1 - |z|^2 once.  The first factor's row of
-    log1p(A / D) is written into the output and each later row is added
-    to it, and the sum is scaled by -1/2 at the end; a power of two scales
-    exactly, so this is numpy's axis-0 sum of :func:`log_factors` bit for
-    bit, without the n x _LOG_CHUNK matrix.  Raises ZeroCollisionError if
-    an evaluation point collides with a zero: where some factor's A / D
-    overflows, which happens once |b| falls below about 1e-154 (D below
-    about 1e-308 times A), exact zeros included.
+    Each chunk takes 1 - |z|^2 once.  Every factor's row of log1p(A / D)
+    is added in order onto zeros, and the sum is scaled by -1/2 at the
+    end.  No row holds -0.0 (``geometry._one_minus_abs2`` never returns
+    it), so 0.0 plus a row is the row, and a power of two scales exactly:
+    this is numpy's axis-0 sum of :func:`log_factors` bit for bit, without
+    the n x _LOG_CHUNK matrix.  Raises ZeroCollisionError if an evaluation
+    point collides with a zero: where some factor's A / D overflows, which
+    happens once |b| falls below about 1e-154 (D below about 1e-308 times
+    A), exact zeros included.
     """
     _check_closed_disk(z)
     flat = np.asarray(z, dtype=complex).reshape(-1)
-    out = np.empty(flat.size)
+    out = np.zeros(flat.size)
     size = min(flat.size, _LOG_CHUNK)
     row, scratch = np.empty(size), np.empty(size)
     with np.errstate(divide="ignore", over="ignore"):
@@ -277,10 +270,8 @@ def blaschke_log_modulus(seq: PointSequence, z):
             zr, zi, z_gap = chunk.real.copy(), chunk.imag.copy(), _one_minus_abs2(chunk)
             total = out[start:start + k]
             for i, lam in enumerate(seq.points):
-                dest = total if i == 0 else row[:k]
-                _log1p_ratio(lam, seq._gaps[i], zr, zi, z_gap, dest, scratch[:k])
-                if i:
-                    np.add(total, dest, out=total)
+                _log1p_ratio(lam, seq._gaps[i], zr, zi, z_gap, row[:k], scratch[:k])
+                np.add(total, row[:k], out=total)
             # Every row is >= 0, and no 0/0 arises on the closed disk, so the
             # sum is +inf exactly where some row is.
             if np.max(total) == np.inf:

@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -30,7 +28,7 @@ import numpy as np
 
 from .blaschke import PointSequence, analyze, blaschke_log_modulus
 from .errors import DomainError, NumericalError
-from .geometry import _SPLIT
+from .geometry import _two_product
 from .harness import (
     CounterexampleSpec,
     generate_counterexample,
@@ -45,7 +43,6 @@ from .pick import (
     solve_pick,
 )
 
-log = logging.getLogger("diskinterp")
 
 # Grid cells within this Euclidean radius of a zero export as NaN.
 _FIELD_ZERO_RADIUS = 1e-6
@@ -274,12 +271,7 @@ _BLANKS = _blanks()
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**(16 - k) exactly, as hi + lo (Dekker's product), for -6 <= k <= 16."""
-    b = _POW10[16 - k]
-    hi = a * b
-    c, d = _SPLIT * a, _SPLIT * b
-    a1, b1 = c - (c - a), d - (d - b)
-    a2, b2 = a - a1, b - b1
-    return hi, a2 * b2 - (((hi - a1 * b1) - a2 * b1) - a1 * b2)
+    return _two_product(a, _POW10[16 - k])
 
 
 def _format_17g(values) -> np.ndarray:
@@ -486,7 +478,6 @@ def _write_text(cfg: RunConfig, text) -> None:
     with open(cfg.output_path, "w", encoding="utf-8") as fh:
         for piece in pieces:
             fh.write(piece)
-    log.info("wrote %s", cfg.output_path)
 
 
 def _decomposition_dict(dec: Decomposition) -> dict:
@@ -531,7 +522,6 @@ def chain_report_dict(report) -> dict:
 def cmd_analyze(args, cfg: RunConfig) -> int:
     seq = load_point_document(args.input)
     report = analyze(seq)
-    log.info("analyzed %d points", len(seq))
     doc = {
         "label": seq.label or "",
         "count": len(seq),
@@ -623,10 +613,6 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
                     "zero_one_min_norm": norm,
                 },
             }
-        )
-        log.info(
-            "gap %g: separation %g, min_norm %g",
-            gap, report.separation_constant, norm,
         )
     _write_text(cfg, _emit_json({"runs": runs}) + "\n")
     return EXIT_OK
@@ -750,9 +736,6 @@ _CONFIG_FLAGS = (
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("DISKINTERP_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s: %(message)s")
     try:
         args = _parser().parse_args(argv)
         overrides = {k: getattr(args, k, None) for k in _CONFIG_FLAGS}

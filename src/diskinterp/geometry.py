@@ -159,6 +159,19 @@ def _two_diff(a, b):
     return s, (a - (s - v)) - (b + v)
 
 
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product).
+
+    Split by _SPLIT; exact for |a|, |b| < 2^996 and |a b| >= 2^-968 (about
+    4e-292), below which e may round in the subnormal range.
+    """
+    p = a * b
+    c, d = _SPLIT * a, _SPLIT * b
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2 = a - a1, b - b1
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
 def _one_minus_abs2(z) -> np.ndarray:
     """1 - |z|^2 for every point of z, to one rounding; z's shape, as floats.
 
@@ -179,11 +192,7 @@ def _one_minus_abs2(z) -> np.ndarray:
     """
     flat = np.ascontiguousarray(z, dtype=complex).reshape(-1)
     v = flat.view(float)
-    c = _SPLIT * v
-    hi = c - (c - v)
-    lo = v - hi
-    sq = v * v
-    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # v^2 = sq + err exactly
+    sq, err = _two_product(v, v)
     swap = sq[1::2] > sq[0::2]
     big, small = np.maximum(sq[0::2], sq[1::2]), np.minimum(sq[0::2], sq[1::2])
     err_big = np.where(swap, err[1::2], err[0::2])
@@ -196,22 +205,36 @@ def _one_minus_abs2(z) -> np.ndarray:
     return (s + ((t1 + t2) + (t3 + t4))).reshape(np.shape(z))
 
 
+def _d_and_a(zr, zi, wr, wi, gap_z, gap_w, d, a) -> None:
+    """Write D = |z - w|^2 into ``d`` and A = (1 - |z|^2)(1 - |w|^2) into ``a``.
+
+    For z = zr + i zi and w = wr + i wi, broadcasting, gap_z and gap_w the
+    two 1 - |.|^2; the one place the kernels form D and A.  In the standard
+    model (Higham, Accuracy and Stability of Numerical Algorithms, Ch.
+    2-4), u = eps / 2, with each gap within u, A carries at most 3u
+    relative and D at most 4u.
+    """
+    np.subtract(zr, wr, out=d)
+    np.multiply(d, d, out=d)
+    np.subtract(zi, wi, out=a)
+    np.multiply(a, a, out=a)
+    np.add(d, a, out=d)  # D
+    np.multiply(gap_z, gap_w, out=a)  # A
+
+
 def pseudohyperbolic_distance(z, w, gap_z=None, gap_w=None):
     """Pseudohyperbolic distance |b_w(z)| = |z - w| / |1 - conj(w) z|, broadcasting.
 
-    Computed as sqrt(D / (D + A)), D = |z - w|^2 = (x - x')^2 + (y - y')^2
-    and A = (1 - |z|^2)(1 - |w|^2), the two factors taken by
-    :func:`_one_minus_abs2`, or passed as ``gap_z`` and ``gap_w`` by a caller
-    that holds them (they must broadcast as z and w do).  D and A are
-    written into one buffer each of the broadcast shape, and the rest is
-    done in place.  Symmetric exactly, zero iff z = w, and in [0, 1) for
+    Computed as sqrt(D / (D + A)) from :func:`_d_and_a`, with 1 - |z|^2 and
+    1 - |w|^2 taken by :func:`_one_minus_abs2` or passed as ``gap_z`` and
+    ``gap_w`` by a caller that holds them (they must broadcast as z and w
+    do).  D and A take one buffer each of the broadcast shape, and the rest
+    is done in place.  Symmetric exactly, zero iff z = w, and in [0, 1) for
     interior arguments; a scalar pair gives a numpy scalar.
 
-    Error: in the standard model (Higham, Accuracy and Stability of
-    Numerical Algorithms, Ch. 2-4), A carries at most 3u relative and D at
-    most 4u, D + A at most 5u, since both terms are positive, the quotient
-    10u and the root 6u: DISTANCE_ERROR_EPS = 3 eps per entry, to first
-    order.
+    Error: with D and A as :func:`_d_and_a` bounds them, D + A carries at
+    most 5u, the quotient 10u and the root 6u: DISTANCE_ERROR_EPS = 3 eps
+    per entry, to first order.
     """
     z, w = np.asarray(z), np.asarray(w)
     if gap_z is None:
@@ -220,12 +243,7 @@ def pseudohyperbolic_distance(z, w, gap_z=None, gap_w=None):
         gap_w = _one_minus_abs2(w)
     shape = np.broadcast(z, w).shape
     d, a = np.empty(shape), np.empty(shape)
-    np.subtract(z.real, w.real, out=d)
-    np.multiply(d, d, out=d)
-    np.subtract(z.imag, w.imag, out=a)
-    np.multiply(a, a, out=a)
-    np.add(d, a, out=d)  # D
-    np.multiply(gap_z, gap_w, out=a)  # A
+    _d_and_a(z.real, z.imag, w.real, w.imag, gap_z, gap_w, d, a)
     np.add(d, a, out=a)  # D + A = |1 - conj(w) z|^2
     np.divide(d, a, out=d)
     np.sqrt(d, out=d)

@@ -38,7 +38,7 @@ from .errors import (
     PointSetError,
 )
 from .geometry import _one_minus_abs2, pseudohyperbolic_distance
-from .hoffman import Decomposition, corresponding_decomposition, decompose
+from .hoffman import Decomposition, _part_sums, corresponding_decomposition, decompose
 from .pick import BISECT_REL_TOL, PickProblem, solve_pick
 
 # Points may not come within this band of the unit circle.
@@ -236,12 +236,13 @@ def _row(point: complex, value: float, bound: float) -> ChainRow:
 def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """|B_0| and |B_1| at every base point without its own factor.
 
-    Column sums over each part of the logs of the sequence's distance
-    matrix, the one that :func:`per_point_moduli` reads; its unit diagonal
-    contributes log 1 = 0, which drops each point's own factor.
+    Column sums over each part (``hoffman._part_sums``) of the logs of the
+    sequence's distance matrix, the one that :func:`per_point_moduli`
+    reads; its unit diagonal contributes log 1 = 0, which drops each
+    point's own factor.
     """
-    logs = np.log(dec.base._distances)
-    return tuple(np.exp(logs[list(part)].sum(axis=0)) for part in (dec.part0, dec.part1))
+    mask = np.isin(np.arange(len(dec.base)), dec.part0)
+    return tuple(np.exp(_part_sums(np.log(dec.base._distances), mask)))
 
 
 def verify_theorem_chain(

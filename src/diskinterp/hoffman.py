@@ -25,10 +25,11 @@ of a sequence for the split with the smallest sampled b: exactly up to
 skips the search.  Both searches fully score one partition at a time
 and screen the rest on witness samples, the worst samples of the
 partitions scored so far.  They score partitions on the rim table, each
-part's row sums taken on their own, and ``decompose`` fits the split's
+part's row sums taken on their own, the local search once per move on
+exact part sums (``_part_sums``), and ``decompose`` fits the split's
 (a, b) from it.  b comes from ``_fit_b`` and a from ``_fit_a``, which
-runs only where a is read: to break ties in b and for the reported fit.
-Neither raises; ``decompose`` checks the split it returns.
+breaks ties in b.  Neither raises; ``decompose`` checks the split it
+returns.
 
 The exhaustive search returns the split that a full fit of every
 partition would, ties broken the same way, since a witness bound never
@@ -161,7 +162,9 @@ def _rim_samples(seq: PointSequence, rims, delta: float, theta: np.ndarray):
                       (1.0 - delta) * (1.0 + delta))
     logs[rims, np.arange(a.shape[1])] = np.log(delta)
     logs = logs.reshape(len(points), -1)
-    return _mobius_inverse(lam, w).ravel(), logs, ~(logs < np.log(delta)).any(axis=0)
+    # No log is nan: inside the guard band A > 0, so no A / D is 0 / 0, and
+    # D = 0 gives -inf.  So the least row at or above log delta means none below.
+    return _mobius_inverse(lam, w).ravel(), logs, logs.min(axis=0) >= np.log(delta)
 
 
 def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:
@@ -339,21 +342,21 @@ def _search_local(LM, points):
     """Single-move descent from an alternating seed over increasing |lam|.
 
     A move flips one point between the parts and wins if it lowers
-    (b, -a), scored on L0 + s LM[i] and L1 - s LM[i], s = +-1, where L0
-    and L1 are the current mask's exact row sums of LM over each part,
-    added row by row in index order.
+    (b, -a), scored once, on the exact row sums of LM over each part,
+    added in index order (``_part_sums``).
     Moves are tried in index order, sweep after sweep, until a sweep
     accepts none, so the result is a mask that no single move improves.
     Each pass screens the moves from the cursor to n - 1 on their witness
     b alone, the b of the move on the witness columns, the argmax columns
-    of the masks fully scored so far: a witness b is a max over some of
-    the same ratios, so a move whose witness b exceeds the current b
-    cannot win.  The first move that can is fully scored; its argmax
-    column joins the witnesses and the cursor moves past it.  A move that
-    wins is rescored on its exact row sums and accepted only if it still
-    wins, so the score strictly decreases and the descent ends.  Moves
-    that would empty a part are neither tried nor counted.  It never
-    raises: ``decompose`` checks the split it returns.
+    of the masks fully scored so far, from the current sums moved by
+    +-LM[i]: a witness b is a max over some of the same ratios, to
+    rounding, so a move whose witness b exceeds the current b cannot win.
+    The first move that can is fully scored; its argmax column joins the
+    witnesses and the cursor moves past it.  A move is accepted iff its
+    score is below the current one, so the score strictly decreases and
+    the descent ends.  Moves that would empty a part are neither tried
+    nor counted.  It never raises: ``decompose`` checks the split it
+    returns.
     Returns (mask, masks tried, masks fully scored), the seed counting in
     both.
     """
@@ -392,15 +395,12 @@ def _search_local(LM, points):
         i = start + k
         start = i + 1
         mask[i] = not mask[i]
-        cand0, cand1 = L0 + sign[k] * LM[i], L1 - sign[k] * LM[i]
-        b, worst = _fit_b(cand0, cand1)
+        cand0, cand1, score, worst = exact()
         if worst not in witnesses:
             witnesses.append(worst)
-        if b <= current[0] and (b, -_fit_a(b, cand0, cand1)) < current:
-            L0_exact, L1_exact, score, _ = exact()
-            if score < current:  # accepted on its exact row sums
-                L0, L1, current, improved = L0_exact, L1_exact, score, True
-                continue
+        if score < current:
+            L0, L1, current, improved = cand0, cand1, score, True
+            continue
         mask[i] = not mask[i]
     if not mask[0]:
         mask = ~mask

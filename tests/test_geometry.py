@@ -1,6 +1,7 @@
 """Unit tests for disk geometry: Mobius transforms, metric, pseudo-disks."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from diskinterp import (
     pseudohyperbolic_distance,
     sample_pseudo_circle,
 )
-from diskinterp import geometry
+from diskinterp import cli, geometry
 
 interior = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, allow_nan=False)
@@ -245,3 +246,36 @@ class TestMobiusRows:
             rows = geometry._mobius_rows(np.array([centre, 0.5]), zs)
         assert np.array_equal(rows[0], zs)
         assert np.array_equal(rows[1], oracles._package_mobius(0.5, zs))
+
+
+def assert_exact_products(a, b):
+    p, e = geometry._two_product(a, b)
+    for x, y, hi, lo in zip(a.tolist(), b.tolist(), p.tolist(), e.tolist()):
+        assert Fraction(hi) + Fraction(lo) == Fraction(x) * Fraction(y), (x, y)
+
+
+class TestTwoProduct:
+    def test_random_pairs(self, rng):
+        # |a|, |b| log-uniform in [1e-150, 1e150], of either sign; below
+        # |a b| = 2^-968 the error term may round in the subnormal range.
+        a, b = (rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-150, 150, 20000)
+                for _ in range(2))
+        exact = np.abs(a * b) >= 2.0 ** -968
+        assert exact.mean() > 0.99
+        assert_exact_products(a[exact], b[exact])
+
+    def test_squares_of_coordinates_near_the_circle(self, rng):
+        r = np.concatenate((1.0 - 10.0 ** rng.uniform(-16, -1, 5000), np.ones(1000)))
+        v = (r * np.exp(2j * np.pi * rng.random(r.size))).view(float)
+        assert_exact_products(v, v)
+
+    def test_scaled_digits_over_the_formatter_window(self, rng):
+        # _format_17g scales |x| in [1e-6, 1e16) by 10^(16 - k), k = floor(log10 |x|)
+        # or one either side of it where log10 was off, within -6 <= k <= 16.
+        a = 10.0 ** rng.uniform(-6, 16, 6000)
+        k = np.floor(np.log10(a)).astype(np.int64) + rng.integers(-1, 2, a.size)
+        k = np.clip(k, -6, 16)
+        assert_exact_products(a, cli._POW10[16 - k])
+        hi, lo = cli._scaled(a, k)
+        p, e = geometry._two_product(a, cli._POW10[16 - k])
+        assert np.array_equal(hi, p) and np.array_equal(lo, e)

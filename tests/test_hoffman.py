@@ -576,17 +576,20 @@ class TestPartSums:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("count", [2, 17, 32])
     def test_bit_equal_to_sums_of_copied_parts(self, count, seed):
+        # On the rim table the searches read and on the log-distance matrix
+        # the chain's part moduli read.
         seq = generate_separated_random(count, 0.1, seed)
-        LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
         rng = np.random.default_rng(seed)
         one = np.eye(count, dtype=bool)
         masks = [*one, *~one]  # parts of one row and of n - 1 rows
         for size in rng.integers(1, count, size=8):
             masks.append(np.isin(np.arange(count), rng.choice(count, size, replace=False)))
-        for mask in masks:
-            L0, L1 = hoffman._part_sums(LM, mask)
-            assert np.array_equal(L0, LM[mask].sum(axis=0))
-            assert np.array_equal(L1, LM[~mask].sum(axis=0))
+        for LM in (exclusion_grid(seq, separation_constant(seq) / 2).factors,
+                   np.log(seq._distances)):
+            for mask in masks:
+                L0, L1 = hoffman._part_sums(LM, mask)
+                assert np.array_equal(L0, LM[mask].sum(axis=0))
+                assert np.array_equal(L1, LM[~mask].sum(axis=0))
 
 
 def fit_b_calls(monkeypatch) -> list:
@@ -651,14 +654,14 @@ class TestSearchStructure:
 
     @pytest.mark.parametrize("count, seed", [(20, 7), (32, 5)])
     def test_local_search_fits_only_fully_scored_moves(self, monkeypatch, count, seed):
-        # One fit per fully scored move, the seed's and at most one exact
-        # rescoring per move that wins; the screening does not call _fit_b.
+        # One fit per fully scored mask, the seed's included, on its exact
+        # part sums; the screening does not call _fit_b.
         seq = generate_separated_random(count, 0.1, seed)
         LM = exclusion_grid(seq, separation_constant(seq) / 2).factors
         rows = fit_b_calls(monkeypatch)
         _, tried, evaluated = _search_local(LM, seq.points)
         assert set(rows) == {0}
-        assert evaluated <= len(rows) <= 2 * evaluated - 1 < tried
+        assert len(rows) == evaluated < tried
 
 
 class TestLocalSearchDegeneracy:

@@ -132,6 +132,12 @@ def test_rim_logs_within_their_stated_bound(seq, delta):
     delta = separation_constant(seq) / 2 if delta is None else delta
     grid = exclusion_grid(seq, delta)
     m = hoffman._RIM_SAMPLES
+    # No rim log is nan, so the exclusion test on the least row is the
+    # test that no row reads below log delta.
+    theta = 2.0 * np.pi * np.arange(m) / m
+    _, logs, outside = hoffman._rim_samples(seq, np.arange(len(seq)), delta, theta)
+    assert not np.isnan(logs).any()
+    assert np.array_equal(outside, ~(logs < np.log(delta)).any(axis=0))
     columns = np.flatnonzero(np.rint(grid.theta * m / (2 * np.pi)) % 8 == 0)
     centres = [CTX.mpc(lam) for lam in seq.points.tolist()]
     d = CTX.mpf(delta)
