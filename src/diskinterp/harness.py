@@ -241,7 +241,8 @@ def _part_moduli(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     reads; its unit diagonal contributes log 1 = 0, which drops each
     point's own factor.
     """
-    mask = np.isin(np.arange(len(dec.base)), dec.part0)
+    mask = np.zeros(len(dec.base), dtype=bool)
+    mask[list(dec.part0)] = True
     return tuple(np.exp(_part_sums(np.log(dec.base._distances), mask)))
 
 

@@ -264,7 +264,7 @@ def _part_sums(table, mask):
     """
     sums = []
     for rows in (mask, ~mask):
-        first, *rest = np.flatnonzero(rows)
+        first, *rest = np.flatnonzero(rows).tolist()
         total = table[first].copy()
         for i in rest:
             total += table[i]
