@@ -26,6 +26,12 @@ benchmark's ``interpolate`` sizes (sep 0.1, seeds 1-40, parity and
 random targets) one reduction of 11 trials decides every search at the
 default rel_tol, n = 48 and 64 included, where the estimate lies within
 9e-9 of the threshold.
+
+``solve_pick`` runs one reduction where that ladder decides: the ladder
+pass also reduces each trial M at M * (1 + NORM_SLACK), so the
+construction reads its row from that batch, and the node residuals
+unwind on the reduction's own factor table.  Where the k-section runs,
+the construction reduces once more, apart from the search.
 """
 
 from __future__ import annotations
@@ -125,6 +131,17 @@ class PickProblem:
         """
         return per_point_moduli(self.nodes)
 
+    @cached_property
+    def _construction_rows(self) -> dict:
+        """Reduction rows at norm bounds M, left by :func:`min_norm` for the construction.
+
+        min_norm puts the row of its result's construction norm here when
+        its ladder pass reduced it, and :func:`construct_interpolant` at that
+        M takes it out instead of reducing again.  A row of a batch is the
+        one-row reduction bit for bit, since the rows never mix.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class RationalInterpolant:
@@ -201,9 +218,10 @@ def is_feasible(problem: PickProblem, M: float) -> bool:
     That is the case exactly when the reduction of
     :func:`construct_interpolant` at M keeps every parameter in the closed
     disk; this is the same test :func:`min_norm` searches on.  Nothing in
-    the package calls it, since the search and the construction run
-    :func:`_schur_parameters` directly: tests, demos and the benchmark
-    tracer are its only callers.
+    the package calls it, since the search reduces its trials directly,
+    and the construction reads its row from the search's ladder pass or
+    reduces it directly: tests, demos and the benchmark tracer are its
+    only callers.
     """
     if M <= 0.0:
         return M == 0.0 and not np.any(problem.targets)
@@ -318,7 +336,10 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     targets), and ValueError unless 0 < rel_tol < 1.
 
     The first reduction tests both ends and a ladder (:func:`_ladder`)
-    around the estimate of :func:`_norm_estimate`.  Where the estimate is
+    around the estimate of :func:`_norm_estimate`.  In the same batch it
+    reduces each of those trials M at M * (1 + NORM_SLACK) and leaves the
+    returned norm's row there for :func:`construct_interpolant`
+    (``PickProblem._construction_rows``).  Where the estimate is
     skipped it tests the k-section's first pass, _GRID geometric trials
     from end to end.  Every later reduction tests the k-section's grid of
     the bracket, _GRID + 2 points, geometric while the upper end exceeds
@@ -345,14 +366,19 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
         trials = np.geomspace(lo, hi, _GRID).tolist()
     else:
         trials = [lo, hi, *_ladder(estimate, rel_tol)]
-    tested = {}
+    tested, built = {}, {}
     a, b = lo, hi
     while True:
         trials = [M for M in dict.fromkeys(trials) if a <= M <= b and M not in tested]
-        feasible = _inside(_schur_parameters(problem, trials)).all(axis=1)
+        ladder = estimate is not None and not tested
+        runs = [M * (1.0 + NORM_SLACK) for M in trials] if ladder else []
+        rows = _schur_parameters(problem, trials + runs)
+        built.update(zip(trials, rows[len(trials):]))
+        feasible = _inside(rows[:len(trials)]).all(axis=1)
         tested.update(zip(trials, feasible.tolist()))
         if tested[lo]:
-            return lo
+            b = lo
+            break
         if not tested[hi]:
             raise BracketFailureError(
                 f"norm bound {hi:.6g} tests infeasible, though an explicit "
@@ -362,9 +388,12 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
         b = min(M for M, ok in tested.items() if ok)
         a = max(M for M in tested if M < b)
         if b - a < rel_tol * b or math.nextafter(a, math.inf) >= b:
-            return b
+            break
         space = np.geomspace if b > 4.0 * a else np.linspace
         trials = space(a, b, _GRID + 2).tolist()
+    if b in built:
+        problem._construction_rows[b * (1.0 + NORM_SLACK)] = built[b]
+    return b
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:
@@ -378,6 +407,11 @@ def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant
     RecursionBreakdownError naming the node.  Raises ValueError unless M
     is finite and nonnegative: at M = inf every parameter is 0, and
     evaluation would return inf * 0.
+
+    Where :func:`min_norm`'s ladder pass on this problem already reduced
+    M, which is the case for its result times 1 + NORM_SLACK, the row is
+    taken from there (``PickProblem._construction_rows``) instead of
+    reducing again; it is the same row bit for bit.
     """
     nodes = problem.nodes.points
     if not 0.0 <= M < math.inf:  # NaN fails too
@@ -386,7 +420,9 @@ def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant
         if np.any(problem.targets != 0):
             raise RecursionBreakdownError("M = 0 admits only the zero interpolant")
         return RationalInterpolant(tuple((lam, 0j) for lam in nodes.tolist()), 0.0)
-    params = _schur_parameters(problem, [M])[0]
+    params = problem._construction_rows.pop(M, None)
+    if params is None:
+        params = _schur_parameters(problem, [M])[0]
     inside = _inside(params)
     if not inside.all():
         i = int(np.argmin(inside))
@@ -412,17 +448,29 @@ def interpolant_eval(f: RationalInterpolant, z):
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     nodes = np.array([lam for lam, _ in f.schur_steps[:-1]], dtype=complex)
-    params = [p for _, p in f.schur_steps[:-1]]
     rows = max(1, _EVAL_BLOCK // max(1, flat.size))
-    s = np.full(flat.size, f.schur_steps[-1][1], dtype=complex)
-    for stop in range(nodes.size, 0, -rows):
-        start = max(0, stop - rows)
-        factors = _mobius_rows(nodes[start:stop], flat)
-        for factor, p in zip(factors[::-1], reversed(params[start:stop])):
+    blocks = ((max(0, stop - rows), stop) for stop in range(nodes.size, 0, -rows))
+    out = _unwind(f, ((start, _mobius_rows(nodes[start:stop], flat)) for start, stop in blocks),
+                  flat.size)
+    return complex(out[0]) if scalar else out.reshape(z.shape)
+
+
+def _unwind(f: RationalInterpolant, blocks, size: int) -> np.ndarray:
+    """f at ``size`` points, given the factors b_lam of its steps there.
+
+    ``blocks`` yields (start, factors), innermost steps first, where row k
+    of ``factors`` holds b_lam at the points for step start + k.  Starting
+    from the innermost constant, each step maps s to tau_p(b_lam s).
+    :func:`interpolant_eval` passes its blocks of factors, and
+    :func:`solve_pick` the reduction's own table at the nodes.
+    """
+    s = np.full(size, f.schur_steps[-1][1], dtype=complex)
+    for start, factors in blocks:
+        params = [p for _, p in f.schur_steps[start:start + len(factors)]]
+        for factor, p in zip(factors[::-1], reversed(params)):
             u = factor * s
             s = (u + p) / (1.0 + np.conjugate(p) * u)
-    out = f.scale * s
-    return complex(out[0]) if scalar else out.reshape(z.shape)
+    return f.scale * s
 
 
 def _sup_on_circle(fn, thetas: np.ndarray, vals: np.ndarray) -> float:
@@ -464,14 +512,18 @@ def solve_pick(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> PickSol
 
     The norm search and the construction apply the same reduction, so the
     construction at the slightly inflated norm keeps every parameter
-    strictly inside the disk without retries.  The interpolant is then
-    evaluated at every node; a residual above RESIDUAL_TOL * max(1,
-    min_norm) raises NumericalError naming the node.
+    strictly inside the disk without retries.  Where the search's ladder
+    decides, that is one reduction for the whole solve: the ladder pass
+    carries the construction's row.  Where the k-section runs, the
+    construction reduces once more.  The interpolant is then unwound at
+    every node on the problem's cached factor table, bit for bit what
+    :func:`interpolant_eval` gives there; a residual above RESIDUAL_TOL *
+    max(1, min_norm) raises NumericalError naming the node.
     """
     M_star = min_norm(problem, rel_tol=rel_tol)
     M_run = M_star * (1.0 + NORM_SLACK)
     interpolant = construct_interpolant(problem, M_run)
-    residuals = interpolant_eval(interpolant, problem.nodes.points) - problem.targets
+    residuals = _unwind(interpolant, [(0, problem._factor_values)], len(problem)) - problem.targets
     worst = int(np.argmax(np.abs(residuals)))
     if abs(residuals[worst]) > RESIDUAL_TOL * max(1.0, M_star):
         raise NumericalError(

@@ -4,7 +4,11 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -915,6 +919,24 @@ _PINNED = [
     ("verify-theorem", 32, 0.1, 5, (),
      "d191ce18b9e0bac889db4842d4f761926631acc1b126ac8114bafd9caa067419"),
 ]
+
+
+class TestModuleForm:
+    """``python -m diskinterp.cli`` runs the command that cli.main runs."""
+
+    @pytest.mark.parametrize("extra", [[], ["--bogus"]], ids=["analyze", "usage_error"])
+    def test_same_stdout_and_exit_code_as_main(self, pair_doc, capsys, extra):
+        argv = ["analyze", pair_doc, *extra]
+        code = run_cli(argv)
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-m", "diskinterp.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert (run.returncode, run.stdout) == (code, expected)
+        assert code == (64 if extra else 0)
+        assert expected or extra
 
 
 class TestPinnedOutput:

@@ -412,8 +412,9 @@ class TestChainNormBound:
         assert run_cli(["verify-theorem", doc]) == 2
 
     @pytest.mark.parametrize("via_cli", [False, True])
-    def test_one_interpolant_eval_per_chain(self, monkeypatch, tmp_path, via_cli):
-        # The only evaluation left is solve_pick's node residuals.
+    def test_no_interpolant_eval_in_a_chain(self, monkeypatch, tmp_path, chain_solution, via_cli):
+        # solve_pick unwinds the node residuals on the reduction's own
+        # factor table, bit for bit what interpolant_eval gives at the nodes.
         sizes = []
         evaluate = pick.interpolant_eval
         for module in (pick, harness, cli):
@@ -426,7 +427,11 @@ class TestChainNormBound:
             assert run_cli(["verify-theorem", doc]) == 0
         else:
             assert verify_theorem_chain(PointSequence(points)).hard_steps_pass
-        assert sizes == [10]
+        assert sizes == []
+        (solution,) = chain_solution
+        problem = zero_one_problem(corresponding_decomposition(PointSequence(points)))
+        expected = evaluate(solution.interpolant, problem.nodes.points) - problem.targets
+        assert solution.residuals.tobytes() == expected.tobytes()
 
 
 class TestRemarkTwoFunctions:

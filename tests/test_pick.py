@@ -26,7 +26,7 @@ from diskinterp import (
     solve_pick,
     sup_norm_boundary,
 )
-from diskinterp.pick import BISECT_REL_TOL
+from diskinterp.pick import BISECT_REL_TOL, NORM_SLACK
 from oracles import _package_mobius as _mobius
 from oracles import _trace_scale, ksection_min_norm, package_unwinding, sarason_min_norm
 
@@ -320,6 +320,19 @@ def benchmark_problems(seeds):
                 yield n, PickProblem(seq, targets)
 
 
+def trial_verdicts(Ms, rows):
+    """(M, feasible) for the search trials among one reduction's rows.
+
+    The ladder pass ends its batch with a construction row at M * (1 +
+    NORM_SLACK) for each of its trials M.  Those are no trials of the
+    search, so they are left out.
+    """
+    k = len(Ms) // 2
+    if list(Ms[k:]) == [M * (1.0 + NORM_SLACK) for M in Ms[:k]]:
+        Ms, rows = Ms[:k], rows[:k]
+    return zip(Ms, pick._inside(rows).all(axis=1))
+
+
 class TestGuidedSearch:
     """min_norm returns a bracket's feasible end, as the k-section did, in fewer reductions."""
 
@@ -345,7 +358,7 @@ class TestGuidedSearch:
 
         def recorded(problem, Ms):
             rows = reduce(problem, Ms)
-            verdicts.update(zip(Ms, pick._inside(rows).all(axis=1)))
+            verdicts.update(trial_verdicts(Ms, rows))
             return rows
 
         monkeypatch.setattr(pick, "_schur_parameters", recorded)
@@ -376,7 +389,7 @@ class TestGuidedSearch:
 
         def recorded(problem, Ms):
             rows = reduce(problem, Ms)
-            verdicts.update(zip(Ms, pick._inside(rows).all(axis=1)))
+            verdicts.update(trial_verdicts(Ms, rows))
             return rows
 
         monkeypatch.setattr(pick, "_schur_parameters", recorded)
@@ -790,3 +803,45 @@ class TestSolvePick:
         monkeypatch.setattr(pick, "construct_interpolant", misplaced_last_parameter)
         with pytest.raises(NumericalError, match="node 1 "):
             solve_pick(zero_one(0.5))
+
+
+def bits(values) -> bytes:
+    """The float bit patterns of complex values, for exact comparisons."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestOneReductionPerSolve:
+    """solve_pick builds its interpolant from the search's own ladder reduction."""
+
+    def test_bit_equal_to_a_fresh_construction(self):
+        # At n = 256 and 512 interpolant_eval unwinds the nodes in blocks of steps.
+        problems = [problem for _, problem in benchmark_problems(range(1, 9))]
+        problems += [stress_problem(nodes, targets, n, seed=1)
+                     for nodes in NODE_KINDS for targets in TARGET_KINDS
+                     for n in (2, 5, 12, 24, 48, 64)]
+        problems += [PickProblem(generate_separated_random(n, 0.01, 1), np.arange(n) % 2)
+                     for n in (128, 256, 512)]
+        for problem in problems:
+            solution = solve_pick(problem)
+            fresh = PickProblem(problem.nodes, problem.targets)
+            f = construct_interpolant(fresh, solution.min_norm * (1.0 + NORM_SLACK))
+            got = solution.interpolant
+            assert bits(got.schur_steps) == bits(f.schur_steps), len(problem)
+            assert bits([got.scale]) == bits([f.scale]), len(problem)
+            expected = interpolant_eval(f, problem.nodes.points) - problem.targets
+            assert bits(solution.residuals) == bits(expected), len(problem)
+
+    def test_one_reduction_on_the_benchmark_inputs(self, reduction_calls):
+        for n, problem in benchmark_problems(range(1, 9)):
+            reduction_calls[0] = 0
+            solve_pick(problem)
+            assert reduction_calls[0] == 1, n
+            assert problem._construction_rows == {}
+
+    def test_ksection_path_keeps_its_reductions(self, reduction_calls):
+        # Where the estimate is skipped the passes carry no construction
+        # rows, and the construction reduces once more: 9 + 1.
+        problem = PickProblem(generate_separated_random(128, 0.05, 1), np.arange(128) % 2)
+        assert pick._norm_estimate(problem) is None
+        solve_pick(problem)
+        assert reduction_calls[0] <= 10
