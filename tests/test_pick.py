@@ -324,7 +324,7 @@ def trial_verdicts(Ms, rows):
     """(M, feasible) for the search trials among one reduction's rows.
 
     The ladder pass ends its batch with a construction row at M * (1 +
-    NORM_SLACK) for each of its trials M.  Those are no trials of the
+    NORM_SLACK) for each of its trials M.  Those are not trials of the
     search, so they are left out.
     """
     k = len(Ms) // 2
