@@ -86,15 +86,18 @@ class PointSequence:
     and mirrors each block into the lower triangle of one n x n matrix;
     the kernel is exactly symmetric, so this is the one-broadcast matrix
     bit for bit.  The sequence keeps both as read-only arrays outside
-    repr, the matrix with 1.0 on its diagonal: the separation and Carleson
-    constants read the matrix instead of sweeping again, and the
-    log-factor kernel reads the gaps instead of recomputing them.
+    repr, the matrix with 1.0 on its diagonal: the Carleson constant reads
+    the matrix instead of sweeping again, and the log-factor kernel reads
+    the gaps instead of recomputing them.  The distinctness check finds the
+    matrix's smallest entry, and the sequence records it as the separation
+    (1.0 for a single point), so nothing scans the matrix for it again.
     """
 
     points: np.ndarray
     label: str | None = None
     _gaps: np.ndarray = field(init=False, repr=False)
     _distances: np.ndarray = field(init=False, repr=False)
+    _separation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
@@ -121,16 +124,18 @@ class PointSequence:
             dist[start + len(block):, rows] = block[:, len(block):].T
         np.fill_diagonal(dist, 1.0)
         j, k = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        if dist[j, k] <= DISTINCT_TOL:
+        separation = float(dist[j, k])
+        if separation <= DISTINCT_TOL:
             raise PointSetError(
                 f"points {min(j, k)} and {max(j, k)} are not distinct "
-                f"(pseudohyperbolic distance {dist[j, k]:.3e})"
+                f"(pseudohyperbolic distance {separation:.3e})"
             )
         for array in (pts, gaps, dist):
             array.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_gaps", gaps)
         object.__setattr__(self, "_distances", dist)
+        object.__setattr__(self, "_separation", separation)
 
     def __len__(self) -> int:
         return self.points.size
@@ -310,9 +315,10 @@ def carleson_constant(seq: PointSequence) -> float:
 def separation_constant(seq: PointSequence) -> float:
     """Smallest pairwise pseudohyperbolic distance; 1 for a singleton.
 
-    The minimum of the sequence's distance matrix, whose diagonal is 1.
+    Recorded by the sequence's validation: the smallest entry of its
+    distance matrix, whose diagonal is 1, found by the distinctness check.
     """
-    return float(np.min(seq._distances))
+    return seq._separation
 
 
 def blaschke_sum(seq: PointSequence) -> float:

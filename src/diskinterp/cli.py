@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -173,43 +174,56 @@ def _emit_json(value, indent: int = 0) -> str:
 
 
 # Row layouts of the lists that reports write through _list_json: one
-# object per row at indent 2, as _emit_json lays out a list of dicts.
-_PER_POINT_ROW = '    {\n      "index": %d,\n      "modulus": %s\n    }'
-_COMPLEX_ROW = '    {\n      "re": %s,\n      "im": %s\n    }'
-_CHAIN_ROW = ('    {\n      "point": {\n        "re": %s,\n        "im": %s\n      },\n'
-              '      "value": %s,\n      "bound": %s,\n      "margin": %s,\n'
+# object per row at indent 2, as _emit_json lays out a list of dicts.  Each
+# float slot is %.17g right after ": ", where _list_json finds its non-finite
+# text.
+_PER_POINT_ROW = '    {\n      "index": %d,\n      "modulus": %.17g\n    }'
+_COMPLEX_ROW = '    {\n      "re": %.17g,\n      "im": %.17g\n    }'
+_CHAIN_ROW = ('    {\n      "point": {\n        "re": %.17g,\n        "im": %.17g\n      },\n'
+              '      "value": %.17g,\n      "bound": %.17g,\n      "margin": %.17g,\n'
               '      "passed": %s\n    }')
 
 
-def _list_json(rows: list) -> _Fragment:
-    """A report's list field, from its rows laid out by one of the templates above.
+def _list_json(row: str, count: int, values: tuple) -> _Fragment:
+    """A report's list field of ``count`` rows laid out by ``row`` from the flat ``values``.
 
     The same bytes as ``_emit_json`` gives the list of dicts the rows stand
-    for at indent 1, without building a dict per row.  Floats in a row are
-    formatted by ``_fmt_float``.
+    for at indent 1, from one ``%`` against the row repeated ``count``
+    times, so no call is made per number.  ``%.17g`` prints a float as
+    ``_fmt_float`` does, except nan and +-inf, which it prints as ``nan``,
+    ``inf`` and ``-inf``.  The sum of the float slots' values is non-finite
+    when one of them is, and only then is the text searched: after ": " only
+    a value can start, so those words become ``null`` there.
     """
-    return _Fragment("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
+    if not count:
+        return _Fragment("[]")
+    text = ("[\n" + ",\n".join([row] * count) + "\n  ]") % values
+    slots = [slot.startswith(".17g") for slot in row.split("%")[1:]]
+    total = sum(sum(values[k::len(slots)]) for k, is_float in enumerate(slots) if is_float)
+    if not math.isfinite(total):
+        for word in (": nan", ": inf", ": -inf"):
+            text = text.replace(word, ": null")
+    return _Fragment(text)
 
 
 def _per_point_json(per_point) -> _Fragment:
     """analyze's ``per_point`` list of index/modulus objects."""
-    return _list_json([_PER_POINT_ROW % (i, _fmt_float(m)) for i, m in per_point])
+    return _list_json(_PER_POINT_ROW, len(per_point),
+                      tuple(itertools.chain.from_iterable(per_point)))
 
 
 def _complex_json(values) -> _Fragment:
-    """A list of complex numbers as re/im objects."""
-    return _list_json([_COMPLEX_ROW % (_fmt_float(z.real), _fmt_float(z.imag))
-                       for z in values])
+    """A list or array of complex numbers as re/im objects."""
+    parts = np.asarray(values, dtype=complex).view(float)
+    return _list_json(_COMPLEX_ROW, parts.size // 2, tuple(parts.tolist()))
 
 
 def _chain_rows_json(rows) -> _Fragment:
     """One step of the bound chain: point, value, bound, margin and pass flag per row."""
-    return _list_json([
-        _CHAIN_ROW % (_fmt_float(r.point.real), _fmt_float(r.point.imag),
-                      _fmt_float(r.value), _fmt_float(r.bound), _fmt_float(r.margin),
-                      "true" if r.passed else "false")
-        for r in rows
-    ])
+    return _list_json(_CHAIN_ROW, len(rows), tuple([
+        v for r in rows for v in (r.point.real, r.point.imag, r.value, r.bound, r.margin,
+                                  "true" if r.passed else "false")
+    ]))
 
 
 # _format_17g prints 10**-6 <= |x| < 10**16 by its own arithmetic: there
@@ -568,7 +582,7 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
         "scale": f.scale,
         "feasibility_margin": solution.feasibility_margin,
         "max_abs_residual": float(np.max(np.abs(solution.residuals))),
-        "residuals": _complex_json(solution.residuals.tolist()),
+        "residuals": _complex_json(solution.residuals),
         "schur_parameters": _complex_json([p for _, p in f.schur_steps]),
     }
     _write_text(cfg, _emit_json(doc) + "\n")
@@ -622,14 +636,17 @@ def _near_zero_cells(xs: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """Mask of the grid cells xs[i] + 1j xs[j] within _FIELD_ZERO_RADIUS of a zero.
 
     A cell is that close to a zero only if both of its axis values are, so
-    each zero tests only the cells whose axis values pass; the margin of 2
-    covers the rounding of the complex modulus.
+    one broadcast per axis finds every zero's candidate axis values, and
+    only the zeros with candidates on both axes test their cells; the margin
+    of 2 covers the rounding of the complex modulus.
     """
     near = np.zeros((xs.size, xs.size), dtype=bool)
-    for lam in zeros:
-        i = np.flatnonzero(np.abs(xs - lam.real) < 2 * _FIELD_ZERO_RADIUS)
-        j = np.flatnonzero(np.abs(xs - lam.imag) < 2 * _FIELD_ZERO_RADIUS)[:, None]
-        near[j, i] |= np.abs(xs[i] + 1j * xs[j] - lam) < _FIELD_ZERO_RADIUS
+    cols = np.abs(xs - zeros.real[:, None]) < 2 * _FIELD_ZERO_RADIUS
+    rows = np.abs(xs - zeros.imag[:, None]) < 2 * _FIELD_ZERO_RADIUS
+    for m in np.flatnonzero(cols.any(axis=1) & rows.any(axis=1)):
+        i = np.flatnonzero(cols[m])
+        j = np.flatnonzero(rows[m])[:, None]
+        near[j, i] |= np.abs(xs[i] + 1j * xs[j] - zeros[m]) < _FIELD_ZERO_RADIUS
     return near
 
 

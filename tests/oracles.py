@@ -438,6 +438,20 @@ def field_csv(points, resolution: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def near_zero_cells(xs: np.ndarray, zeros, radius: float) -> np.ndarray:
+    """``cli._near_zero_cells`` as the package once found it, one zero at a time.
+
+    Each zero takes the axis values within 2 * radius of its own on each
+    axis and tests the cells they span.
+    """
+    near = np.zeros((xs.size, xs.size), dtype=bool)
+    for lam in np.asarray(zeros, dtype=complex):
+        i = np.flatnonzero(np.abs(xs - lam.real) < 2 * radius)
+        j = np.flatnonzero(np.abs(xs - lam.imag) < 2 * radius)[:, None]
+        near[j, i] |= np.abs(xs[i] + 1j * xs[j] - lam) < radius
+    return near
+
+
 def boundary_csv(thetas, vals) -> str:
     """The ``interpolate --boundary-csv`` text as the package once wrote it."""
     lines = ["theta,re,im,modulus"]

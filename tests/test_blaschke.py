@@ -424,6 +424,40 @@ class TestDistanceMatrix:
         assert len(entries) == -(-count // block)
         assert sum(entries) <= (count * count + count * block) // 2
 
+    @pytest.mark.parametrize("kind", ["separated", "near"])
+    @pytest.mark.parametrize("count", [1, 2, 17, 128, 512])
+    def test_recorded_separation_is_the_matrix_minimum(self, kind, count):
+        if kind == "separated":
+            seq = generate_separated_random(count, 0.01, count)
+        else:
+            seq = PointSequence(self.family("near", count))
+        expected = float(np.min(seq._distances))
+        assert separation_constant(seq).hex() == expected.hex()
+        assert "_separation" not in repr(seq)
+        if count == 1:
+            assert separation_constant(seq) == 1.0
+
+    @pytest.mark.parametrize("points, message", [
+        ((0.5, 0.1, 0.5), "points 0 and 2 are not distinct (pseudohyperbolic distance 0.000e+00)"),
+        ((0.3j, 0.0, 0.3j + 1e-12),
+         "points 0 and 2 are not distinct (pseudohyperbolic distance 1.099e-12)"),
+        ((0.9, -0.2, 0.9 * (1 + 5e-16)),
+         "points 0 and 2 are not distinct (pseudohyperbolic distance 2.337e-15)"),
+    ])
+    def test_non_distinct_points_name_the_pair_and_distance(self, points, message):
+        with pytest.raises(PointSetError) as info:
+            PointSequence(points)
+        assert str(info.value) == message
+
+    def test_non_distinct_points_in_a_blocked_sweep(self):
+        rng = np.random.default_rng(3)
+        points = 0.9 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+        points[150] = points[37] + 2e-10
+        with pytest.raises(PointSetError) as info:
+            PointSequence(points)
+        assert str(info.value) == ("points 37 and 150 are not distinct "
+                                   "(pseudohyperbolic distance 5.010e-10)")
+
     def test_kept_matrix_is_read_only_and_private(self):
         seq = PointSequence((0.0, 0.5, -0.5j), label="t")
         with pytest.raises(ValueError):

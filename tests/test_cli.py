@@ -690,6 +690,65 @@ def format_families() -> dict:
     }
 
 
+class TestListWriters:
+    """The report list writers at list scale, against ``_emit_json`` of the dicts."""
+
+    SPECIAL = [5e-324, -0.0, 1e-300, 1e16, 9.999999999999999e15, 0.1 + 0.2,
+               math.nan, math.inf, -math.inf]
+
+    def floats(self, seed: int, size: int) -> list:
+        """Seeded floats over many decades, each special value three times among them."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-40, 40, size)
+        places = rng.choice(size, 3 * len(self.SPECIAL), replace=False)
+        values[places] = np.tile(self.SPECIAL, 3)
+        return values.tolist()
+
+    @staticmethod
+    def no_call_per_number(monkeypatch):
+        def refuse(x):
+            raise AssertionError("a list writer formatted one number at a time")
+
+        monkeypatch.setattr(cli, "_fmt_float", refuse)
+
+    @pytest.mark.parametrize("seed, size", [(1, 300), (2, 512)])
+    def test_per_point_list(self, monkeypatch, seed, size):
+        per_point = tuple(enumerate(self.floats(seed, size)))
+        rows = [{"index": i, "modulus": m} for i, m in per_point]
+        expected = cli._emit_json(rows, indent=1)
+        self.no_call_per_number(monkeypatch)
+        assert cli._per_point_json(per_point) == expected
+
+    @pytest.mark.parametrize("seed, size", [(3, 300), (4, 512)])
+    def test_complex_list(self, monkeypatch, seed, size):
+        parts = self.floats(seed, 2 * size)
+        values = [complex(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        expected = cli._emit_json([cli._cplx(z) for z in values], indent=1)
+        self.no_call_per_number(monkeypatch)
+        assert cli._complex_json(values) == expected
+        assert cli._complex_json(np.array(values)) == expected
+
+    @pytest.mark.parametrize("seed, size", [(5, 300), (6, 400)])
+    def test_chain_rows_list(self, monkeypatch, seed, size):
+        parts = self.floats(seed, 4 * size)
+        passed = np.random.default_rng(seed).random(size) < 0.5
+        rows = [ChainRow(complex(parts[4 * r], parts[4 * r + 1]), parts[4 * r + 2],
+                         parts[4 * r + 3], bool(passed[r])) for r in range(size)]
+        dicts = [{"point": cli._cplx(r.point), "value": r.value, "bound": r.bound,
+                  "margin": r.margin, "passed": r.passed} for r in rows]
+        expected = cli._emit_json(dicts, indent=1)
+        assert expected.count("null") > 9 and "true" in expected and "false" in expected
+        self.no_call_per_number(monkeypatch)
+        assert cli._chain_rows_json(rows) == expected
+
+    def test_finite_values_that_overflow_their_sum(self):
+        # The non-finite screen sums the floats; an overflowing sum of
+        # finite values only sends the text through a search that finds nothing.
+        per_point = ((0, 1.7e308), (1, 1.7e308), (2, -0.0))
+        rows = [{"index": i, "modulus": m} for i, m in per_point]
+        assert cli._per_point_json(per_point) == cli._emit_json(rows, indent=1)
+
+
 class TestFormat17g:
     """``cli._format_17g`` gives the bytes of ``format(x, ".17g")``, value by value."""
 
@@ -820,6 +879,32 @@ class TestField:
         expected = oracles.field_csv(points, resolution)
         assert_same_text(out.read_text(), expected)
         assert expected.count(",nan\n") == 3
+
+    def test_near_zero_mask_matches_the_per_zero_loop(self):
+        # Zeros at random, on grid nodes, and 1e-7 to 2e-6 off a node on
+        # each axis, on grids of 32 to 300 nodes a side; some zeros lie off
+        # the first zero's node, so several zeros test the same cells.
+        rng = np.random.default_rng(11)
+        marked = 0
+        for _ in range(60):
+            xs = np.linspace(-0.999, 0.999, int(rng.integers(32, 301)))
+            count = int(rng.integers(1, 41))
+            kind = rng.integers(0, 4, count)
+            index = rng.integers(0, xs.size, (2, count))
+            index[:, kind == 3] = index[:, :1]
+            nodes = xs[index]
+            offsets = rng.choice((-1.0, 1.0), (2, count)) * 10.0 ** rng.uniform(
+                -7, math.log10(2e-6), (2, count))
+            kind[kind == 3] = 2
+            re = np.where(kind == 0, rng.uniform(-0.7, 0.7, count),
+                          nodes[0] + (kind == 2) * offsets[0])
+            im = np.where(kind == 0, rng.uniform(-0.7, 0.7, count),
+                          nodes[1] + (kind == 2) * offsets[1])
+            zeros = re + 1j * im
+            got = cli._near_zero_cells(xs, zeros)
+            assert np.array_equal(got, oracles.near_zero_cells(xs, zeros, cli._FIELD_ZERO_RADIUS))
+            marked += int(got.sum())
+        assert marked > 100
 
     def test_delta_without_split_exits_64(self, pair_doc, capsys):
         # --which B takes the whole sequence, so no delta is read.
