@@ -214,7 +214,7 @@ def _per_point_json(per_point) -> _Fragment:
 
 def _complex_json(values) -> _Fragment:
     """A list or array of complex numbers as re/im objects."""
-    parts = np.asarray(values, dtype=complex).view(float)
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
     return _list_json(_COMPLEX_ROW, parts.size // 2, tuple(parts.tolist()))
 
 

@@ -727,6 +727,7 @@ class TestListWriters:
         self.no_call_per_number(monkeypatch)
         assert cli._complex_json(values) == expected
         assert cli._complex_json(np.array(values)) == expected
+        assert cli._complex_json(np.repeat(values, 2)[::2]) == expected  # a strided view
 
     @pytest.mark.parametrize("seed, size", [(5, 300), (6, 400)])
     def test_chain_rows_list(self, monkeypatch, seed, size):
