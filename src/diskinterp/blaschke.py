@@ -5,11 +5,11 @@ Factor log-moduli log |b_lam(z)| come from one kernel,
 (the Schwarz-Pick identity, in ``geometry``), which has no cancellation.
 1 - |lam|^2 is taken once per point set and 1 - |z|^2 once per buffer
 of evaluation points, both by ``geometry._one_minus_abs2``.
-:func:`_log_table` fills phase-free matrices of factor logs, for
-:func:`log_factors` and for the exclusion rims of ``hoffman``, in one
-broadcast when small and in blocks of rows when not, to the same floats.
-:func:`blaschke_log_modulus` adds the kernel's rows into its output one
-factor at a time, so it never holds the whole matrix.  Sums over pairs
+:func:`_log1p_ratio` takes D and A to log1p(A / D) for every caller:
+:func:`log_factors`, one phase-free broadcast of factor logs; the
+exclusion rims of ``hoffman``, whose D is a three-term product per centre;
+and :func:`blaschke_log_modulus`, which adds the kernel's rows into its
+output one factor at a time, so it never holds the whole matrix.  Sums over pairs
 of sequence points take the logs of the distance matrix the sequence
 holds instead, which :class:`PointSequence` sweeps once, by the same
 identity, when it checks that its points are distinct.
@@ -52,11 +52,6 @@ MAX_POINTS = 512
 
 # |B_n(lam_n)| below this makes the family norms exceed 1e12; refuse.
 DEGENERACY_TOL = 1e-12
-
-# log |b| tables (see _log_table) are filled in blocks of rows of at most
-# this many entries, one block when the table fits, with one block of
-# scratch: two buffers of 256 KB.
-_TABLE_LIMIT = 32768
 
 # Rows per block of PointSequence's distance sweep.  Fastest of 25 x 20
 # sweeps, glibc malloc keeping freed memory, on a loaded 2-core x86_64
@@ -170,13 +165,13 @@ class AnalysisReport:
     per_point: tuple[tuple[int, float], ...]
 
 
-def _log1p_ratio(lam, lam_gap, zr, zi, z_gap, out, scratch):
-    """out = log1p(A / D) = -2 log |b_lam(z)| at the points zr + i zi; +inf at a zero.
+def _log1p_ratio(d, a):
+    """log1p(A / D) = -2 log |b_lam(z)|, in place in ``d``; +inf at a zero.
 
-    One row for a scalar centre lam, or one table for centres broadcast
-    against the points; elementwise ufuncs give the same floats either way.
-    lam_gap and z_gap are 1 - |lam|^2 and 1 - |z|^2; ``scratch`` is a float
-    buffer of out's shape.  The caller holds np.errstate(divide="ignore",
+    ``d`` holds D = |z - lam|^2 and ``a`` A = (1 - |lam|^2)(1 - |z|^2),
+    broadcasting against it, for one row of points, one table of centres
+    against points, or any other layout: elementwise ufuncs give the same
+    floats in each.  The caller holds np.errstate(divide="ignore",
     over="ignore"): at a zero D is 0, and A / D overflows to inf once
     |b| < about 1e-154.
 
@@ -187,40 +182,23 @@ def _log1p_ratio(lam, lam_gap, zr, zi, z_gap, out, scratch):
     log |b_lam(z)|, relative, to first order.  The factor -1/2 is a power
     of two, so the callers apply it after any sum of rows, exactly.
     """
-    _d_and_a(zr, zi, np.real(lam), np.imag(lam), z_gap, lam_gap, out, scratch)
-    np.divide(scratch, out, out=out)
-    return np.log1p(out, out=out)
-
-
-def _log_table(lam, lam_gap, zr, zi, z_gap) -> np.ndarray:
-    """log |b_lam(z)| = -1/2 log1p(A / D) (:func:`_log1p_ratio`), rows along lam's first axis.
-
-    lam and its gaps broadcast against the points zr + i zi and theirs.  A
-    table of at most _TABLE_LIMIT entries is one broadcast, a larger one
-    blocks of rows of at most that many entries, with one block of scratch.
-    """
-    out = np.empty(np.broadcast_shapes(lam.shape, zr.shape))
-    step = max(1, _TABLE_LIMIT * len(out) // max(1, out.size))  # rows per block
-    scratch = np.empty_like(out[:step])
-    with np.errstate(divide="ignore", over="ignore"):
-        for start in range(0, len(out), step):
-            rows = slice(start, start + step)
-            block = out[rows]
-            _log1p_ratio(lam[rows], lam_gap[rows], zr, zi, z_gap, block, scratch[:len(block)])
-    return np.multiply(out, -0.5, out=out)
+    np.divide(a, d, out=d)
+    return np.log1p(d, out=d)
 
 
 def log_factors(points: np.ndarray, z) -> np.ndarray:
     """log |b_lam(z)|, one row per lam, one column per (flattened) z; -inf at a zero.
 
-    Each entry is -1/2 log1p(A / D) (:func:`_log_table`), within
-    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative.  Nothing in the
-    package calls it: the tests read factor logs at given points with it.
+    Each entry is -1/2 log1p(A / D) (:func:`_log1p_ratio`), within
+    LOG_FACTOR_ERROR_EPS eps of log |b_lam(z)|, relative, in one broadcast.
+    Nothing in the package calls it: the tests read factor logs with it.
     """
-    lam = np.asarray(points, dtype=complex).reshape(-1)
+    lam = np.asarray(points, dtype=complex).reshape(-1, 1)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    return _log_table(lam[:, None], _one_minus_abs2(lam)[:, None], z.real, z.imag,
-                      _one_minus_abs2(z))
+    d, a = np.empty((2, lam.size, z.size))
+    _d_and_a(z.real, z.imag, lam.real, lam.imag, _one_minus_abs2(z), _one_minus_abs2(lam), d, a)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.multiply(_log1p_ratio(d, a), -0.5, out=d)
 
 
 def _eval_product(points: np.ndarray, z):
@@ -275,8 +253,8 @@ def blaschke_log_modulus(seq: PointSequence, z):
             zr, zi, z_gap = chunk.real.copy(), chunk.imag.copy(), _one_minus_abs2(chunk)
             total = out[start:start + k]
             for i, lam in enumerate(seq.points):
-                _log1p_ratio(lam, seq._gaps[i], zr, zi, z_gap, row[:k], scratch[:k])
-                np.add(total, row[:k], out=total)
+                _d_and_a(zr, zi, lam.real, lam.imag, z_gap, seq._gaps[i], row[:k], scratch[:k])
+                np.add(total, _log1p_ratio(row[:k], scratch[:k]), out=total)
             # Every row is >= 0, and no 0/0 arises on the closed disk, so the
             # sum is +inf exactly where some row is.
             if np.max(total) == np.inf:

@@ -38,6 +38,7 @@ from .harness import (
 )
 from .hoffman import Decomposition, corresponding_decomposition, decompose
 from .pick import (
+    BISECT_REL_TOL,
     PickProblem,
     interpolant_eval,
     min_norm,
@@ -83,7 +84,7 @@ class RunConfig:
 
     grid_resolution: int = 128
     boundary_grid: int = 4096
-    bisect_rel_tol: float = 1e-8
+    bisect_rel_tol: float = BISECT_REL_TOL
     output_path: str = ""
 
     def __post_init__(self):

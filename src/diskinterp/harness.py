@@ -37,12 +37,9 @@ from .errors import (
     PackingFailureError,
     PointSetError,
 )
-from .geometry import _one_minus_abs2, pseudohyperbolic_distance
+from .geometry import INTERIOR_GUARD, _one_minus_abs2, pseudohyperbolic_distance
 from .hoffman import Decomposition, _part_sums, corresponding_decomposition, decompose
 from .pick import BISECT_REL_TOL, PickProblem, solve_pick
-
-# Points may not come within this band of the unit circle.
-RADIAL_GUARD = 1e-9
 
 # Below this separation a sequence fails the theorem's hypothesis.
 SEPARATION_FLOOR = 1e-6
@@ -61,9 +58,9 @@ def generate_radial(ratio: float, count: int) -> PointSequence:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if ratio ** count <= RADIAL_GUARD:
+    if ratio ** count <= INTERIOR_GUARD:
         raise BoundaryGuardError(
-            f"1 - {ratio:g}^{count} is within {RADIAL_GUARD:g} of the unit circle"
+            f"1 - {ratio:g}^{count} is within {INTERIOR_GUARD:g} of the unit circle"
         )
     pts = 1.0 - ratio ** np.arange(1, count + 1, dtype=float)
     return PointSequence(pts.astype(complex), label=f"radial-{ratio:g}-{count}")
@@ -158,7 +155,7 @@ def generate_counterexample(spec: CounterexampleSpec) -> tuple[PointSequence, De
     # distance cannot push the separation constant above gap itself.
     g_eff = gap * (1.0 - 1e-12)
     partner = (base + g_eff) / (1.0 + g_eff * base)
-    if np.max(partner) >= 1.0 - RADIAL_GUARD:
+    if np.max(partner) >= 1.0 - INTERIOR_GUARD:
         raise BoundaryGuardError(
             "a partner point lands within the boundary guard band; "
             "reduce num_pairs or gap"

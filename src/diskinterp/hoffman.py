@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import PointSequence, _log_table, blaschke_log_modulus, separation_constant
+from .blaschke import PointSequence, _log1p_ratio, blaschke_log_modulus, separation_constant
 from .errors import DegenerateFitError, EmptyGridError, PointSetError
 from .geometry import _mobius_inverse, _refinement_arc, _rotation
 
@@ -141,30 +141,52 @@ def _rim_samples(seq: PointSequence, rims, delta: float, theta: np.ndarray):
     Returns (z, logs, outside), flat over (rim, j) in that order: the
     samples, log |b_mu(z)| with one row per point mu = seq.points[k], and
     whether no other disk contains the sample, where no other row reads
-    below log delta.  log |b_mu(z)| = log |b_a(w)| with a = b_lam(mu),
-    w = delta e^(i theta[j]), by Mobius invariance (Garnett, Ch. I): the
-    kernel takes the centres a, their gaps 1 - |a|^2 = A / (D + A)
-    (D = |lam - mu|^2, A the points' gaps' product) and the gap
-    (1 - delta)(1 + delta) of |w| = delta; nothing cancels.  Own factors
-    (a = 0) read log delta exactly; z comes from the closed-form inverse.
+    below log delta.  log |b_mu(z)| = log |b_a(w)| = -1/2 log1p(A / D)
+    (``blaschke._log1p_ratio``), a = b_lam(mu), w = delta e^(i theta[j]),
+    by Mobius invariance (Garnett, Ch. I).  A = (1 - |a|^2)(1 - delta^2) is
+    one number per centre, and D = |w - a|^2 one einsum, which calls no
+    BLAS, of each centre's (|a|^2 + delta^2, -2 delta Re a, -2 delta Im a)
+    with the circle's (1, cos theta, sin theta); |a|^2 and 1 - |a|^2 are
+    D' / (D' + A') and A' / (D' + A') for the points' D' = |lam - mu|^2 and
+    gap product A'.  Own factors read log delta exactly; z comes from the
+    closed-form inverse.
+
+    Error, first order in u = eps / 2, at the exact rim point of the float
+    theta: from ``geometry._d_and_a``'s 4u on D' and 3u on A', |a|^2 carries
+    10u, 1 - |a|^2 9u and A 13u; a carries 23u of |a|, cos and sin an ulp
+    each.  D's terms total at most S = (|a| + delta)^2, on which they carry
+    13u and a's rounding 11.5u, and D >= (|a| - delta)^2, so D carries
+    24.5u K, K = ((|a| + delta) / (|a| - delta))^2 the cancellation factor;
+    with A / D and log1p, each entry is within (8 + 12.25 K) eps.  At the
+    default delta = sep / 2, |a| >= 2 delta and K <= 9: 118 eps (the
+    50-digit tests read at most 9).  Above it K grows as delta nears |a|,
+    but a kept sample has D >= delta^2 (1 - |a| delta)^2, so there
+    K <= ((|a| + delta) / (delta (1 - |a| delta)))^2 for every delta.  D
+    rounds below 0 only deep inside mu's disk; clamped to 0, it drops the
+    sample.
     """
     points, gaps = seq.points, seq._gaps
     lam, lam_gap = points[rims][:, None], gaps[rims][:, None]
+    circle = np.exp(1j * theta)
+    z = _mobius_inverse(lam, delta * circle).ravel()  # before the table: a lower peak
     diff = points - lam
     d = diff.real * diff.real + diff.imag * diff.imag
     A = lam_gap * gaps
     # 1 - conj(lam) mu without cancellation: its real part is (D + both gaps) / 2,
     # its imaginary part Im(lam) dx - Re(lam) dy with dx + i dy = mu - lam.
     q = 0.5 * (d + lam_gap + gaps) + 1j * (lam.imag * diff.real - lam.real * diff.imag)
-    a, a_gap = (_rotation(lam)[2] * diff / q).T, (A / (d + A)).T
-    w = delta * np.exp(1j * theta)
-    logs = _log_table(a[:, :, None], a_gap[:, :, None], w.real, w.imag,
-                      (1.0 - delta) * (1.0 + delta))
-    logs[rims, np.arange(a.shape[1])] = np.log(delta)
-    logs = logs.reshape(len(points), -1)
-    # No log is nan: inside the guard band A > 0, so no A / D is 0 / 0, and
+    a, total = (_rotation(lam)[2] * diff / q).T, (d + A).T
+    coef = np.stack((d.T / total + delta * delta, -2.0 * delta * a.real,
+                     -2.0 * delta * a.imag), axis=-1).reshape(-1, 3)
+    D = np.einsum("ik,kj->ij", coef, np.stack((np.ones_like(theta), circle.real, circle.imag)))
+    with np.errstate(divide="ignore", over="ignore"):
+        _log1p_ratio(np.maximum(D, 0.0, out=D),
+                     (A.T / total * ((1.0 - delta) * (1.0 + delta))).reshape(-1, 1))
+    logs = np.multiply(D, -0.5, out=D).reshape(len(points), -1)
+    logs.reshape(a.shape + theta.shape)[rims, np.arange(a.shape[1])] = np.log(delta)
+    # No log is nan or above 0: A > 0 inside the guard band and D >= 0, and
     # D = 0 gives -inf.  So the least row at or above log delta means none below.
-    return _mobius_inverse(lam, w).ravel(), logs, logs.min(axis=0) >= np.log(delta)
+    return z, logs, logs.min(axis=0) >= np.log(delta)
 
 
 def exclusion_grid(seq: PointSequence, delta: float) -> ExclusionGrid:

@@ -988,7 +988,7 @@ _PINNED = [
     ("verify-theorem", 10, 0.1, 1, (),
      "54b301bfb4193288b8023ba153035413c81f6a52eb5915501cc5e39c9fa2f7e6"),
     ("verify-theorem", 17, 0.1, 3, (),
-     "30b5817ea26ae9b83628c9b721c448d60838148457b66cfb838c7ad905dea915"),
+     "43c46200bb77a8a5d6efde177d267b39335c57eb86277f698218984d83abf6d7"),
     ("interpolate", 12, 0.1, 4, ("--targets", "0,1,0,1,0,1,0,1,0,1,0,1"),
      "3459b77a59a6cf1e727064b914ad794865e986878c2120c894f2d78e23adc181"),
     ("interpolate", 24, 0.1, 5,
@@ -997,13 +997,13 @@ _PINNED = [
     ("decompose", 12, 0.1, 6, (),  # exhaustive search
      "ec5e203fddbc8791794e67d67d3e829e933e4947ec91517b1e2f54cdcad301e0"),
     ("decompose", 20, 0.1, 7, (),  # local search
-     "983236bf12640fe87c2a49de0c40aec7833b7cfb5aa10858ba4b4ee83b327b2d"),
+     "22440a1eec62ab720ea20782a866520effb493c724901025114bf767111db298"),
     ("decompose", 14, 0.1, 5, (),  # exhaustive search, 7 masks evaluated
      "2796768078638c2f89788005a388b39d4a2371f3d34e4dfe65da76eda6fffcc8"),
     ("decompose", 32, 0.1, 5, (),  # local search, 97 masks tried
-     "29b5bb889f24994cd22247ed7df96454fd11c728d4008f53e62508c1aea25b3c"),
+     "9fdcd5c04f2506bac0452fb45ada32466fb678c5b57cd27a2226588543dc33c9"),
     ("verify-theorem", 32, 0.1, 5, (),
-     "d191ce18b9e0bac889db4842d4f761926631acc1b126ac8114bafd9caa067419"),
+     "31f4f7ba3db9342d9eb6619168c1d3cf1896ec603430279308c38f2596750b48"),
 ]
 
 
@@ -1043,3 +1043,39 @@ class TestPinnedOutput:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "7796776c8d145e72a1b26ce2c08d28e165972bedf6ea1cb01ec38df4cbca31ac")
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, as numpy.show_config() reports."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", "")
+
+
+class TestBlasKernels:
+    """Reports do not depend on which kernels the host's OpenBLAS selects."""
+
+    @pytest.mark.skipif(not _openblas_dynamic_arch(),
+                        reason="numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
+    def test_decompose_bytes_under_every_kernel(self, tmp_path, capsys):
+        # n = 16 takes the exact search and n = 32 the local one.  Each
+        # child selects its kernels by OPENBLAS_CORETYPE, set in its
+        # environment only, and must print the in-process bytes.
+        docs = [write_document(tmp_path / f"in{n}.json",
+                               generate_separated_random(n, 0.1, 1).points) for n in (16, 32)]
+        for doc in docs:
+            assert run_cli(["decompose", doc]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; from diskinterp.cli import main\n"
+                "for doc in sys.argv[1:]:\n    assert main(['decompose', doc]) == 0")
+        for kernel in ("Haswell", "Sandybridge", "Prescott"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run([sys.executable, "-c", code, *docs],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert (run.returncode, run.stderr) == (0, ""), kernel
+            assert run.stdout == expected, kernel

@@ -99,6 +99,22 @@ class TestExclusionGrid:
                 rho = pseudohyperbolic_distance(z, seq.points[i])
                 assert rho == pytest.approx(delta, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.717, 0.717j, -0.717, -0.717j])
+    def test_rim_through_a_point(self, mu):
+        # At delta = |mu| the rim of 0 runs through mu, at sample 0, 32, 64
+        # or 96, and the rim of mu through 0, at sample 64.  There D is 0,
+        # and the three-term product rounds it below 0: it must read -inf,
+        # not nan, drop the sample, and raise no warning.
+        m = hoffman._RIM_SAMPLES
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z, logs, outside = hoffman._rim_samples(PointSequence((0.0, mu)), np.arange(2),
+                                                    abs(mu), 2.0 * np.pi * np.arange(m) / m)
+        assert not np.isnan(logs).any() and (logs <= 0.0).all()
+        j = int(np.rint(np.angle(mu) * m / (2.0 * np.pi))) % m
+        assert logs[1, j] == logs[0, m + m // 2] == -np.inf
+        assert not outside[j] and not outside[m + m // 2]
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             exclusion_grid(PointSequence((0.0,)), 1.5)
@@ -126,10 +142,11 @@ class TestExclusionGrid:
             assert abs(w - delta * np.exp(1j * t)) <= 1e-14
 
     def test_samples_every_rim_in_one_call(self, monkeypatch):
-        # All rims come from one kernel call, and neither the grid nor the
-        # refinement arc takes 1 - |z|^2 of a rim point.
+        # Each call forms D for all of its rim samples as one table and takes
+        # the logs of that table in one call of the kernel's last step, and
+        # neither the grid nor the refinement arc takes 1 - |z|^2 of a rim point.
         seq = generate_separated_random(12, 0.1, 1)
-        calls = collections.Counter()
+        calls, tables = collections.Counter(), []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -137,16 +154,22 @@ class TestExclusionGrid:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(blaschke, "_log1p_ratio",
-                            counted("_log1p_ratio", blaschke._log1p_ratio))
+        def logged(d, a):
+            tables.append(d.shape)
+            return blaschke._log1p_ratio(d, a)
+
+        monkeypatch.setattr(hoffman, "_log1p_ratio", logged)
         for module in (blaschke, geometry, hoffman):
             if hasattr(module, "_one_minus_abs2"):
                 monkeypatch.setattr(module, "_one_minus_abs2",
                                     counted("_one_minus_abs2", geometry._one_minus_abs2))
+        m = hoffman._RIM_SAMPLES
         exclusion_grid(seq, 0.05)
-        assert calls == {"_log1p_ratio": 1}
+        assert tables == [(12 * 12, m)] and not calls
         decompose(seq, 0.05)
-        assert calls == {"_log1p_ratio": 3}  # the grid's and the arc's
+        # The grid's, then the arc's: one rim, 2 _ARC_STEPS + 1 angles.
+        assert tables == [(12 * 12, m), (12 * 12, m), (12, 2 * geometry._ARC_STEPS + 1)]
+        assert not calls
 
 
 def assert_grid_matches_oracle(seq: PointSequence, delta: float):

@@ -1,17 +1,21 @@
 """The disk kernels against 50-digit values, entry by entry.
 
 ``geometry._one_minus_abs2``, ``pseudohyperbolic_distance``, the
-log-factor kernel (``blaschke._log_table``) and the exclusion rims' factor
-logs state relative error bounds per entry.  Every entry is held to its
-bound against mpmath at 50 digits, evaluated on the same floats: near the
-unit circle, well inside it, at a zero centre and on the circle itself.
+log-factor kernel (``blaschke.log_factors``) and the exclusion rims'
+factor logs (``hoffman._rim_samples``) state relative error bounds per
+entry.  Every entry is held to its bound against mpmath at 50 digits,
+evaluated on the same floats: near the unit circle, well inside it, at a
+zero centre and on the circle itself.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from diskinterp import (PointSequence, blaschke, exclusion_grid, generate_separated_random,
-                        geometry, hoffman, separation_constant)
+from diskinterp import (CounterexampleSpec, PointSequence, blaschke, exclusion_grid,
+                        generate_counterexample, generate_separated_random, geometry, hoffman,
+                        separation_constant)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -102,12 +106,12 @@ def test_table_meets_the_bound():
 
 # Per-entry relative error bound, in eps, of a rim factor log in the
 # exclusion grid's table against its value at the exact rim point, the
-# image of delta e^(i theta) for the sample's float theta.  The kernel adds
-# LOG_FACTOR_ERROR_EPS on exact inputs; the rounding of the centres
-# a = b_lam(mu) and of the circle points w adds to that, amplified by
-# |a| / |w - a|, which is at most 2 for delta <= sep / 2.  The largest error
-# read on the inputs below is 8.6 eps; a worst-case first-order count of the
-# operations gives about 50.
+# image of delta e^(i theta) for the sample's float theta.  The worst-case
+# first-order count in ``hoffman._rim_samples`` is (8 + 12.25 K) eps, with
+# the cancellation factor K = ((|a| + delta) / (|a| - delta))^2 at most 9 on
+# the chain inputs (|a| >= sep = 2 delta) and 9.001 on the near-boundary
+# ones (|a| > 0.99995, delta = 0.5): 118 eps.  The largest error read on
+# them is 9.0 eps.
 RIM_LOG_ERROR_EPS = 12.0
 
 
@@ -153,3 +157,46 @@ def test_rim_logs_within_their_stated_bound(seq, delta):
             worst = max(worst, float(abs((CTX.mpf(float(grid.factors[k, c])) - want) / want)))
     assert columns.size == 16 * len(seq)
     assert worst <= RIM_LOG_ERROR_EPS * EPS
+
+
+def rim_bound_eps(a, delta):
+    """(8 + 12.25 K) eps, ``hoffman._rim_samples``' bound on a kept entry of centre a.
+
+    K is the cancellation factor ((|a| + delta) / (|a| - delta))^2, or the
+    kept samples' ((|a| + delta) / (delta (1 - |a| delta)))^2 where that is
+    smaller, as it is when |a| is near delta.
+    """
+    r = abs(a)
+    kept = ((r + delta) / (delta * (1 - r * delta))) ** 2
+    return 8 + 12.25 * (kept if r == delta else min(kept, ((r + delta) / (r - delta)) ** 2))
+
+
+@pytest.mark.parametrize("spec", [CounterexampleSpec(2, 0.2, 0.5),
+                                  CounterexampleSpec(4, 0.01, 0.5)],
+                         ids=["pairs-2-0.2", "pairs-4-0.01"])
+def test_rim_logs_above_half_the_separation(spec):
+    # counterexample fits its split at delta = 2 gap, twice the separation,
+    # so each point's partner, at |a| = gap, lies inside the disk, where D
+    # cancels by K = 9, and other centres lie on or near the rim.  Every
+    # kept entry, on every fourth Mobius angle, is held to its own bound.
+    seq, _ = generate_counterexample(spec)
+    delta = 2.0 * spec.gap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = exclusion_grid(seq, delta)
+    assert np.isfinite(grid.factors).all()
+    m = hoffman._RIM_SAMPLES
+    columns = np.flatnonzero(np.rint(grid.theta * m / (2 * np.pi)) % 4 == 0)
+    centres = [CTX.mpc(lam) for lam in seq.points.tolist()]
+    d = CTX.mpf(delta)
+    for c in columns.tolist():
+        lam = centres[grid.rim[c]]
+        theta = CTX.mpf(float(grid.theta[c]))
+        w = d * CTX.mpc(CTX.cos(theta), CTX.sin(theta))
+        z = (lam / abs(lam)) * (w + abs(lam)) / (1 + abs(lam) * w)
+        for k, mu in enumerate(centres):
+            a = (CTX.conj(lam) / abs(lam)) * (mu - lam) / (1 - CTX.conj(lam) * mu)
+            want = CTX.log(abs(z - mu) / abs(1 - CTX.conj(mu) * z))
+            error = abs((CTX.mpf(float(grid.factors[k, c])) - want) / want)
+            assert error <= rim_bound_eps(a, d) * EPS, (c, k, float(error / EPS))
+    assert columns.size > 0
