@@ -27,11 +27,11 @@ random targets) one reduction of 11 trials decides every search at the
 default rel_tol, n = 48 and 64 included, where the estimate lies within
 9e-9 of the threshold.
 
-``solve_pick`` runs one reduction where that ladder decides: the ladder
-pass also reduces each trial M at M * (1 + NORM_SLACK), so the
-construction reads its row from that batch, and the node residuals
-unwind on the reduction's own factor table.  Where the k-section runs,
-the construction reduces once more, apart from the search.
+``solve_pick`` runs one reduction where that ladder decides: its search
+also reduces each ladder trial M at M * (1 + NORM_SLACK), which
+``min_norm`` alone skips, and hands back the row the interpolant is
+built from; the node residuals unwind on the reduction's own factor
+table.  Where the k-section decides, the construction reduces again.
 """
 
 from __future__ import annotations
@@ -131,17 +131,6 @@ class PickProblem:
         """
         return per_point_moduli(self.nodes)
 
-    @cached_property
-    def _construction_rows(self) -> dict:
-        """Reduction rows at norm bounds M, left by :func:`min_norm` for the construction.
-
-        min_norm puts the row of its result's construction norm here when
-        its ladder pass reduced it, and :func:`construct_interpolant` at that
-        M takes it out instead of reducing again.  A row of a batch is the
-        one-row reduction bit for bit, since the rows never mix.
-        """
-        return {}
-
 
 @dataclass(frozen=True)
 class RationalInterpolant:
@@ -219,7 +208,7 @@ def is_feasible(problem: PickProblem, M: float) -> bool:
     :func:`construct_interpolant` at M keeps every parameter in the closed
     disk; this is the same test :func:`min_norm` searches on.  Nothing in
     the package calls it, since the search reduces its trials directly,
-    and the construction reads its row from the search's ladder pass or
+    and :func:`solve_pick` builds from the row its search hands back or
     reduces it directly: tests, demos and the benchmark tracer are its
     only callers.
     """
@@ -336,10 +325,10 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     targets), and ValueError unless 0 < rel_tol < 1.
 
     The first reduction tests both ends and a ladder (:func:`_ladder`)
-    around the estimate of :func:`_norm_estimate`.  In the same batch it
-    reduces each of those trials M at M * (1 + NORM_SLACK) and leaves the
-    returned norm's row there for :func:`construct_interpolant`
-    (``PickProblem._construction_rows``).  Where the estimate is
+    around the estimate of :func:`_norm_estimate`.  :func:`solve_pick`'s
+    search also reduces each of those trials M at M * (1 + NORM_SLACK) in
+    the same batch and builds its interpolant from the returned norm's
+    row; min_norm alone reduces no such row.  Where the estimate is
     skipped it tests the k-section's first pass, _GRID geometric trials
     from end to end.  Every later reduction tests the k-section's grid of
     the bracket, _GRID + 2 points, geometric while the upper end exceeds
@@ -350,12 +339,21 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     up to 2e-9 at n = 64, where the norms reach 1e9 (seeds 1-6).  A
     rel_tol below that band fixes the threshold only to the band.
     """
+    return _search(problem, rel_tol, False)[0]
+
+
+def _search(problem: PickProblem, rel_tol: float, construction: bool):
+    """:func:`min_norm`'s search, returning (norm, row).
+
+    With ``construction`` the ladder pass also reduces each trial M at
+    M * (1 + NORM_SLACK); row is the returned norm's row there, else None.
+    """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     lo = float(np.max(np.abs(problem.targets)))
     hi = norm_upper_bound(problem)
     if hi == 0.0:
-        return 0.0
+        return 0.0, None
     if not math.isfinite(hi):
         raise BracketFailureError(
             "norm bound sum_j |w_j| / |B_j(lam_j)| overflows; the targets are "
@@ -370,7 +368,7 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     a, b = lo, hi
     while True:
         trials = [M for M in dict.fromkeys(trials) if a <= M <= b and M not in tested]
-        ladder = estimate is not None and not tested
+        ladder = construction and estimate is not None and not tested
         runs = [M * (1.0 + NORM_SLACK) for M in trials] if ladder else []
         rows = _schur_parameters(problem, trials + runs)
         built.update(zip(trials, rows[len(trials):]))
@@ -391,9 +389,7 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
             break
         space = np.geomspace if b > 4.0 * a else np.linspace
         trials = space(a, b, _GRID + 2).tolist()
-    if b in built:
-        problem._construction_rows[b * (1.0 + NORM_SLACK)] = built[b]
-    return b
+    return b, built.get(b)
 
 
 def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant:
@@ -408,29 +404,29 @@ def construct_interpolant(problem: PickProblem, M: float) -> RationalInterpolant
     is finite and nonnegative: at M = inf every parameter is 0, and
     evaluation would return inf * 0.
 
-    Where :func:`min_norm`'s ladder pass on this problem already reduced
-    M, which is the case for its result times 1 + NORM_SLACK, the row is
-    taken from there (``PickProblem._construction_rows``) instead of
-    reducing again; it is the same row bit for bit.
+    It always reduces.  :func:`solve_pick` calls it only where the
+    k-section decided; else it builds from its search's ladder row, which
+    is this reduction bit for bit, since the rows of a batch never mix.
     """
-    nodes = problem.nodes.points
     if not 0.0 <= M < math.inf:  # NaN fails too
         raise ValueError(f"norm bound must be finite and nonnegative, got {M!r}")
     if M == 0.0:
         if np.any(problem.targets != 0):
             raise RecursionBreakdownError("M = 0 admits only the zero interpolant")
-        return RationalInterpolant(tuple((lam, 0j) for lam in nodes.tolist()), 0.0)
-    params = problem._construction_rows.pop(M, None)
-    if params is None:
-        params = _schur_parameters(problem, [M])[0]
-    inside = _inside(params)
+        return RationalInterpolant(tuple((lam, 0j) for lam in problem.nodes.points.tolist()), 0.0)
+    return _from_row(problem, M, _schur_parameters(problem, [M])[0])
+
+
+def _from_row(problem: PickProblem, M: float, row: np.ndarray) -> RationalInterpolant:
+    """The interpolant of the reduction row at M > 0; a breakdown names the node."""
+    inside = _inside(row)
     if not inside.all():
         i = int(np.argmin(inside))
         raise RecursionBreakdownError(
-            f"reduction parameter |p| = {abs(params[i]):.6g} at node {i} leaves "
+            f"reduction parameter |p| = {abs(row[i]):.6g} at node {i} leaves "
             f"the closed disk; M = {M:.6g} is below the minimal norm"
         )
-    return RationalInterpolant(tuple(zip(nodes.tolist(), params.tolist())), float(M))
+    return RationalInterpolant(tuple(zip(problem.nodes.points.tolist(), row.tolist())), float(M))
 
 
 def interpolant_eval(f: RationalInterpolant, z):
@@ -513,16 +509,17 @@ def solve_pick(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> PickSol
     The norm search and the construction apply the same reduction, so the
     construction at the slightly inflated norm keeps every parameter
     strictly inside the disk without retries.  Where the search's ladder
-    decides, that is one reduction for the whole solve: the ladder pass
-    carries the construction's row.  Where the k-section runs, the
-    construction reduces once more.  The interpolant is then unwound at
+    decides, that is one reduction for the whole solve: the search hands
+    back its ladder pass's construction row.  Where the k-section decides,
+    the construction reduces once more.  The interpolant is then unwound at
     every node on the problem's cached factor table, bit for bit what
     :func:`interpolant_eval` gives there; a residual above RESIDUAL_TOL *
     max(1, min_norm) raises NumericalError naming the node.
     """
-    M_star = min_norm(problem, rel_tol=rel_tol)
+    M_star, params = _search(problem, rel_tol, True)
     M_run = M_star * (1.0 + NORM_SLACK)
-    interpolant = construct_interpolant(problem, M_run)
+    interpolant = (construct_interpolant(problem, M_run) if params is None
+                   else _from_row(problem, M_run, params))
     residuals = _unwind(interpolant, [(0, problem._factor_values)], len(problem)) - problem.targets
     worst = int(np.argmax(np.abs(residuals)))
     if abs(residuals[worst]) > RESIDUAL_TOL * max(1.0, M_star):

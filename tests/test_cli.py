@@ -1079,3 +1079,31 @@ class TestBlasKernels:
                                  capture_output=True, text=True, env=env, timeout=120)
             assert (run.returncode, run.stderr) == (0, ""), kernel
             assert run.stdout == expected, kernel
+
+    @pytest.mark.skipif(not _openblas_dynamic_arch(),
+                        reason="numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 24: min_norm's ladder is centred on "
+                              "_norm_estimate, whose BLAS products round by kernel")
+    def test_pinned_pick_bytes_under_every_kernel(self, tmp_path, capsys):
+        # The pinned verify-theorem, interpolate and counterexample ops,
+        # which run min_norm, in one child per kernel set.
+        argvs = [[command, write_document(tmp_path / f"{command}-{count}.json",
+                                          generate_separated_random(count, sep, seed).points),
+                  *extra]
+                 for command, count, sep, seed, extra, _ in _PINNED
+                 if command in ("verify-theorem", "interpolate")]
+        argvs.append(["counterexample", "--pairs", "4", "--gap", "0.1", "0.01", "--ratio", "0.5"])
+        for argv in argvs:
+            assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import json, sys; from diskinterp.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0")
+        for kernel in ("Haswell", "Sandybridge", "Prescott"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert (run.returncode, run.stderr) == (0, ""), kernel
+            assert run.stdout == expected, kernel

@@ -287,6 +287,20 @@ def reduction_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def reduction_batches(monkeypatch):
+    """Records the trial norms of every reduction, one list per call."""
+    batches = []
+    reduce = pick._schur_parameters
+
+    def recorded(problem, Ms):
+        batches.append(list(Ms))
+        return reduce(problem, Ms)
+
+    monkeypatch.setattr(pick, "_schur_parameters", recorded)
+    return batches
+
+
 # Near the threshold of the regular family at n = 48 and 64, whose norms
 # reach 1e9, the reduction's verdict is not monotone in M over about 4e-10
 # relative (4.0e-10 apart at seed 1), so two valid brackets may differ by
@@ -321,15 +335,7 @@ def benchmark_problems(seeds):
 
 
 def trial_verdicts(Ms, rows):
-    """(M, feasible) for the search trials among one reduction's rows.
-
-    The ladder pass ends its batch with a construction row at M * (1 +
-    NORM_SLACK) for each of its trials M.  Those are not trials of the
-    search, so they are left out.
-    """
-    k = len(Ms) // 2
-    if list(Ms[k:]) == [M * (1.0 + NORM_SLACK) for M in Ms[:k]]:
-        Ms, rows = Ms[:k], rows[:k]
+    """(M, feasible) for each trial of one reduction of min_norm's search."""
     return zip(Ms, pick._inside(rows).all(axis=1))
 
 
@@ -793,16 +799,30 @@ class TestSolvePick:
                 assert np.array_equal(factors[i], _mobius(centre, lam)), (len(seq), i)
 
     def test_residual_guard_names_node(self, monkeypatch):
-        construct = pick.construct_interpolant
+        # Both paths build through pick._from_row: the ladder path from the
+        # row its search hands back, the k-section path (no norm estimate)
+        # through construct_interpolant.
+        build, construct = pick._from_row, pick.construct_interpolant
+        constructions = []
 
-        def misplaced_last_parameter(problem, M):
-            f = construct(problem, M)
+        def misplaced_last_parameter(problem, M, row):
+            f = build(problem, M, row)
             *steps, (lam, p) = f.schur_steps
             return RationalInterpolant((*steps, (lam, 0.5 * p)), f.scale)
 
-        monkeypatch.setattr(pick, "construct_interpolant", misplaced_last_parameter)
+        def counted(problem, M):
+            constructions.append(M)
+            return construct(problem, M)
+
+        monkeypatch.setattr(pick, "_from_row", misplaced_last_parameter)
+        monkeypatch.setattr(pick, "construct_interpolant", counted)
         with pytest.raises(NumericalError, match="node 1 "):
             solve_pick(zero_one(0.5))
+        assert constructions == []
+        monkeypatch.setattr(pick, "_norm_estimate", lambda problem: None)
+        with pytest.raises(NumericalError, match="node 1 "):
+            solve_pick(zero_one(0.5))
+        assert len(constructions) == 1
 
 
 def bits(values) -> bytes:
@@ -831,12 +851,16 @@ class TestOneReductionPerSolve:
             expected = interpolant_eval(f, problem.nodes.points) - problem.targets
             assert bits(solution.residuals) == bits(expected), len(problem)
 
-    def test_one_reduction_on_the_benchmark_inputs(self, reduction_calls):
+    def test_one_reduction_on_the_benchmark_inputs(self, reduction_batches):
+        # One batch: the search's trials, then each trial at M * (1 +
+        # NORM_SLACK), the construction rows.
         for n, problem in benchmark_problems(range(1, 9)):
-            reduction_calls[0] = 0
+            reduction_batches.clear()
             solve_pick(problem)
-            assert reduction_calls[0] == 1, n
-            assert problem._construction_rows == {}
+            assert len(reduction_batches) == 1, n
+            batch = reduction_batches[0]
+            trials = batch[:len(batch) // 2]
+            assert batch == trials + [M * (1.0 + NORM_SLACK) for M in trials], n
 
     def test_ksection_path_keeps_its_reductions(self, reduction_calls):
         # Where the estimate is skipped the passes carry no construction
@@ -845,3 +869,51 @@ class TestOneReductionPerSolve:
         assert pick._norm_estimate(problem) is None
         solve_pick(problem)
         assert reduction_calls[0] <= 10
+
+
+def search_paths():
+    """(path, problem, rel_tol) on the norm search's three paths.
+
+    The ladder alone decides the benchmark problems at the default
+    rel_tol; at 1e-12 its rungs miss and the k-section narrows the bracket
+    it left; at 128 points and sep 0.05 the estimate is skipped and the
+    search is the blind k-section.
+    """
+    for _, problem in benchmark_problems(range(1, 9)):
+        yield "ladder", problem, BISECT_REL_TOL
+    for _, problem in benchmark_problems((1, 2)):
+        yield "ladder then k-section", problem, 1e-12
+    seq = generate_separated_random(128, 0.05, 1)
+    yield "blind", PickProblem(seq, np.arange(128) % 2), BISECT_REL_TOL
+
+
+class TestSearchCallers:
+    """min_norm and solve_pick run one search; only solve_pick asks it for a row."""
+
+    def test_min_norm_reduces_no_construction_rows(self, reduction_batches):
+        # One reduction of the search's trials alone: 11 rows at n = 64,
+        # where solve_pick's batch has 22.
+        for n, problem in benchmark_problems(range(1, 9)):
+            reduction_batches.clear()
+            min_norm(problem)
+            assert len(reduction_batches) == 1, n
+            batch = reduction_batches[0]
+            assert not set(batch) & {M * (1.0 + NORM_SLACK) for M in batch}, n
+            if n == 64:
+                assert len(batch) == 11
+
+    def test_min_norm_is_solve_picks_norm(self, reduction_calls):
+        # The same float, bit for bit, on every path, and each path is taken.
+        for path, problem, rel_tol in search_paths():
+            reduction_calls[0] = 0
+            M = min_norm(problem, rel_tol)
+            passes = reduction_calls[0]
+            solution = solve_pick(PickProblem(problem.nodes, problem.targets), rel_tol)
+            assert bits([M]) == bits([solution.min_norm]), (path, len(problem))
+            assert (pick._norm_estimate(problem) is None) == (path == "blind")
+            assert (passes == 1) == (path == "ladder"), (path, len(problem))
+
+    def test_solve_leaves_only_fields_and_caches(self):
+        for path, problem, rel_tol in search_paths():
+            solve_pick(problem, rel_tol)
+            assert set(vars(problem)) == {"nodes", "targets", "_factor_values", "_moduli"}, path
