@@ -342,7 +342,7 @@ def min_norm(problem: PickProblem, rel_tol: float = BISECT_REL_TOL) -> float:
     return _search(problem, rel_tol, False)[0]
 
 
-def _search(problem: PickProblem, rel_tol: float, construction: bool):
+def _search(problem: PickProblem, rel_tol: float, construction: bool) -> tuple:
     """:func:`min_norm`'s search, returning (norm, row).
 
     With ``construction`` the ladder pass also reduces each trial M at
